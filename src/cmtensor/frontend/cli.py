@@ -127,8 +127,27 @@ def _cmd_corpus(args) -> int:
     return 1 if failed else 0
 
 
+def _bad_number(args) -> str | None:
+    """Why a numeric argument is out of range, or None when all are valid."""
+    try:
+        PrimeField(args.prime)
+    except ValueError as exc:
+        return f"--prime: {exc}"
+    if args.gb_step_budget is not None and args.gb_step_budget < 1:
+        return f"--gb-step-budget must be at least 1, got {args.gb_step_budget}"
+    if args.nzd_retries < 0:
+        return f"--nzd-retries must be at least 0, got {args.nzd_retries}"
+    if args.command == "corpus" and args.size < 1:
+        return f"--size must be at least 1, got {args.size}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _bad_number(args)
+    if problem is not None:
+        print(f"cmtensor: {problem}", file=sys.stderr)
+        return 2
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_corpus(args)

@@ -21,9 +21,10 @@ from ..invariants import (
     is_cohen_macaulay,
     krull_dim,
 )
-from ..polyring import DEFAULT_PRIME, PolyRing, PrimeField
+from ..polyring import DEFAULT_PRIME, Polynomial, PolyRing, PrimeField, map_variables
 from .. import theorems
 from .parser import (
+    CHECK_SIGNATURES,
     AssertStmt,
     BoolLit,
     CallExpr,
@@ -45,15 +46,13 @@ _COMPARATORS = {
     ">=": lambda a, b: a >= b,
 }
 
-_CHECKS = {
-    "thm_1_1_a": theorems.check_thm_1_1_a,
-    "thm_1_1_b": theorems.check_thm_1_1_b,
-    "thm_1_1_c": theorems.check_thm_1_1_c,
-    "lemma_1_2": theorems.check_lemma_1_2,
-    "prop_2_3_a": theorems.check_prop_2_3_a,
-    "thm_2_1": theorems.check_thm_2_1,
-    "remark_2_5": theorems.check_remark_2_5,
-}
+
+def _in_ring(lit: Polynomial, ring: PolyRing) -> Polynomial:
+    """Move a parsed literal into a declared ring."""
+    for name in lit.ring.names:
+        if name not in ring.names:
+            raise SessionError(f"unknown variable {name!r}; the ring has {ring.names}")
+    return map_variables(lit, ring, [ring.names.index(nm) for nm in lit.ring.names])
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,12 @@ class _Runner:
                 alg = tensor(self.ring(stmt.factors[0]), self.ring(stmt.factors[1]))
             else:
                 ring = PolyRing(stmt.vars, self.field)
-                rels = [lit.to_polynomial(ring) for lit in stmt.relations]
+                rels = [_in_ring(lit, ring) for lit in stmt.relations]
                 alg = make_algebra(ring, rels, step_budget=self.config.step_budget)
             self.rings[stmt.name] = alg
             return CommandResult(command=stmt.render(), status="ok")
         owner = self.ring(stmt.owner)
-        gens = [lit.to_polynomial(owner.ring) for lit in stmt.gens]
+        gens = [_in_ring(lit, owner.ring) for lit in stmt.gens]
         self.ideals[stmt.name] = AlgebraIdeal(owner, gens)
         return CommandResult(command=stmt.render(), status="ok")
 
@@ -153,37 +152,24 @@ class _Runner:
         )
 
     def run_check(self, stmt: CheckStmt, seed):
-        budget = self.config.step_budget
-        retries = self.config.nzd_retries
-        cid = stmt.check_id
-        arg = [a.name if hasattr(a, "name") else a.polys for a in stmt.args]
-        if cid in ("thm_1_1_a",):
-            A, I = self.owned_ideal(arg[0], arg[2])
-            rep = _CHECKS[cid](A, self.ring(arg[1]), I, seed,
-                               step_budget=budget, nzd_retries=retries)
-        elif cid in ("thm_1_1_b", "thm_1_1_c"):
-            A, I = self.owned_ideal(arg[0], arg[2])
-            B, J = self.owned_ideal(arg[1], arg[3])
-            rep = _CHECKS[cid](A, B, I, J, seed, step_budget=budget, nzd_retries=retries)
-        elif cid == "lemma_1_2":
-            A = self.ring(arg[0])
-            B = self.ring(arg[1])
-            xs = tuple(lit.to_polynomial(A.ring) for lit in arg[2])
-            ys = tuple(lit.to_polynomial(B.ring) for lit in arg[3])
-            rep = theorems.check_lemma_1_2(A, B, xs, ys, seed, step_budget=budget)
-        elif cid in ("prop_2_3_a", "remark_2_5"):
-            T, P = self.owned_ideal(arg[0], arg[1])
-            if cid == "prop_2_3_a":
-                rep = theorems.check_prop_2_3_a(T, P, seed, step_budget=budget)
+        sig = CHECK_SIGNATURES[stmt.check_id]
+        # the k-th ideal or polynomial-list argument lives in the k-th ring
+        owners = iter([a.name for a, kind in zip(stmt.args, sig) if kind == "ring"])
+        values = []
+        for arg, kind in zip(stmt.args, sig):
+            if kind == "ring":
+                values.append(self.ring(arg.name))
+            elif kind == "ideal":
+                values.append(self.owned_ideal(next(owners), arg.name)[1])
             else:
-                rep = theorems.check_remark_2_5(
-                    T, P, seed, step_budget=budget, nzd_retries=retries
-                )
-        else:  # thm_2_1
-            rep = theorems.check_thm_2_1(
-                self.ring(arg[0]), self.ring(arg[1]), seed,
-                step_budget=budget, nzd_retries=retries,
-            )
+                ring = self.ring(next(owners)).ring
+                values.append(tuple(_in_ring(lit, ring) for lit in arg.polys))
+        rep = theorems.CHECKS[stmt.check_id](
+            *values,
+            seed,
+            step_budget=self.config.step_budget,
+            nzd_retries=self.config.nzd_retries,
+        )
         return CommandResult(
             command=stmt.render(),
             status=rep.status,

@@ -18,14 +18,26 @@ Polynomial expressions use ^ over * over binary +/- with explicit *, and
 integer literals are reduced modulo the session prime at parse time.
 Names must be declared before use and are never shadowed; violations are
 parse errors carrying the source position.
+
+Each polynomial literal is a kernel Polynomial over the alphabetically
+sorted names left in it after cancellation, built with the kernel's own
+arithmetic and rendered in deglex order.  The executor moves it into the
+declared ring, where a name the ring lacks is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ParseError, SessionError
-from ..polyring import DEFAULT_PRIME, Polynomial, PolyRing
+from ..errors import ParseError
+from ..polyring import (
+    DEFAULT_PRIME,
+    DEGLEX,
+    Polynomial,
+    PolyRing,
+    PrimeField,
+    restrict_variables,
+)
 
 _TWO_CHAR = ("==", "!=", "<=", ">=")
 _ONE_CHAR = "(),;=:+-*^/<>"
@@ -117,98 +129,6 @@ def tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 # AST
 
-def _render_coeff_mono(coeff: int, mono: tuple, p: int) -> tuple:
-    """Signed display pieces for one term under the balanced lift."""
-    c = coeff - p if coeff > p // 2 else coeff
-    body = "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in mono)
-    mag = abs(c)
-    if body:
-        if mag != 1:
-            body = f"{mag}*{body}"
-    else:
-        body = str(mag)
-    return ("-" if c < 0 else "+", body)
-
-
-@dataclass(frozen=True)
-class PolyLiteral:
-    """A parsed polynomial: canonical term tuple over variable names."""
-
-    terms: tuple  # ((coeff, ((name, exp), ...)), ...) sorted
-    prime: int
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = [_render_coeff_mono(c, m, self.prime) for c, m in self.terms]
-        sign, body = chunks[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def to_polynomial(self, ring: PolyRing) -> Polynomial:
-        if ring.field.p != self.prime:
-            raise SessionError("polynomial literal parsed under a different prime")
-        n = ring.nvars
-        terms = {}
-        for coeff, mono in self.terms:
-            exps = [0] * n
-            for name, e in mono:
-                try:
-                    exps[ring.index(name)] = e
-                except ValueError:
-                    raise SessionError(
-                        f"unknown variable {name!r}; the ring has {ring.names}"
-                    ) from None
-            terms[tuple(exps)] = coeff
-        return Polynomial(ring, terms)
-
-
-def _canon_literal(term_map: dict, p: int) -> PolyLiteral:
-    items = [(c, m) for m, c in term_map.items() if c % p]
-    # degree first, then alphabetically with higher powers leading, so
-    # (x+y)^2 prints as x^2 + 2*x*y + y^2
-    items.sort(
-        key=lambda cm: (
-            -sum(e for _, e in cm[1]),
-            tuple((name, -e) for name, e in cm[1]),
-        )
-    )
-    return PolyLiteral(tuple((c % p, m) for c, m in items), p)
-
-
-def _term_mul(m1: tuple, m2: tuple) -> tuple:
-    acc = dict(m1)
-    for name, e in m2:
-        acc[name] = acc.get(name, 0) + e
-    return tuple(sorted((nm, e) for nm, e in acc.items() if e))
-
-
-def _map_add(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        v = (out.get(m, 0) + c) % p
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _map_mul(a: dict, b: dict, p: int) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _term_mul(m1, m2)
-            v = (out.get(m, 0) + c1 * c2) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
-
-
 @dataclass(frozen=True)
 class IntLit:
     value: int
@@ -247,7 +167,7 @@ class PolysArg:
     polys: tuple
 
     def render(self) -> str:
-        return "(" + ", ".join(p.render() for p in self.polys) + ")"
+        return "(" + ", ".join(p.render(DEGLEX) for p in self.polys) + ")"
 
 
 @dataclass
@@ -264,7 +184,7 @@ class RingDecl:
             return f"ring {self.name} = tensor({self.factors[0]}, {self.factors[1]})"
         body = f"ring {self.name} = poly({', '.join(self.vars)})"
         if self.relations:
-            body += " / (" + ", ".join(r.render() for r in self.relations) + ")"
+            body += " / " + PolysArg(self.relations).render()
         return body
 
 
@@ -276,9 +196,7 @@ class IdealDecl:
     pos: tuple = field(default=(0, 0), compare=False)
 
     def render(self) -> str:
-        return f"ideal {self.name} = {self.owner}:(" + ", ".join(
-            g.render() for g in self.gens
-        ) + ")"
+        return f"ideal {self.name} = {self.owner}:{PolysArg(self.gens).render()}"
 
 
 @dataclass
@@ -339,7 +257,7 @@ class _Parser:
     def __init__(self, tokens, prime):
         self.tokens = tokens
         self.i = 0
-        self.prime = prime
+        self.field = PrimeField(prime)
         self.symbols = {}  # name -> "ring" | "ideal"
 
     def peek(self) -> Token:
@@ -389,67 +307,86 @@ class _Parser:
 
     # -- polynomial expressions ----------------------------------------------
 
-    def parse_poly(self) -> PolyLiteral:
-        acc = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_term()
-            if op == "-":
-                rhs = {m: -c % self.prime for m, c in rhs.items()}
-            acc = _map_add(acc, rhs, self.prime)
-        return _canon_literal(acc, self.prime)
+    def literal_ring(self) -> PolyRing:
+        """The ring over the sorted names in the literal that starts here.
 
-    def parse_term(self) -> dict:
-        acc = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.advance()
-            acc = _map_mul(acc, self.parse_factor(), self.prime)
+        The scan covers every token the literal can consume, so each name
+        the parser meets is a variable of this ring.
+        """
+        names, depth, j = set(), 0, self.i
+        while True:
+            tok = self.tokens[j]
+            if tok.kind == "ident":
+                names.add(tok.text)
+            elif tok.text == "(":
+                depth += 1
+            elif tok.text == ")" and depth:
+                depth -= 1
+            elif tok.kind != "int" and tok.text not in ("+", "-", "*", "^"):
+                return PolyRing(tuple(sorted(names)), self.field)
+            j += 1
+
+    def parse_literal(self) -> Polynomial:
+        """One polynomial, over the sorted names left after cancellation."""
+        ring = self.literal_ring()
+        f = self.parse_sum(ring)
+        used = sorted(f.support())
+        if len(used) == ring.nvars:
+            return f
+        names = tuple(ring.names[i] for i in used)
+        return restrict_variables(f, PolyRing(names, self.field), used)
+
+    def parse_sum(self, ring) -> Polynomial:
+        acc = self.parse_term(ring)
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            if self.advance().text == "+":
+                acc = acc + self.parse_term(ring)
+            else:
+                acc = acc - self.parse_term(ring)
         return acc
 
-    def parse_factor(self) -> dict:
+    def parse_term(self, ring) -> Polynomial:
+        acc = self.parse_factor(ring)
+        while self.peek().kind == "op" and self.peek().text == "*":
+            self.advance()
+            acc = acc * self.parse_factor(ring)
+        return acc
+
+    def parse_factor(self, ring) -> Polynomial:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            inner = self.parse_factor()
-            return {m: -c % self.prime for m, c in inner.items()}
-        base = self.parse_atom()
+            return -self.parse_factor(ring)
+        base = self.parse_atom(ring)
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             etok = self.peek()
             if etok.kind != "int":
                 self.fail("expected an integer exponent")
             self.advance()
-            e = int(etok.text)
-            out = {(): 1}
-            while e:
-                if e & 1:
-                    out = _map_mul(out, base, self.prime)
-                base = _map_mul(base, base, self.prime)
-                e >>= 1
-            return out
+            return base ** int(etok.text)
         return base
 
-    def parse_atom(self) -> dict:
+    def parse_atom(self, ring) -> Polynomial:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            c = int(tok.text) % self.prime
-            return {(): c} if c else {}
+            return ring.const(int(tok.text))
         if tok.kind == "ident":
             self.advance()
-            return {((tok.text, 1),): 1}
+            return ring.var(tok.text)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            lit = self.parse_poly()
+            inner = self.parse_sum(ring)
             self.expect_op(")")
-            return {m: c for c, m in lit.terms}
+            return inner
         self.fail(f"expected a polynomial, found {tok.text!r}" if tok.text else "expected a polynomial, found end of input")
 
     def parse_poly_list(self) -> tuple:
-        polys = [self.parse_poly()]
+        polys = [self.parse_literal()]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.advance()
-            polys.append(self.parse_poly())
+            polys.append(self.parse_literal())
         return tuple(polys)
 
     # -- expressions -----------------------------------------------------------
@@ -616,7 +553,7 @@ class _Parser:
                 )
             self.expect_op(";")
             statements.append(stmt)
-        return Session(self.prime, tuple(statements))
+        return Session(self.field.p, tuple(statements))
 
 
 def parse_session(text: str, prime: int = DEFAULT_PRIME) -> Session:

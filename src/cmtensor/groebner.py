@@ -112,7 +112,7 @@ def normal_form(
     ring = f.ring
     nz = [g for g in basis if g.terms]
     _check_ring(ring, nz)
-    counter = _StepCounter(step_budget or DEFAULT_STEP_BUDGET)
+    counter = _StepCounter(DEFAULT_STEP_BUDGET if step_budget is None else step_budget)
     data = [_basis_entry(g, order) for g in nz]
     return Polynomial(ring, _reduce_terms(ring, f.terms, data, order, counter), _trusted=True)
 
@@ -154,7 +154,7 @@ def buchberger(
     ring = nonzero[0].ring
     _check_ring(ring, nonzero)
     p = ring.field.p
-    counter = _StepCounter(step_budget or DEFAULT_STEP_BUDGET)
+    counter = _StepCounter(DEFAULT_STEP_BUDGET if step_budget is None else step_budget)
 
     G = [g.monic(order) for g in nonzero]
     lms = [g.leading_monomial(order) for g in G]

@@ -87,9 +87,10 @@ def _rest_indices(front: tuple, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A global monomial order: ``lex``, ``grevlex``, or a block order.
+    """A global monomial order: ``lex``, ``grevlex``, ``deglex``, or a block order.
 
-    The block order compares the exponents at the ``front`` positions
+    ``deglex`` compares total degree first and breaks ties by ``lex``.  The
+    block order compares the exponents at the ``front`` positions
     first (by grevlex) and falls back to the remaining positions, so any
     monomial touching a front variable exceeds any monomial that does not.
     """
@@ -98,7 +99,7 @@ class MonomialOrder:
     front: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
+        if self.kind not in ("lex", "grevlex", "deglex", "block"):
             raise ValueError(f"unknown monomial order kind {self.kind!r}")
         if self.kind == "block" and not self.front:
             raise ValueError("block order needs at least one front position")
@@ -109,6 +110,8 @@ class MonomialOrder:
             return (sum(m), tuple(-e for e in reversed(m)))
         if self.kind == "lex":
             return m
+        if self.kind == "deglex":
+            return (sum(m), m)
         fm = tuple(m[i] for i in self.front)
         rm = tuple(m[i] for i in _rest_indices(self.front, len(m)))
         return (
@@ -131,6 +134,7 @@ class MonomialOrder:
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
+DEGLEX = MonomialOrder("deglex")
 
 
 def block_order(front: Iterable[int]) -> MonomialOrder:

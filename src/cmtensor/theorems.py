@@ -5,6 +5,11 @@ both sides through public operations only (the two sides deliberately
 traverse different constructions), and reports pass/fail with embedded
 grade certificates.  Hypothesis violations yield status "skipped" with
 the violated clause named; a skipped check is not a failed theorem.
+
+Every check has one call shape: its inputs, then ``seed``, then the
+keyword-only ``step_budget`` and ``nzd_retries``, so ``CHECKS`` can drive
+any of them the same way.  ``check_lemma_1_2`` and ``check_prop_2_3_a``
+are deterministic: they accept ``seed`` and ``nzd_retries`` but ignore them.
 """
 
 from __future__ import annotations
@@ -37,17 +42,6 @@ from .invariants import (
     validate_grade_certificate,
 )
 from .polyring import PolyRing, PrimeField
-
-CHECK_IDS = (
-    "thm_1_1_a",
-    "thm_1_1_b",
-    "thm_1_1_c",
-    "lemma_1_2",
-    "prop_2_3_a",
-    "thm_2_1",
-    "remark_2_5",
-)
-
 
 @dataclass
 class GradeEvidence:
@@ -222,7 +216,7 @@ def check_thm_1_1_c(
 
 def check_lemma_1_2(
     A, B, xs, ys, seed: int = 0,
-    *, step_budget: int | None = None,
+    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
 ) -> TheoremReport:
     """Elementwise products of permutable sequences stay permutable in the tensor."""
     inputs = {
@@ -250,7 +244,7 @@ def check_lemma_1_2(
 
 def check_prop_2_3_a(
     T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0,
-    *, step_budget: int | None = None,
+    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
 ) -> TheoremReport:
     """Height additivity across the two contractions and the quotient."""
     if not isinstance(T, TensorAlgebra):
@@ -346,6 +340,18 @@ def check_remark_2_5(
         ),
         assumptions=("P asserted prime",),
     )
+
+
+CHECKS = {
+    "thm_1_1_a": check_thm_1_1_a,
+    "thm_1_1_b": check_thm_1_1_b,
+    "thm_1_1_c": check_thm_1_1_c,
+    "lemma_1_2": check_lemma_1_2,
+    "prop_2_3_a": check_prop_2_3_a,
+    "thm_2_1": check_thm_2_1,
+    "remark_2_5": check_remark_2_5,
+}
+CHECK_IDS = tuple(CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +627,9 @@ def run_all_checks(
         check_thm_1_1_c(inst.A, inst.B, inst.I, inst.J, seed, **kw),
     ]
     if inst.xs and inst.ys:
-        reports.append(
-            check_lemma_1_2(inst.A, inst.B, inst.xs, inst.ys, seed, step_budget=step_budget)
-        )
+        reports.append(check_lemma_1_2(inst.A, inst.B, inst.xs, inst.ys, seed, **kw))
     if inst.P is not None:
-        reports.append(check_prop_2_3_a(inst.T, inst.P, seed, step_budget=step_budget))
+        reports.append(check_prop_2_3_a(inst.T, inst.P, seed, **kw))
         reports.append(check_remark_2_5(inst.T, inst.P, seed, **kw))
     reports.append(check_thm_2_1(inst.A, inst.B, seed, **kw))
     return reports

@@ -1,15 +1,33 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtensor import ParseError
+from cmtensor import (
+    AlgebraIdeal,
+    ParseError,
+    PolyRing,
+    PrimeField,
+    make_algebra,
+    tensor,
+    theorems,
+)
 from cmtensor.frontend import ExecConfig, RunReport, execute, parse_session
 from cmtensor.frontend.cli import main
-from cmtensor.frontend.parser import AssertStmt, CheckStmt, RingDecl, tokenize
+from cmtensor.frontend.parser import (
+    CHECK_SIGNATURES,
+    AssertStmt,
+    CheckStmt,
+    RingDecl,
+    tokenize,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_version_is_consistent():
@@ -292,6 +310,82 @@ class TestExecutor:
         assert rep.results[0].status == "ok"
 
 
+CHECK_SETUP = """\
+ring A = poly(x, y) / (x^2, x*y);
+ring B = poly(u, v);
+ring C = poly(s, t);
+ring T = tensor(A, B);
+ring S = tensor(B, C);
+ideal I = A:(x, y);
+ideal J = B:(u, v);
+ideal P = S:(u, s - v);
+"""
+
+CHECK_ARGS = {
+    "thm_1_1_a": "A, B, I",
+    "thm_1_1_b": "A, B, I, J",
+    "thm_1_1_c": "A, B, I, J",
+    "lemma_1_2": "B, C, (u, v^2), (s - t, t)",
+    "prop_2_3_a": "S, P",
+    "thm_2_1": "A, B",
+    "remark_2_5": "S, P",
+}
+
+
+def _direct_check_args(check_id):
+    """The kernel objects CHECK_SETUP declares, as CHECK_ARGS names them."""
+    field = PrimeField()
+    x, y = (ra := PolyRing(("x", "y"), field)).gens()
+    u, v = (rb := PolyRing(("u", "v"), field)).gens()
+    s, t = (rc := PolyRing(("s", "t"), field)).gens()
+    A = make_algebra(ra, (x**2, x * y))
+    B = make_algebra(rb)
+    C = make_algebra(rc)
+    S = tensor(B, C)
+    su, sv, ss = (S.ring.var(n) for n in ("u", "v", "s"))
+    return {
+        "thm_1_1_a": (A, B, AlgebraIdeal(A, (x, y))),
+        "thm_1_1_b": (A, B, AlgebraIdeal(A, (x, y)), AlgebraIdeal(B, (u, v))),
+        "thm_1_1_c": (A, B, AlgebraIdeal(A, (x, y)), AlgebraIdeal(B, (u, v))),
+        "lemma_1_2": (B, C, (u, v**2), (s - t, t)),
+        "prop_2_3_a": (S, AlgebraIdeal(S, (su, ss - sv))),
+        "thm_2_1": (A, B),
+        "remark_2_5": (S, AlgebraIdeal(S, (su, ss - sv))),
+    }[check_id]
+
+
+class TestCheckTable:
+    def run(self, statement):
+        return execute(parse_session(CHECK_SETUP + statement)).results[-1]
+
+    def test_signatures_cover_every_check(self):
+        assert set(CHECK_SIGNATURES) == set(theorems.CHECK_IDS)
+        assert set(CHECK_ARGS) == set(theorems.CHECK_IDS)
+
+    @pytest.mark.parametrize("check_id", theorems.CHECK_IDS)
+    def test_executor_matches_direct_call(self, check_id):
+        res = self.run(f"check {check_id}({CHECK_ARGS[check_id]});")
+        seed = len(parse_session(CHECK_SETUP).statements)
+        direct = getattr(theorems, f"check_{check_id}")(
+            *_direct_check_args(check_id), seed
+        )
+        assert res.status == direct.status != "error"
+        assert (res.lhs, res.rhs) == (direct.lhs, direct.rhs)
+        assert res.certificates == tuple(e.to_dict() for e in direct.certificates)
+        assert res.assumptions == direct.assumptions
+        assert res.detail == direct.detail
+
+    def test_ideal_of_another_ring(self):
+        res = self.run("check prop_2_3_a(T, J);")
+        assert res.status == "error"
+        assert res.error == "'J' is not an ideal of 'T'"
+
+    def test_lemma_list_in_the_wrong_ring(self):
+        res = self.run("check lemma_1_2(B, C, (u, s), (s, t));")
+        assert res.status == "error"
+        assert res.error == "unknown variable 's'; the ring has ('u', 'v')"
+
+
 class TestReportSerialization:
     def test_roundtrip(self):
         ast = parse_session(
@@ -364,4 +458,34 @@ class TestCli:
 
     def test_corpus_text(self, capsys):
         assert main(["corpus", "--seed", "2", "--size", "3"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "{path}", "--prime", "4"], "--prime: modulus 4 is not prime"),
+            (["corpus", "--prime", "4"], "--prime: modulus 4 is not prime"),
+            (["corpus", "--size", "-1"], "--size must be at least 1, got -1"),
+            (["corpus", "--size", "0"], "--size must be at least 1, got 0"),
+            (["run", "{path}", "--nzd-retries", "-1"], "--nzd-retries must be at least 0, got -1"),
+            (["corpus", "--nzd-retries", "-1"], "--nzd-retries must be at least 0, got -1"),
+            (["run", "{path}", "--gb-step-budget", "0"], "--gb-step-budget must be at least 1, got 0"),
+            (["run", "{path}", "--gb-step-budget", "-1"], "--gb-step-budget must be at least 1, got -1"),
+        ],
+        ids=[
+            "run-prime", "corpus-prime", "size-negative", "size-zero",
+            "run-nzd-negative", "corpus-nzd-negative", "budget-zero", "budget-negative",
+        ],
+    )
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, message):
+        path = self.write(tmp_path, "ring A = poly(x); compute dim(A);")
+        assert main([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cmtensor: {message}\n"
+
+    def test_readme_session_runs(self, tmp_path, capsys):
+        blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+        session = next(b for b in blocks if "ring T = tensor(A, B);" in b)
+        assert main(["run", self.write(tmp_path, session)]) == 0
         assert "overall: PASS" in capsys.readouterr().out

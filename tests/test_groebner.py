@@ -115,6 +115,13 @@ class TestBuchberger:
         with pytest.raises(StepBudgetExceeded):
             buchberger(gens, GREVLEX, step_budget=3)
 
+    def test_zero_step_budget_is_not_the_default(self):
+        x, y, z = R3.gens()
+        with pytest.raises(StepBudgetExceeded):
+            buchberger([x * y - z ** 2, y * z - x ** 2], GREVLEX, step_budget=0)
+        with pytest.raises(StepBudgetExceeded):
+            normal_form(x ** 2, [x], GREVLEX, step_budget=0)
+
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatchError):
             buchberger([R2.var(0), R3.var(0)], GREVLEX)

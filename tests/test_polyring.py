@@ -14,7 +14,7 @@ from cmtensor import (
     ZeroPolynomialError,
     block_order,
 )
-from cmtensor.polyring import map_variables, restrict_variables
+from cmtensor.polyring import DEGLEX, map_variables, restrict_variables
 
 F = PrimeField()
 R2 = PolyRing(("x", "y"), F)
@@ -58,6 +58,12 @@ class TestMonomialOrders:
     def test_lex_ignores_degree(self):
         assert LEX.compare((0, 5), (1, 0)) == -1
 
+    def test_deglex_degree_then_lex(self):
+        # x*z against y^2 over (x, y, z): deglex and grevlex disagree
+        assert DEGLEX.compare((1, 0, 1), (0, 2, 0)) == 1
+        assert GREVLEX.compare((1, 0, 1), (0, 2, 0)) == -1
+        assert DEGLEX.compare((0, 5), (1, 0)) == 1
+
     def test_length_mismatch(self):
         with pytest.raises(AmbientMismatchError):
             GREVLEX.compare((1, 2), (1, 2, 3))
@@ -68,7 +74,7 @@ class TestMonomialOrders:
 
     @given(monomials(3), monomials(3), monomials(3))
     def test_transitive(self, m1, m2, m3):
-        for order in (LEX, GREVLEX, block_order((0,))):
+        for order in (LEX, GREVLEX, DEGLEX, block_order((0,))):
             if order.compare(m1, m2) <= 0 and order.compare(m2, m3) <= 0:
                 assert order.compare(m1, m3) <= 0
 
@@ -76,14 +82,14 @@ class TestMonomialOrders:
     def test_multiplicative(self, m1, m2, t):
         from cmtensor.polyring import mono_mul
 
-        for order in (LEX, GREVLEX, block_order((1,))):
+        for order in (LEX, GREVLEX, DEGLEX, block_order((1,))):
             if order.compare(m1, m2) == -1:
                 assert order.compare(mono_mul(m1, t), mono_mul(m2, t)) == -1
 
     @given(monomials(4))
     def test_one_is_minimum(self, m):
         one = (0, 0, 0, 0)
-        for order in (LEX, GREVLEX, block_order((0, 2))):
+        for order in (LEX, GREVLEX, DEGLEX, block_order((0, 2))):
             assert order.compare(one, m) <= 0
 
     @given(monomials(4), monomials(4))
