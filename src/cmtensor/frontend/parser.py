@@ -27,6 +27,7 @@ declared ring, where a name the ring lacks is an error.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
@@ -272,6 +273,16 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def integer(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's integer string limit
+            self.fail(
+                f"integer literal of {len(tok.text)} digits exceeds the "
+                f"limit of {sys.get_int_max_str_digits()} digits",
+                tok,
+            )
+
     def expect_op(self, text) -> Token:
         tok = self.peek()
         if tok.kind != "op" or tok.text != text:
@@ -364,14 +375,14 @@ class _Parser:
             if etok.kind != "int":
                 self.fail("expected an integer exponent")
             self.advance()
-            return base ** int(etok.text)
+            return base ** self.integer(etok)
         return base
 
     def parse_atom(self, ring) -> Polynomial:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return ring.const(int(tok.text))
+            return ring.const(self.integer(tok))
         if tok.kind == "ident":
             self.advance()
             return ring.var(tok.text)
@@ -395,7 +406,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
+            return IntLit(self.integer(tok))
         if tok.kind == "ident" and tok.text in ("true", "false"):
             self.advance()
             return BoolLit(tok.text == "true")

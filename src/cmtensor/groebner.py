@@ -8,11 +8,28 @@ intersection via a tag variable, quotient, and elimination.
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
 worst duplicate the same computation and publish identical results.
+
+Bases are also memoised by content, but only inside a scope.  The memo is
+keyed on (ring, order, set of nonzero generator term maps): the reduced
+basis is unique, so the order and repetition of the generators cannot
+change it.  It lives in a context variable that :func:`memo_scope` sets
+for the outermost scoped call (a theorem check, ``grade`` or
+``is_cohen_macaulay``) and drops when that call returns, so it never
+outlives one computation.  Outside a scope :func:`buchberger` computes
+every basis afresh.  Only successful results are stored: a
+``StepBudgetExceeded`` is never memoised, and a memo hit spends no steps.
+Certificate validation always opens a fresh scope (``fresh=True``), so it
+never reads a basis cached by the run whose certificate it checks.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import math
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import AmbientMismatchError, StepBudgetExceeded
 from .polyring import (
@@ -31,6 +48,37 @@ from .polyring import (
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
+
+# The basis memo of the current scope, or None outside every scope.
+_BASIS_MEMO: ContextVar = ContextVar("cmtensor_basis_memo", default=None)
+
+
+@contextmanager
+def memo_scope(fresh: bool = False):
+    """Open a basis memo scope, or join the one already open.
+
+    With ``fresh`` a new empty memo is used even inside another scope; the
+    enclosing memo is restored on exit.
+    """
+    if not fresh and _BASIS_MEMO.get() is not None:
+        yield
+        return
+    token = _BASIS_MEMO.set({})
+    try:
+        yield
+    finally:
+        _BASIS_MEMO.reset(token)
+
+
+def memo_scoped(fn):
+    """Run `fn` inside a basis memo scope (joining an open one)."""
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        with memo_scope():
+            return fn(*args, **kwargs)
+
+    return scoped
 
 
 class _StepCounter:
@@ -56,36 +104,52 @@ def _check_ring(ring: PolyRing, polys: Iterable[Polynomial]):
             )
 
 
+class _OrderKeys(dict):
+    """Monomial -> order key, each key computed on first use."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.key = order.key
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
 def _basis_entry(g: Polynomial, order: MonomialOrder):
     lm, lc = g.leading_term(order)
     return lm, g.ring.field.inv(lc), g.terms
 
 
-def _reduce_terms(ring, f_terms, basis_data, order, counter):
+def _reduce_terms(ring, f_terms, basis_data, keys, counter, quotient=None):
     """Full division remainder of the term map `f_terms` by `basis_data`.
 
     Deterministic: the leading reducible term is always cancelled against
-    the first basis entry whose leading monomial divides it.
+    the first basis entry whose leading monomial divides it.  `keys` is an
+    :class:`_OrderKeys` of the order, so each monomial's key is computed
+    once however often it is compared.  When `quotient` is a dict and the
+    basis has one entry, the cofactor is accumulated into it.
     """
     p = ring.field.p
-    key = order.key
+    rank = keys.__getitem__
     work = dict(f_terms)
     rem = {}
     while work:
-        m = max(work, key=key)
+        m = max(work, key=rank)
         c = work.pop(m)
-        hit = None
         for lm, inv_lc, g_terms in basis_data:
             if mono_divides(lm, m):
-                hit = (lm, inv_lc, g_terms)
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
         counter.spend()
-        lm, inv_lc, g_terms = hit
         shift = mono_div(m, lm)
         factor = (c * inv_lc) % p
+        if quotient is not None:
+            quotient[shift] = factor
         for gm, gc in g_terms.items():
             if gm == lm:
                 continue
@@ -114,7 +178,8 @@ def normal_form(
     _check_ring(ring, nz)
     counter = _StepCounter(DEFAULT_STEP_BUDGET if step_budget is None else step_budget)
     data = [_basis_entry(g, order) for g in nz]
-    return Polynomial(ring, _reduce_terms(ring, f.terms, data, order, counter), _trusted=True)
+    rem = _reduce_terms(ring, f.terms, data, _OrderKeys(order), counter)
+    return Polynomial(ring, rem, _trusted=True)
 
 
 def _spoly_terms(gi, gj, lmi, lmj, p):
@@ -147,32 +212,50 @@ def buchberger(
     Pairs are selected by minimal lcm degree (normal strategy) and skipped
     via the coprime-leading-monomial and chain criteria.  The returned
     basis is monic, auto-reduced, and sorted ascending by leading monomial.
+    Inside a memo scope a basis already computed there is returned again.
     """
     nonzero = [g for g in gens if g.terms]
     if not nonzero:
         return []
     ring = nonzero[0].ring
     _check_ring(ring, nonzero)
+    memo = _BASIS_MEMO.get()
+    if memo is None:
+        return _buchberger(ring, nonzero, order, step_budget)
+    key = (ring, order, frozenset(frozenset(g.terms.items()) for g in nonzero))
+    basis = memo.get(key)
+    if basis is None:
+        basis = tuple(_buchberger(ring, nonzero, order, step_budget))
+        memo[key] = basis
+    return list(basis)
+
+
+def _buchberger(ring, nonzero, order, step_budget):
     p = ring.field.p
     counter = _StepCounter(DEFAULT_STEP_BUDGET if step_budget is None else step_budget)
+    keys = _OrderKeys(order)
 
     G = [g.monic(order) for g in nonzero]
-    lms = [g.leading_monomial(order) for g in G]
     data = [_basis_entry(g, order) for g in G]
+    lms = [lm for lm, _, _ in data]
 
-    pending: dict = {}
+    # Pairs are only ever removed by selection, so a heap of the unique
+    # selection keys pops them in the order of a minimum over the pending set.
+    pending = set()
+    queue = []
 
     def enqueue(i, j):
         L = mono_lcm(lms[i], lms[j])
-        pending[(i, j)] = (L, (mono_degree(L), order.key(L), i, j))
+        pending.add((i, j))
+        heapq.heappush(queue, (mono_degree(L), keys[L], i, j, L))
 
     for j in range(len(G)):
         for i in range(j):
             enqueue(i, j)
 
-    while pending:
-        (i, j) = min(pending, key=lambda ij: pending[ij][1])
-        L, _ = pending.pop((i, j))
+    while queue:
+        _, _, i, j, L = heapq.heappop(queue)
+        pending.remove((i, j))
         if mono_mul(lms[i], lms[j]) == L:
             continue  # coprime leading monomials: S-poly reduces to zero
         skip = False
@@ -189,37 +272,35 @@ def buchberger(
             continue
         counter.spend()
         s_terms = _spoly_terms(G[i], G[j], lms[i], lms[j], p)
-        rem = _reduce_terms(ring, s_terms, data, order, counter)
+        rem = _reduce_terms(ring, s_terms, data, keys, counter)
         if rem:
             r = Polynomial(ring, rem, _trusted=True).monic(order)
             new = len(G)
             G.append(r)
-            lms.append(r.leading_monomial(order))
             data.append(_basis_entry(r, order))
+            lms.append(data[-1][0])
             for t in range(new):
                 enqueue(t, new)
 
-    return _reduced_form(G, order, counter)
+    return _reduced_form(ring, data, order, keys, counter)
 
 
-def _reduced_form(G, order, counter):
-    """Minimalize and interreduce a Groebner basis into its reduced form."""
-    ring = G[0].ring
-    ordered = sorted(G, key=lambda g: order.key(g.leading_monomial(order)))
+def _reduced_form(ring, data, order, keys, counter):
+    """Minimalize and interreduce a Groebner basis into its reduced form.
+
+    `data` holds the basis entries of monic elements.  Each kept element
+    keeps its leading term under interreduction, so the output stays in
+    the ascending leading-monomial order of the kept elements.
+    """
     kept = []
-    kept_lms = []
-    for g in ordered:
-        lm = g.leading_monomial(order)
-        if any(mono_divides(kl, lm) for kl in kept_lms):
-            continue
-        kept.append(g)
-        kept_lms.append(lm)
+    for entry in sorted(data, key=lambda e: keys[e[0]]):
+        if not any(mono_divides(k[0], entry[0]) for k in kept):
+            kept.append(entry)
     out = []
-    for idx, g in enumerate(kept):
-        others = [_basis_entry(h, order) for t, h in enumerate(kept) if t != idx]
-        rem = _reduce_terms(ring, g.terms, others, order, counter)
-        out.append(Polynomial(ring, rem, _trusted=True))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    for idx, (lm, _, terms) in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1:]
+        rem = _reduce_terms(ring, terms, others, keys, counter)
+        out.append(Polynomial(ring, rem, _trusted=True)._known_lead(order, lm))
     return out
 
 
@@ -348,29 +429,11 @@ def ideal_intersection(
 def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """h / g for h a multiple of g."""
     ring = h.ring
-    p = ring.field.p
-    lm, lc = g.leading_term(order)
-    inv_lc = ring.field.inv(lc)
-    work = dict(h.terms)
     quo = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not mono_divides(lm, m):
-            raise ArithmeticError("exact division failed; intersection is inconsistent")
-        shift = mono_div(m, lm)
-        factor = (c * inv_lc) % p
-        quo[shift] = factor
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            t = mono_mul(gm, shift)
-            v = (work.get(t, 0) - factor * gc) % p
-            if v:
-                work[t] = v
-            else:
-                work.pop(t, None)
+    counter = _StepCounter(math.inf)
+    entry = [_basis_entry(g, order)]
+    if _reduce_terms(ring, h.terms, entry, _OrderKeys(order), counter, quo):
+        raise ArithmeticError("exact division failed; intersection is inconsistent")
     return Polynomial(ring, quo, _trusted=True)
 
 

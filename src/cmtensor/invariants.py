@@ -6,6 +6,9 @@ equals the variable count minus a minimum hitting set of those supports.
 Grade is computed by extending a regular sequence inside the ideal until
 the annihilator stop test fires: (stage : I) strictly above stage yields
 the witness a with a ∉ stage and I*a ⊆ stage, which certifies maximality.
+A generator of I that is a nonzerodivisor modulo the stage already proves
+(stage : I) = stage, so the full colon ideal is computed only at a stage
+where no generator is one.
 The stop test is deterministic, so the random choice of nonzerodivisors
 can change certificates but never the grade (Las Vegas, not Monte Carlo).
 """
@@ -26,7 +29,14 @@ from .errors import (
     PermutationBoundExceeded,
     ZeroRingError,
 )
-from .groebner import IdealPresentation, buchberger, ideal_quotient, normal_form
+from .groebner import (
+    IdealPresentation,
+    buchberger,
+    ideal_quotient,
+    memo_scope,
+    memo_scoped,
+    normal_form,
+)
 from .polyring import Polynomial
 
 PERMUTATION_BOUND = 5
@@ -206,17 +216,11 @@ class GradeCertificate:
         }
 
 
-def _find_nonzerodivisor(stage, candidates, rng, retries, step_budget):
-    ring = stage.ring
-    p = ring.field.p
-    basis = stage.reduced_basis(step_budget)
-    reduced = [normal_form(g, basis, stage.order, step_budget) for g in candidates]
-    for r in reduced:
-        if r.terms and _is_nzd_mod(stage, r, step_budget):
-            return r
-    pool = [r for r in reduced if r.terms]
+def _find_nonzerodivisor(stage, pool, rng, retries, step_budget):
+    """A random F_p-combination of `pool` that is a nonzerodivisor mod `stage`."""
+    p = stage.ring.field.p
     for _ in range(retries):
-        f = ring.zero
+        f = stage.ring.zero
         for r in pool:
             f = f + rng.randrange(p) * r
         if f.terms and _is_nzd_mod(stage, f, step_budget):
@@ -227,6 +231,7 @@ def _find_nonzerodivisor(stage, candidates, rng, retries, step_budget):
     )
 
 
+@memo_scoped
 def grade(
     A: AlgebraPresentation,
     I: AlgebraIdeal,
@@ -237,10 +242,14 @@ def grade(
 ) -> GradeCertificate:
     """Grade of the proper ideal I, with a certificate.
 
-    Extends a regular sequence inside I while the stop test
-    (stage : I) = stage holds; when it fails, the witness element proves
-    every element of I is a zerodivisor modulo the stage, so the sequence
-    is maximal.  The integer is independent of the seed.
+    Extends a regular sequence inside I.  At each stage the generators of
+    I, reduced modulo the stage, are tried in order with the principal
+    test; the first nonzerodivisor extends the sequence, and it also
+    proves (stage : I) = stage.  Only when none is one is the full colon
+    (stage : I) computed: if it is strictly above the stage, its witness
+    proves every element of I is a zerodivisor modulo the stage, so the
+    sequence is maximal; otherwise random combinations of the reduced
+    generators are drawn.  The integer is independent of the seed.
     """
     require_proper(I, "ideal", step_budget)
     rng = random.Random(seed)
@@ -248,11 +257,16 @@ def grade(
     stages = [stage.generators]
     sequence = []
     while True:
-        Q = ideal_quotient(stage, I.lift, step_budget)
-        w = _extension_witness(stage, Q, step_budget)
-        if w is not None:
-            return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
-        f = _find_nonzerodivisor(stage, I.gens, rng, nzd_retries, step_budget)
+        basis = stage.reduced_basis(step_budget)
+        reduced = [normal_form(g, basis, stage.order, step_budget) for g in I.gens]
+        pool = [r for r in reduced if r.terms]
+        f = next((r for r in pool if _is_nzd_mod(stage, r, step_budget)), None)
+        if f is None:
+            Q = ideal_quotient(stage, I.lift, step_budget)
+            w = _extension_witness(stage, Q, step_budget)
+            if w is not None:
+                return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
+            f = _find_nonzerodivisor(stage, pool, rng, nzd_retries, step_budget)
         sequence.append(f)
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
         stages.append(stage.generators)
@@ -267,42 +281,44 @@ def validate_grade_certificate(
     """Independent revalidation from raw generators; raises CertificateError.
 
     Uses only normal forms and ideal quotients over freshly built
-    presentations, never state left over from the grade run.
+    presentations, never state left over from the grade run: it runs in a
+    fresh basis memo scope, even when called inside another scope.
     """
-    ring = A.ring
-    order = A.relations.order
-    if cert.grade != len(cert.sequence):
-        raise CertificateError("grade differs from the sequence length")
-    if len(cert.stage_ideals) != cert.grade + 1:
-        raise CertificateError("stage chain length is inconsistent")
-    if cert.stage_ideals[0] != A.relations.generators:
-        raise CertificateError("stage chain does not start at the relations")
-    for i, f in enumerate(cert.sequence):
-        if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
-            raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
+    with memo_scope(fresh=True):
+        ring = A.ring
+        order = A.relations.order
+        if cert.grade != len(cert.sequence):
+            raise CertificateError("grade differs from the sequence length")
+        if len(cert.stage_ideals) != cert.grade + 1:
+            raise CertificateError("stage chain length is inconsistent")
+        if cert.stage_ideals[0] != A.relations.generators:
+            raise CertificateError("stage chain does not start at the relations")
+        for i, f in enumerate(cert.sequence):
+            if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
+                raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
 
-    lift_basis = buchberger(I.lift.generators, order, step_budget)
-    for i, f in enumerate(cert.sequence):
-        if normal_form(f, lift_basis, order, step_budget).terms:
-            raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
+        lift_basis = buchberger(I.lift.generators, order, step_budget)
+        for i, f in enumerate(cert.sequence):
+            if normal_form(f, lift_basis, order, step_budget).terms:
+                raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
-    for i, f in enumerate(cert.sequence):
-        base = IdealPresentation(ring, cert.stage_ideals[i], order)
-        Q = ideal_quotient(base, IdealPresentation(ring, (f,), order), step_budget)
-        basis = base.reduced_basis(step_budget)
-        for g in Q.generators:
-            if normal_form(g, basis, order, step_budget).terms:
-                raise CertificateError(
-                    f"f_{i + 1} is a zerodivisor modulo stage {i}"
-                )
+        for i, f in enumerate(cert.sequence):
+            base = IdealPresentation(ring, cert.stage_ideals[i], order)
+            Q = ideal_quotient(base, IdealPresentation(ring, (f,), order), step_budget)
+            basis = base.reduced_basis(step_budget)
+            for g in Q.generators:
+                if normal_form(g, basis, order, step_budget).terms:
+                    raise CertificateError(
+                        f"f_{i + 1} is a zerodivisor modulo stage {i}"
+                    )
 
-    final = IdealPresentation(ring, cert.stage_ideals[-1], order)
-    final_basis = final.reduced_basis(step_budget)
-    if not normal_form(cert.witness, final_basis, order, step_budget).terms:
-        raise CertificateError("witness lies in the final stage")
-    for g in I.lift.generators:
-        if normal_form(cert.witness * g, final_basis, order, step_budget).terms:
-            raise CertificateError("witness does not annihilate the ideal")
+        final = IdealPresentation(ring, cert.stage_ideals[-1], order)
+        final_basis = final.reduced_basis(step_budget)
+        if not normal_form(cert.witness, final_basis, order, step_budget).terms:
+            raise CertificateError("witness lies in the final stage")
+        for g in I.lift.generators:
+            if normal_form(cert.witness * g, final_basis, order, step_budget).terms:
+                raise CertificateError("witness does not annihilate the ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +335,7 @@ class CmVerdict:
     certificate: GradeCertificate
 
 
+@memo_scoped
 def is_cohen_macaulay(
     A: AlgebraPresentation,
     seed: int = 0,

@@ -7,6 +7,11 @@ have 1 as minimum; the block order puts every monomial containing a front
 variable above every monomial without one, which is what elimination
 needs.  All values are immutable after construction and safe to share
 between threads.
+
+A polynomial remembers its leading term for the order it was last asked
+about, so repeated ``leading_term``/``leading_monomial``/``monic`` calls
+under one order scan the terms once.  The cache is filled on first use,
+never in the constructor, and is safe because the terms never change.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 
 from .errors import AmbientMismatchError, ZeroPolynomialError
 
@@ -22,26 +28,49 @@ DEFAULT_PRIME = 32003
 Monomial = tuple
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MODULUS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n < MODULUS_BOUND (deterministic Miller-Rabin)."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The coefficient field F_p."""
+    """The coefficient field F_p, for a prime p below ``MODULUS_BOUND``."""
 
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
+        if self.p >= MODULUS_BOUND:
+            raise ValueError(
+                f"modulus {self.p} is too large: primality is checked exactly "
+                f"only below {MODULUS_BOUND}"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -59,16 +88,16 @@ class PrimeField:
 # Monomial helpers (exponent tuples of a fixed shared length)
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
     """Exact quotient m1 / m2; the caller guarantees divisibility."""
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
@@ -107,7 +136,7 @@ class MonomialOrder:
     def key(self, m: Monomial):
         """Sort key: larger key means larger monomial."""
         if self.kind == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
+            return (sum(m), tuple(map(neg, reversed(m))))
         if self.kind == "lex":
             return m
         if self.kind == "deglex":
@@ -116,9 +145,9 @@ class MonomialOrder:
         rm = tuple(m[i] for i in _rest_indices(self.front, len(m)))
         return (
             sum(fm),
-            tuple(-e for e in reversed(fm)),
+            tuple(map(neg, reversed(fm))),
             sum(rm),
-            tuple(-e for e in reversed(rm)),
+            tuple(map(neg, reversed(rm))),
         )
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
@@ -218,7 +247,9 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial: exponent tuple -> nonzero coefficient."""
 
-    __slots__ = ("ring", "terms")
+    # `_lead` is (order, leading monomial) once known; one slot, so that
+    # threads racing to fill it never pair an order with another's monomial.
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict, *, _trusted: bool = False):
         if not _trusted:
@@ -351,10 +382,21 @@ class Polynomial:
         return frozenset(used)
 
     def leading_term(self, order: MonomialOrder = GREVLEX):
-        if not self.terms:
+        """(monomial, coefficient) of the largest term; cached for the last order."""
+        known = getattr(self, "_lead", None)
+        if known is not None and (known[0] is order or known[0] == order):
+            m = known[1]
+        elif not self.terms:
             raise ZeroPolynomialError("the zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
+        else:
+            m = max(self.terms, key=order.key)
+            self._known_lead(order, m)
         return m, self.terms[m]
+
+    def _known_lead(self, order: MonomialOrder, m: Monomial) -> "Polynomial":
+        """Record `m` as the leading monomial under `order`; the caller knows it is."""
+        self._lead = (order, m)
+        return self
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
         return self.leading_term(order)[0]
@@ -363,14 +405,14 @@ class Polynomial:
         return self.leading_term(order)[1]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        _, c = self.leading_term(order)
+        lm, c = self.leading_term(order)
         if c == 1:
             return self
         inv = self.ring.field.inv(c)
         p = self.ring.field.p
         return Polynomial(
             self.ring, {m: (v * inv) % p for m, v in self.terms.items()}, _trusted=True
-        )
+        )._known_lead(order, lm)
 
     # -- rendering ----------------------------------------------------------
 

@@ -10,6 +10,9 @@ Every check has one call shape: its inputs, then ``seed``, then the
 keyword-only ``step_budget`` and ``nzd_retries``, so ``CHECKS`` can drive
 any of them the same way.  ``check_lemma_1_2`` and ``check_prop_2_3_a``
 are deterministic: they accept ``seed`` and ``nzd_retries`` but ignore them.
+
+Each check, and ``run_all_checks``, runs in one basis memo scope (see
+:mod:`cmtensor.groebner`), so a basis its grades share is computed once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .algebra import (
     tensor,
 )
 from .errors import KernelError
+from .groebner import memo_scoped
 from .invariants import (
     NZD_RETRY_CAP,
     GradeCertificate,
@@ -117,6 +121,7 @@ def _own_ideal(I: AlgebraIdeal, A: AlgebraPresentation, name: str):
         raise KernelError(f"{name} is not an ideal of the given algebra")
 
 
+@memo_scoped
 def check_thm_1_1_a(
     A: AlgebraPresentation,
     B: AlgebraPresentation,
@@ -148,6 +153,7 @@ def check_thm_1_1_a(
     )
 
 
+@memo_scoped
 def check_thm_1_1_b(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
     *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
@@ -179,6 +185,7 @@ def check_thm_1_1_b(
     )
 
 
+@memo_scoped
 def check_thm_1_1_c(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
     *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
@@ -214,6 +221,7 @@ def check_thm_1_1_c(
     )
 
 
+@memo_scoped
 def check_lemma_1_2(
     A, B, xs, ys, seed: int = 0,
     *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
@@ -242,6 +250,7 @@ def check_lemma_1_2(
     return _verdict("lemma_1_2", inputs, lhs, True)
 
 
+@memo_scoped
 def check_prop_2_3_a(
     T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0,
     *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
@@ -274,6 +283,7 @@ def check_prop_2_3_a(
     )
 
 
+@memo_scoped
 def check_thm_2_1(
     A, B, seed: int = 0,
     *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
@@ -302,6 +312,7 @@ def check_thm_2_1(
     )
 
 
+@memo_scoped
 def check_remark_2_5(
     T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0,
     *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
@@ -612,6 +623,7 @@ def generate_corpus(seed: int, size_budget: int, field: PrimeField = PrimeField(
     return instances[:size_budget]
 
 
+@memo_scoped
 def run_all_checks(
     inst: CorpusInstance,
     seed: int = 0,

@@ -4,11 +4,27 @@ These deliberately avoid the Groebner code paths: membership is decided
 by exact linear algebra mod p over an explicit monomial basis, and
 dimension by exhaustive enumeration of variable subsets.  Only the raw
 term maps of the inputs are read.
+
+The one exception is :func:`reference_grade`, a reference implementation
+rather than an oracle: the straightforward grade loop built from the
+kernel's primitives, kept to pin the optimised ``grade`` to it.
 """
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
+
+from cmtensor.algebra import require_proper
+from cmtensor.groebner import IdealPresentation, ideal_quotient, normal_form
+from cmtensor.invariants import (
+    NZD_RETRY_CAP,
+    GradeCertificate,
+    _extension_witness,
+    _find_nonzerodivisor,
+    _is_nzd_mod,
+)
 
 
 def monomials_up_to(nvars: int, degree: int) -> list:
@@ -108,3 +124,31 @@ def substitute(f, assignments: dict):
                 piece = piece * base
         acc = acc + piece
     return acc
+
+
+def reference_grade(A, I, seed=0, *, step_budget=None, nzd_retries=NZD_RETRY_CAP):
+    """Grade with the full colon (stage : I) computed at every stage.
+
+    The stop test comes first at each stage; only when it does not fire
+    are the reduced generators of I tried in order, then random draws.
+    ``grade`` must return an equal certificate.
+    """
+    require_proper(I, "ideal", step_budget)
+    rng = random.Random(seed)
+    stage = A.relations
+    stages = [stage.generators]
+    sequence = []
+    while True:
+        Q = ideal_quotient(stage, I.lift, step_budget)
+        w = _extension_witness(stage, Q, step_budget)
+        if w is not None:
+            return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
+        basis = stage.reduced_basis(step_budget)
+        reduced = [normal_form(g, basis, stage.order, step_budget) for g in I.gens]
+        pool = [r for r in reduced if r.terms]
+        f = next((r for r in pool if _is_nzd_mod(stage, r, step_budget)), None)
+        if f is None:
+            f = _find_nonzerodivisor(stage, pool, rng, nzd_retries, step_budget)
+        sequence.append(f)
+        stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
+        stages.append(stage.generators)

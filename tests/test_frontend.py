@@ -26,6 +26,7 @@ from cmtensor.frontend.parser import (
     RingDecl,
     tokenize,
 )
+from cmtensor.polyring import MODULUS_BOUND
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -111,6 +112,23 @@ class TestParser:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
             parse_session("ring A = poly(x)")
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("ring A = poly(x) / ({big});", 1, 21),
+            ("ring A = poly(x);\nideal I = A:(x^{big});", 2, 16),
+            ("ring A = poly(x);\nassert dim(A) == {big};", 2, 18),
+        ],
+        ids=["coefficient", "exponent", "expression"],
+    )
+    def test_overlong_integer_literal(self, text, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_session(text.format(big="9" * 5000))
+        assert (err.value.line, err.value.column) == (line, column)
+        assert err.value.message == (
+            "integer literal of 5000 digits exceeds the limit of 4300 digits"
+        )
 
     def test_literals_reduced_mod_prime(self):
         ast = parse_session("ring A = poly(x) / (x - 6);", prime=5)
@@ -463,26 +481,35 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["run", "{path}", "--prime", "4"], "--prime: modulus 4 is not prime"),
-            (["corpus", "--prime", "4"], "--prime: modulus 4 is not prime"),
-            (["corpus", "--size", "-1"], "--size must be at least 1, got -1"),
-            (["corpus", "--size", "0"], "--size must be at least 1, got 0"),
-            (["run", "{path}", "--nzd-retries", "-1"], "--nzd-retries must be at least 0, got -1"),
-            (["corpus", "--nzd-retries", "-1"], "--nzd-retries must be at least 0, got -1"),
-            (["run", "{path}", "--gb-step-budget", "0"], "--gb-step-budget must be at least 1, got 0"),
-            (["run", "{path}", "--gb-step-budget", "-1"], "--gb-step-budget must be at least 1, got -1"),
+            (["run", "{path}", "--prime", "4"], "cmtensor: --prime: modulus 4 is not prime"),
+            (["corpus", "--prime", "4"], "cmtensor: --prime: modulus 4 is not prime"),
+            (["corpus", "--size", "-1"], "cmtensor: --size must be at least 1, got -1"),
+            (["corpus", "--size", "0"], "cmtensor: --size must be at least 1, got 0"),
+            (["run", "{path}", "--nzd-retries", "-1"], "cmtensor: --nzd-retries must be at least 0, got -1"),
+            (["corpus", "--nzd-retries", "-1"], "cmtensor: --nzd-retries must be at least 0, got -1"),
+            (["run", "{path}", "--gb-step-budget", "0"], "cmtensor: --gb-step-budget must be at least 1, got 0"),
+            (["run", "{path}", "--gb-step-budget", "-1"], "cmtensor: --gb-step-budget must be at least 1, got -1"),
+            (["run", "{path}", "--prime", str(2 ** 89 - 1)],
+             f"cmtensor: --prime: modulus {2 ** 89 - 1} is too large: primality is "
+             f"checked exactly only below {MODULUS_BOUND}"),
+            (["run", "{long}"],
+             "{long}:1:21: syntax error: integer literal of 5000 digits exceeds "
+             "the limit of 4300 digits"),
         ],
         ids=[
             "run-prime", "corpus-prime", "size-negative", "size-zero",
             "run-nzd-negative", "corpus-nzd-negative", "budget-zero", "budget-negative",
+            "prime-too-large", "long-integer-literal",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, message):
         path = self.write(tmp_path, "ring A = poly(x); compute dim(A);")
-        assert main([a.format(path=path) for a in argv]) == 2
+        long = tmp_path / "long.cmt"
+        long.write_text("ring A = poly(x) / (" + "9" * 5000 + ");")
+        assert main([a.format(path=path, long=long) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"cmtensor: {message}\n"
+        assert captured.err == message.format(long=long) + "\n"
 
     def test_readme_session_runs(self, tmp_path, capsys):
         blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)

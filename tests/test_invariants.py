@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtensor import (
     AlgebraIdeal,
@@ -29,8 +31,10 @@ from cmtensor import (
     tensor,
     validate_grade_certificate,
 )
+from cmtensor import invariants
+from cmtensor.errors import KernelError
 from conftest import random_poly
-from oracles import dim_subset_oracle
+from oracles import dim_subset_oracle, reference_grade
 
 F = PrimeField()
 
@@ -316,6 +320,80 @@ class TestGrade:
         I = AlgebraIdeal(A, (x, y))
         with pytest.raises(NzdSearchExhausted):
             grade(A, I, seed=0, nzd_retries=8)
+
+
+def _grade_outcome(fn, A, I, seed):
+    try:
+        return fn(A, I, seed, nzd_retries=8)
+    except KernelError as exc:
+        return type(exc)
+
+
+class TestGradeAgainstReference:
+    """`grade` tries the candidates before the full colon ideal; the
+    reference computes (stage : I) at every stage.  Same certificates."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_random_algebras_and_ideals(self, data_seed, seed):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z")[: rng.randint(1, 3)], F)
+        rels = [
+            random_poly(rng, ring, max_deg=2, max_terms=2, constant_free=True)
+            for _ in range(rng.randint(0, 2))
+        ]
+        A = make_algebra(ring, rels)
+        gens = [
+            random_poly(rng, ring, max_deg=2, max_terms=2, constant_free=True)
+            for _ in range(rng.randint(0, 3))
+        ]
+        I = AlgebraIdeal(A, gens)
+        assert _grade_outcome(grade, A, I, seed) == _grade_outcome(reference_grade, A, I, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_non_cm_family(self, data_seed, seed):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z")[: rng.randint(2, 3)], F)
+        a, b = rng.sample(range(ring.nvars), 2)
+        va, vb = ring.var(a), ring.var(b)
+        A = make_algebra(ring, (va * va, va * vb))
+        gens = [
+            random_poly(rng, ring, max_deg=2, max_terms=2, constant_free=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        for I in (AlgebraIdeal(A, gens), AlgebraIdeal(A, ring.gens())):
+            assert _grade_outcome(grade, A, I, seed) == _grade_outcome(reference_grade, A, I, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_draw_stage(self, seed):
+        # x and y are zerodivisors modulo (x*y) but x + y is not, so the
+        # first stage needs the full colon and then random draws
+        A = algebra(("x", "y"), lambda x, y: (x * y,))
+        I = AlgebraIdeal(A, A.ring.gens())
+        cert = grade(A, I, seed)
+        assert cert.grade == 1 and len(cert.sequence[0].terms) == 2
+        assert cert == reference_grade(A, I, seed)
+
+    def test_full_colon_computed_once_for_a_cm_tensor(self, monkeypatch):
+        # depth 4 is found from the variables themselves, so only the last
+        # stage needs the full (stage : I)
+        ring = PolyRing(("x", "y", "z"), F)
+        A = make_algebra(ring, (ring.var(0) ** 2,))
+        T = tensor(A, poly_algebra("u", "v"))
+        lift = T.ring.gens() + T.relations.generators
+        full = []
+        inner = invariants.ideal_quotient
+
+        def counting(I, J, step_budget=None):
+            if J.generators == lift:
+                full.append(J)
+            return inner(I, J, step_budget)
+
+        monkeypatch.setattr(invariants, "ideal_quotient", counting)
+        verdict = is_cohen_macaulay(T)
+        assert verdict.is_cm and verdict.depth == 4
+        assert len(full) == 1
 
 
 class TestCertificateValidation:

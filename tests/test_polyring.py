@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,13 @@ from cmtensor import (
     ZeroPolynomialError,
     block_order,
 )
-from cmtensor.polyring import DEGLEX, map_variables, restrict_variables
+from cmtensor.polyring import (
+    DEGLEX,
+    MODULUS_BOUND,
+    _is_prime,
+    map_variables,
+    restrict_variables,
+)
 
 F = PrimeField()
 R2 = PolyRing(("x", "y"), F)
@@ -44,6 +53,38 @@ class TestPrimeField:
         assert (F.inv(12345) * 12345) % F.p == 1
         with pytest.raises(ZeroDivisionError):
             F.inv(0)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        sieve = [trial(n) for n in range(10 ** 5)]
+        assert [_is_prime(n) for n in range(10 ** 5)] == sieve
+
+    def test_primality_matches_sympy_below_2_64(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        values = [rng.randrange(2 ** 64) for _ in range(2000)]
+        values += [rng.randrange(2 ** 63, 2 ** 64) | 1 for _ in range(2000)]
+        # strong pseudoprimes to several small bases
+        values += [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                   3825123056546413051, 318665857834031151167461]
+        for n in values:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    def test_large_primes_accepted_at_once(self):
+        started = time.perf_counter()
+        assert PrimeField(10 ** 18 + 3).p == 10 ** 18 + 3
+        assert PrimeField(10 ** 18 + 9).p == 10 ** 18 + 9
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(10 ** 18 + 1)
+
+    def test_modulus_bound(self):
+        with pytest.raises(ValueError, match=f"only below {MODULUS_BOUND}"):
+            PrimeField(2 ** 89 - 1)  # a Mersenne prime past the bound
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(MODULUS_BOUND)
 
 
 class TestMonomialOrders:
@@ -164,6 +205,20 @@ class TestLeadingTerm:
     def test_zero_raises(self):
         with pytest.raises(ZeroPolynomialError):
             R2.zero.leading_term(GREVLEX)
+
+    @settings(max_examples=60)
+    @given(polys(R3), st.lists(st.sampled_from(range(4)), min_size=1, max_size=6))
+    def test_cache_follows_the_order_asked(self, f, picks):
+        orders = (GREVLEX, LEX, DEGLEX, block_order((2,)))
+        for i in picks:
+            order = orders[i]
+            if not f.terms:
+                with pytest.raises(ZeroPolynomialError):
+                    f.leading_term(order)
+                continue
+            m = max(f.terms, key=order.key)
+            assert f.leading_term(order) == (m, f.terms[m])
+            assert f.monic(order).leading_term(order) == (m, 1)
 
 
 class TestRingContext:
