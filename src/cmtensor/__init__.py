@@ -40,6 +40,7 @@ from .groebner import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
+    limits,
     normal_form,
 )
 from .invariants import (

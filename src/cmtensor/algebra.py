@@ -41,11 +41,10 @@ def make_algebra(
     ring: PolyRing,
     relations: Iterable[Polynomial] = (),
     order: MonomialOrder = GREVLEX,
-    step_budget: int | None = None,
 ) -> AlgebraPresentation:
     """Validated presentation: rejects the zero ring, flags homogeneity."""
     rels = IdealPresentation(ring, relations, order)
-    if rels.contains_one(step_budget):
+    if rels.contains_one():
         raise ZeroRingError(f"relations {rels.describe()} present the zero ring")
     homogeneous = all(g.is_homogeneous() for g in rels.generators)
     return AlgebraPresentation(ring, rels, homogeneous)
@@ -135,18 +134,16 @@ class AlgebraIdeal:
             owner.ring, gens + owner.relations.generators, owner.relations.order
         )
 
-    def is_proper(self, step_budget: int | None = None) -> bool:
-        return not self.lift.contains_one(step_budget)
+    def is_proper(self) -> bool:
+        return not self.lift.contains_one()
 
-    def is_zero(self, step_budget: int | None = None) -> bool:
-        basis = self.owner.relations.reduced_basis(step_budget)
+    def is_zero(self) -> bool:
+        basis = self.owner.relations.reduced_basis()
         order = self.owner.relations.order
-        return all(
-            not normal_form(g, basis, order, step_budget).terms for g in self.gens
-        )
+        return all(not normal_form(g, basis, order).terms for g in self.gens)
 
-    def contains(self, f: Polynomial, step_budget: int | None = None) -> bool:
-        return self.lift.contains(f, step_budget)
+    def contains(self, f: Polynomial) -> bool:
+        return self.lift.contains(f)
 
     def describe(self) -> str:
         if not self.gens:
@@ -157,18 +154,16 @@ class AlgebraIdeal:
         return f"<ideal {self.describe()} of {self.owner.describe()}>"
 
 
-def require_proper(I: AlgebraIdeal, what: str = "ideal", step_budget: int | None = None):
-    if not I.is_proper(step_budget):
+def require_proper(I: AlgebraIdeal, what: str = "ideal"):
+    if not I.is_proper():
         raise ImproperIdealError(f"{what} {I.describe()} is not proper")
 
 
-def quotient_algebra(
-    A: AlgebraPresentation, I: AlgebraIdeal, step_budget: int | None = None
-) -> AlgebraPresentation:
+def quotient_algebra(A: AlgebraPresentation, I: AlgebraIdeal) -> AlgebraPresentation:
     """The presentation of A/I on the same ambient ring."""
     if I.owner is not A:
         raise KernelError("quotient by an ideal of a different algebra")
-    if not I.is_proper(step_budget):
+    if not I.is_proper():
         raise ZeroRingError(f"quotient by the improper ideal {I.describe()}")
     rels = IdealPresentation(A.ring, I.lift.generators, A.relations.order)
     homogeneous = all(g.is_homogeneous() for g in rels.generators)
@@ -219,7 +214,7 @@ def product_ideal(I: AlgebraIdeal, J: AlgebraIdeal, T: TensorAlgebra) -> Algebra
     return AlgebraIdeal(T, gens)
 
 
-def contract(P: AlgebraIdeal, side: str, step_budget: int | None = None) -> AlgebraIdeal:
+def contract(P: AlgebraIdeal, side: str) -> AlgebraIdeal:
     """P ∩ A (resp. P ∩ B): eliminate the other factor's variables from the lift."""
     T = P.owner
     if not isinstance(T, TensorAlgebra):
@@ -229,14 +224,10 @@ def contract(P: AlgebraIdeal, side: str, step_budget: int | None = None) -> Alge
         raise KernelError(f"side must be 'left' or 'right', not {side!r}")
     other = _side_positions(T, "right" if side == "left" else "left")
     front = [T.ring.names[i] for i in other]
-    elim = eliminate(P.lift, front, step_budget)
+    elim = eliminate(P.lift, front)
     pos = list(_side_positions(T, side))
     restricted = [restrict_variables(g, factor.ring, pos) for g in elim.generators]
-    rel_basis = factor.relations.reduced_basis(step_budget)
+    rel_basis = factor.relations.reduced_basis()
     order = factor.relations.order
-    gens = [
-        g
-        for g in restricted
-        if normal_form(g, rel_basis, order, step_budget).terms
-    ]
+    gens = [g for g in restricted if normal_form(g, rel_basis, order).terms]
     return AlgebraIdeal(factor, gens)

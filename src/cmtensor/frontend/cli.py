@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..errors import KernelError, ParseError
-from ..invariants import NZD_RETRY_CAP
+from ..groebner import NZD_RETRY_CAP, limits
 from ..polyring import DEFAULT_PRIME, PrimeField
 from ..theorems import generate_corpus, run_all_checks
 from .executor import ExecConfig, execute
@@ -22,7 +22,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--gb-step-budget", type=int, default=None,
-                     help="abort basis computations past this many reduction steps")
+                     help="abort each basis or normal form past this many reduction steps")
     sub.add_argument("--nzd-retries", type=int, default=NZD_RETRY_CAP,
                      help="random draws before the nonzerodivisor search gives up")
 
@@ -74,26 +74,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    instances = generate_corpus(args.seed, args.size, PrimeField(args.prime))
     results = []
     failed = False
-    for index, inst in enumerate(instances):
+    with limits(args.gb_step_budget, args.nzd_retries):
         try:
-            reports = run_all_checks(
-                inst,
-                seed=args.seed + index,
-                step_budget=args.gb_step_budget,
-                nzd_retries=args.nzd_retries,
-            )
+            instances = generate_corpus(args.seed, args.size, PrimeField(args.prime))
         except KernelError as exc:
-            results.append({"instance": inst.tag, "status": "error", "error": str(exc)})
-            failed = True
-            continue
-        for rep in reports:
-            entry = {"instance": inst.tag, "labels": list(inst.labels), **rep.to_dict()}
-            results.append(entry)
-            if rep.status == "fail":
+            print(f"cmtensor: corpus generation failed: {exc}", file=sys.stderr)
+            return 1
+        for index, inst in enumerate(instances):
+            try:
+                reports = run_all_checks(inst, seed=args.seed + index)
+            except KernelError as exc:
+                results.append({"instance": inst.tag, "status": "error", "error": str(exc)})
                 failed = True
+                continue
+            for rep in reports:
+                entry = {"instance": inst.tag, "labels": list(inst.labels), **rep.to_dict()}
+                results.append(entry)
+                if rep.status == "fail":
+                    failed = True
     payload = {
         "version": VERSION,
         "mode": "corpus",

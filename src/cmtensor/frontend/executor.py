@@ -4,6 +4,9 @@ Statements run in source order; assert failures mark the report failed
 but never abort the run, and kernel errors are captured per statement.
 Seeds for the randomized searches are derived as the configured seed plus
 the statement index, so a fixed (session, prime, seed) is reproducible.
+The configured limits bound every statement through one
+:func:`cmtensor.groebner.limits` scope around the run; ``None`` keeps the
+enclosing limits.
 """
 
 from __future__ import annotations
@@ -13,14 +16,8 @@ from dataclasses import dataclass
 
 from ..algebra import AlgebraIdeal, make_algebra, tensor
 from ..errors import KernelError, SessionError
-from ..invariants import (
-    NZD_RETRY_CAP,
-    dim_quotient,
-    grade,
-    height,
-    is_cohen_macaulay,
-    krull_dim,
-)
+from ..groebner import limits
+from ..invariants import dim_quotient, grade, height, is_cohen_macaulay, krull_dim
 from ..polyring import DEFAULT_PRIME, Polynomial, PolyRing, PrimeField, map_variables
 from .. import theorems
 from .parser import (
@@ -60,7 +57,7 @@ class ExecConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
     step_budget: int | None = None
-    nzd_retries: int = NZD_RETRY_CAP
+    nzd_retries: int | None = None
 
 
 class _Runner:
@@ -98,7 +95,7 @@ class _Runner:
             else:
                 ring = PolyRing(stmt.vars, self.field)
                 rels = [_in_ring(lit, ring) for lit in stmt.relations]
-                alg = make_algebra(ring, rels, step_budget=self.config.step_budget)
+                alg = make_algebra(ring, rels)
             self.rings[stmt.name] = alg
             return CommandResult(command=stmt.render(), status="ok")
         owner = self.ring(stmt.owner)
@@ -107,7 +104,6 @@ class _Runner:
         return CommandResult(command=stmt.render(), status="ok")
 
     def evaluate(self, expr, seed):
-        budget = self.config.step_budget
         if isinstance(expr, IntLit):
             return expr.value, ()
         if isinstance(expr, BoolLit):
@@ -115,25 +111,18 @@ class _Runner:
         assert isinstance(expr, CallExpr)
         if expr.fn == "grade":
             alg, ide = self.owned_ideal(*expr.args)
-            cert = grade(
-                alg, ide, seed, step_budget=budget, nzd_retries=self.config.nzd_retries
-            )
+            cert = grade(alg, ide, seed)
             return cert.grade, ({"label": expr.render(), **cert.to_dict()},)
         if expr.fn == "dim":
             if len(expr.args) == 1:
-                return krull_dim(self.ring(expr.args[0]), budget), ()
+                return krull_dim(self.ring(expr.args[0])), ()
             alg, ide = self.owned_ideal(*expr.args)
-            return dim_quotient(alg, ide, budget), ()
+            return dim_quotient(alg, ide), ()
         if expr.fn == "height":
             alg, ide = self.owned_ideal(*expr.args)
-            return height(alg, ide, budget), ()
+            return height(alg, ide), ()
         if expr.fn == "is_cm":
-            verdict = is_cohen_macaulay(
-                self.ring(expr.args[0]),
-                seed,
-                step_budget=budget,
-                nzd_retries=self.config.nzd_retries,
-            )
+            verdict = is_cohen_macaulay(self.ring(expr.args[0]), seed)
             return verdict.is_cm, (
                 {"label": expr.render(), **verdict.certificate.to_dict()},
             )
@@ -164,12 +153,7 @@ class _Runner:
             else:
                 ring = self.ring(next(owners)).ring
                 values.append(tuple(_in_ring(lit, ring) for lit in arg.polys))
-        rep = theorems.CHECKS[stmt.check_id](
-            *values,
-            seed,
-            step_budget=self.config.step_budget,
-            nzd_retries=self.config.nzd_retries,
-        )
+        rep = theorems.CHECKS[stmt.check_id](*values, seed)
         return CommandResult(
             command=stmt.render(),
             status=rep.status,
@@ -204,12 +188,13 @@ def execute(session: Session, config: ExecConfig | None = None) -> RunReport:
         )
     runner = _Runner(config)
     results = []
-    for index, stmt in enumerate(session.statements):
-        started = time.perf_counter()
-        try:
-            res = runner.run(stmt, index)
-        except KernelError as exc:
-            res = CommandResult(command=stmt.render(), status="error", error=str(exc))
-        res.ms = (time.perf_counter() - started) * 1000.0
-        results.append(res)
+    with limits(config.step_budget, config.nzd_retries):
+        for index, stmt in enumerate(session.statements):
+            started = time.perf_counter()
+            try:
+                res = runner.run(stmt, index)
+            except KernelError as exc:
+                res = CommandResult(command=stmt.render(), status="error", error=str(exc))
+            res.ms = (time.perf_counter() - started) * 1000.0
+            results.append(res)
     return RunReport(prime=config.prime, seed=config.seed, results=tuple(results))

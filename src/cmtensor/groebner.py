@@ -20,6 +20,14 @@ every basis afresh.  Only successful results are stored: a
 ``StepBudgetExceeded`` is never memoised, and a memo hit spends no steps.
 Certificate validation always opens a fresh scope (``fresh=True``), so it
 never reads a basis cached by the run whose certificate it checks.
+
+The work limits come from a second context variable, set by
+:func:`limits`: every basis and every normal form gets a fresh step
+counter whose limit is the step budget in effect when it starts, and the
+nonzerodivisor search of :mod:`cmtensor.invariants` draws at most the
+retry count in effect.  Outside every scope the defaults
+``DEFAULT_STEP_BUDGET`` and ``NZD_RETRY_CAP`` apply.  Like the memo, the
+limits are per context: a new thread starts with the defaults.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import NamedTuple
 
 from .errors import AmbientMismatchError, StepBudgetExceeded
 from .polyring import (
@@ -48,6 +57,43 @@ from .polyring import (
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
+NZD_RETRY_CAP = 64
+
+
+class _Limits(NamedTuple):
+    step_budget: int = DEFAULT_STEP_BUDGET
+    nzd_retries: int = NZD_RETRY_CAP
+
+
+_LIMITS: ContextVar = ContextVar("cmtensor_limits", default=_Limits())
+
+
+@contextmanager
+def limits(step_budget: int | None = None, nzd_retries: int | None = None):
+    """Bound the kernel work run inside the block.
+
+    `step_budget` caps the reduction steps of each Groebner basis and each
+    normal form; `nzd_retries` caps the random draws of each
+    nonzerodivisor search.  ``None`` keeps the enclosing value, and the
+    enclosing limits are restored on exit.
+    """
+    outer = _LIMITS.get()
+    token = _LIMITS.set(
+        _Limits(
+            outer.step_budget if step_budget is None else step_budget,
+            outer.nzd_retries if nzd_retries is None else nzd_retries,
+        )
+    )
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
+
+
+def current_limits() -> _Limits:
+    """The limits in effect: those of the innermost :func:`limits` scope."""
+    return _LIMITS.get()
+
 
 # The basis memo of the current scope, or None outside every scope.
 _BASIS_MEMO: ContextVar = ContextVar("cmtensor_basis_memo", default=None)
@@ -84,8 +130,8 @@ def memo_scoped(fn):
 class _StepCounter:
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self, limit: float | None = None):
+        self.limit = _LIMITS.get().step_budget if limit is None else limit
         self.used = 0
 
     def spend(self, n: int = 1):
@@ -166,7 +212,6 @@ def normal_form(
     f: Polynomial,
     basis: Sequence[Polynomial],
     order: MonomialOrder = GREVLEX,
-    step_budget: int | None = None,
 ) -> Polynomial:
     """Remainder of f under full division by `basis`.
 
@@ -176,9 +221,8 @@ def normal_form(
     ring = f.ring
     nz = [g for g in basis if g.terms]
     _check_ring(ring, nz)
-    counter = _StepCounter(DEFAULT_STEP_BUDGET if step_budget is None else step_budget)
     data = [_basis_entry(g, order) for g in nz]
-    rem = _reduce_terms(ring, f.terms, data, _OrderKeys(order), counter)
+    rem = _reduce_terms(ring, f.terms, data, _OrderKeys(order), _StepCounter())
     return Polynomial(ring, rem, _trusted=True)
 
 
@@ -201,11 +245,7 @@ def _spoly_terms(gi, gj, lmi, lmj, p):
     return res
 
 
-def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    step_budget: int | None = None,
-) -> list:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> list:
     """The unique reduced Groebner basis of the ideal the generators span.
 
     Zero generators are ignored; the zero ideal yields the empty basis.
@@ -221,18 +261,18 @@ def buchberger(
     _check_ring(ring, nonzero)
     memo = _BASIS_MEMO.get()
     if memo is None:
-        return _buchberger(ring, nonzero, order, step_budget)
+        return _buchberger(ring, nonzero, order)
     key = (ring, order, frozenset(frozenset(g.terms.items()) for g in nonzero))
     basis = memo.get(key)
     if basis is None:
-        basis = tuple(_buchberger(ring, nonzero, order, step_budget))
+        basis = tuple(_buchberger(ring, nonzero, order))
         memo[key] = basis
     return list(basis)
 
 
-def _buchberger(ring, nonzero, order, step_budget):
+def _buchberger(ring, nonzero, order):
     p = ring.field.p
-    counter = _StepCounter(DEFAULT_STEP_BUDGET if step_budget is None else step_budget)
+    counter = _StepCounter()
     keys = _OrderKeys(order)
 
     G = [g.monic(order) for g in nonzero]
@@ -326,18 +366,16 @@ class IdealPresentation:
         self.order = order
         self._basis = None
 
-    def reduced_basis(self, step_budget: int | None = None) -> tuple:
+    def reduced_basis(self) -> tuple:
         if self._basis is None:
-            self._basis = tuple(buchberger(self.generators, self.order, step_budget))
+            self._basis = tuple(buchberger(self.generators, self.order))
         return self._basis
 
-    def contains(self, f: Polynomial, step_budget: int | None = None) -> bool:
-        return not normal_form(
-            f, self.reduced_basis(step_budget), self.order, step_budget
-        ).terms
+    def contains(self, f: Polynomial) -> bool:
+        return not normal_form(f, self.reduced_basis(), self.order).terms
 
-    def contains_one(self, step_budget: int | None = None) -> bool:
-        basis = self.reduced_basis(step_budget)
+    def contains_one(self) -> bool:
+        basis = self.reduced_basis()
         return bool(basis) and basis[0].total_degree() == 0
 
     def is_zero(self) -> bool:
@@ -360,28 +398,24 @@ def _common_ring(I1: IdealPresentation, I2: IdealPresentation) -> PolyRing:
     return I1.ring
 
 
-def ideal_membership(
-    f: Polynomial, I: IdealPresentation, step_budget: int | None = None
-) -> bool:
+def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
     if f.ring != I.ring:
         raise AmbientMismatchError("membership across different ambients")
-    return I.contains(f, step_budget)
+    return I.contains(f)
 
 
-def ideal_equal(
-    I1: IdealPresentation, I2: IdealPresentation, step_budget: int | None = None
-) -> bool:
+def ideal_equal(I1: IdealPresentation, I2: IdealPresentation) -> bool:
     """Whether both presentations generate the same ideal.
 
     Compares reduced bases under I1's order (recomputing I2's basis when
     its stored order differs).
     """
     _common_ring(I1, I2)
-    b1 = list(I1.reduced_basis(step_budget))
+    b1 = list(I1.reduced_basis())
     if I2.order == I1.order:
-        b2 = list(I2.reduced_basis(step_budget))
+        b2 = list(I2.reduced_basis())
     else:
-        b2 = buchberger(I2.generators, I1.order, step_budget)
+        b2 = buchberger(I2.generators, I1.order)
     return b1 == b2
 
 
@@ -400,9 +434,7 @@ def _pad_into(ext: PolyRing, f: Polynomial) -> Polynomial:
     return map_variables(f, ext, range(f.ring.nvars))
 
 
-def ideal_intersection(
-    I1: IdealPresentation, I2: IdealPresentation, step_budget: int | None = None
-) -> IdealPresentation:
+def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPresentation:
     """I1 ∩ I2 via the tag-variable construction t*I1 + (1-t)*I2.
 
     The tag variable is appended to the ambient, eliminated with a block
@@ -417,7 +449,7 @@ def ideal_intersection(
     one_minus_t = ext.one - t
     gens = [t * _pad_into(ext, f) for f in I1.generators]
     gens += [one_minus_t * _pad_into(ext, g) for g in I2.generators]
-    basis = buchberger(gens, block_order((ti,)), step_budget)
+    basis = buchberger(gens, block_order((ti,)))
     back = [
         restrict_variables(g, ring, range(ring.nvars))
         for g in basis
@@ -437,9 +469,7 @@ def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polyn
     return Polynomial(ring, quo, _trusted=True)
 
 
-def ideal_quotient(
-    I: IdealPresentation, J: IdealPresentation, step_budget: int | None = None
-) -> IdealPresentation:
+def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
     """(I : J) = {f : f*J ⊆ I}.
 
     Computed generator by generator: (I : g) is (I ∩ (g)) divided by g,
@@ -451,7 +481,7 @@ def ideal_quotient(
         return IdealPresentation(ring, (ring.one,), I.order)
     parts = []
     for g in J.generators:
-        Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order), step_budget)
+        Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
         parts.append(
             IdealPresentation(
                 ring,
@@ -461,15 +491,11 @@ def ideal_quotient(
         )
     acc = parts[0]
     for nxt in parts[1:]:
-        acc = ideal_intersection(acc, nxt, step_budget)
+        acc = ideal_intersection(acc, nxt)
     return acc
 
 
-def eliminate(
-    I: IdealPresentation,
-    front: Iterable[str],
-    step_budget: int | None = None,
-) -> IdealPresentation:
+def eliminate(I: IdealPresentation, front: Iterable[str]) -> IdealPresentation:
     """Generators of I ∩ k[remaining variables], presented in the same ambient.
 
     Recomputes a basis under block(front, grevlex) and keeps the elements
@@ -478,7 +504,7 @@ def eliminate(
     idxs = sorted({I.ring.index(nm) for nm in front})
     if not idxs:
         return I
-    basis = buchberger(I.generators, block_order(idxs), step_budget)
+    basis = buchberger(I.generators, block_order(idxs))
     fs = set(idxs)
     keep = tuple(g for g in basis if not (g.support() & fs))
     return IdealPresentation(I.ring, keep, I.order)

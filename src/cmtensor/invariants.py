@@ -32,6 +32,7 @@ from .errors import (
 from .groebner import (
     IdealPresentation,
     buchberger,
+    current_limits,
     ideal_quotient,
     memo_scope,
     memo_scoped,
@@ -40,7 +41,6 @@ from .groebner import (
 from .polyring import Polynomial
 
 PERMUTATION_BOUND = 5
-NZD_RETRY_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -81,102 +81,91 @@ def _dim_from_basis(nvars: int, basis, order) -> int:
     return nvars - _min_hitting_set(supports)
 
 
-def krull_dim(A: AlgebraPresentation, step_budget: int | None = None) -> int:
+def krull_dim(A: AlgebraPresentation) -> int:
     """Krull dimension, from the leading terms of the reduced relations basis."""
     rels = A.relations
-    return _dim_from_basis(A.ring.nvars, rels.reduced_basis(step_budget), rels.order)
+    return _dim_from_basis(A.ring.nvars, rels.reduced_basis(), rels.order)
 
 
-def dim_quotient(
-    A: AlgebraPresentation, I: AlgebraIdeal, step_budget: int | None = None
-) -> int:
+def dim_quotient(A: AlgebraPresentation, I: AlgebraIdeal) -> int:
     """Dimension of A/I."""
-    if not I.is_proper(step_budget):
+    if not I.is_proper():
         raise ImproperIdealError(f"zero quotient: {I.describe()} is improper")
-    return _dim_from_basis(A.ring.nvars, I.lift.reduced_basis(step_budget), I.lift.order)
+    return _dim_from_basis(A.ring.nvars, I.lift.reduced_basis(), I.lift.order)
 
 
-def height(
-    A: AlgebraPresentation, P: AlgebraIdeal, step_budget: int | None = None
-) -> int:
+def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
     """dim A - dim A/P; the caller asserts equidimensionality of A."""
-    return krull_dim(A, step_budget) - dim_quotient(A, P, step_budget)
+    return krull_dim(A) - dim_quotient(A, P)
 
 
 # ---------------------------------------------------------------------------
 # Zerodivisors and regular sequences
 
-def _colon(base: IdealPresentation, gens, step_budget):
+def _colon(base: IdealPresentation, gens):
     other = IdealPresentation(base.ring, gens, base.order)
-    return ideal_quotient(base, other, step_budget)
+    return ideal_quotient(base, other)
 
 
-def _extension_witness(base: IdealPresentation, Q: IdealPresentation, step_budget):
+def _extension_witness(base: IdealPresentation, Q: IdealPresentation):
     """A reduced generator of Q outside `base`, or None when Q ⊆ base.
 
     Q always contains `base` here (it is a colon ideal of it), so this
     decides Q = base.
     """
-    basis = base.reduced_basis(step_budget)
+    basis = base.reduced_basis()
     for g in Q.generators:
-        r = normal_form(g, basis, base.order, step_budget)
+        r = normal_form(g, basis, base.order)
         if r.terms:
             return r.monic(base.order)
     return None
 
 
-def is_zerodivisor(
-    A: AlgebraPresentation, f: Polynomial, step_budget: int | None = None
-):
+def is_zerodivisor(A: AlgebraPresentation, f: Polynomial):
     """Whether f is a zerodivisor of A; on True also a witness g with f*g = 0.
 
     An f lying in the relations (f = 0 in A) is a zerodivisor with witness 1.
     """
     J = A.relations
-    Q = _colon(J, (f,), step_budget)
-    w = _extension_witness(J, Q, step_budget)
+    Q = _colon(J, (f,))
+    w = _extension_witness(J, Q)
     return (True, w) if w is not None else (False, None)
 
 
-def ideal_in_zerodivisors(
-    A: AlgebraPresentation, I: AlgebraIdeal, step_budget: int | None = None
-):
+def ideal_in_zerodivisors(A: AlgebraPresentation, I: AlgebraIdeal):
     """Whether every element of I is a zerodivisor, with the annihilator witness.
 
     True exactly when some a outside the relations satisfies I*a ⊆ relations.
     """
-    require_proper(I, "ideal", step_budget)
+    require_proper(I, "ideal")
     J = A.relations
-    Q = ideal_quotient(J, I.lift, step_budget)
-    w = _extension_witness(J, Q, step_budget)
+    Q = ideal_quotient(J, I.lift)
+    w = _extension_witness(J, Q)
     return (True, w) if w is not None else (False, None)
 
 
-def _is_nzd_mod(stage: IdealPresentation, f: Polynomial, step_budget) -> bool:
-    r = normal_form(f, stage.reduced_basis(step_budget), stage.order, step_budget)
+def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
+    r = normal_form(f, stage.reduced_basis(), stage.order)
     if not r.terms:
         # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
-        return stage.contains_one(step_budget)
-    Q = _colon(stage, (r,), step_budget)
-    return _extension_witness(stage, Q, step_budget) is None
+        return stage.contains_one()
+    Q = _colon(stage, (r,))
+    return _extension_witness(stage, Q) is None
 
 
-def is_regular_sequence(
-    A: AlgebraPresentation, seq: Sequence[Polynomial], step_budget: int | None = None
-) -> bool:
+def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bool:
     """Each element a nonzerodivisor modulo its predecessors, final quotient nonzero."""
     stage = A.relations
     for f in seq:
-        if not _is_nzd_mod(stage, f, step_budget):
+        if not _is_nzd_mod(stage, f):
             return False
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
-    return not stage.contains_one(step_budget)
+    return not stage.contains_one()
 
 
 def is_permutable_regular_sequence(
     A: AlgebraPresentation,
     seq: Sequence[Polynomial],
-    step_budget: int | None = None,
     bound: int = PERMUTATION_BOUND,
 ) -> bool:
     """Regularity under every permutation; lengths past `bound` are refused."""
@@ -184,10 +173,7 @@ def is_permutable_regular_sequence(
         raise PermutationBoundExceeded(
             f"sequence of length {len(seq)} exceeds the permutation bound {bound}"
         )
-    return all(
-        is_regular_sequence(A, perm, step_budget)
-        for perm in itertools.permutations(seq)
-    )
+    return all(is_regular_sequence(A, perm) for perm in itertools.permutations(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +202,18 @@ class GradeCertificate:
         }
 
 
-def _find_nonzerodivisor(stage, pool, rng, retries, step_budget):
-    """A random F_p-combination of `pool` that is a nonzerodivisor mod `stage`."""
+def _find_nonzerodivisor(stage, pool, rng):
+    """A random F_p-combination of `pool` that is a nonzerodivisor mod `stage`.
+
+    Draws at most the ``nzd_retries`` of the enclosing :func:`limits` scope.
+    """
     p = stage.ring.field.p
+    retries = current_limits().nzd_retries
     for _ in range(retries):
         f = stage.ring.zero
         for r in pool:
             f = f + rng.randrange(p) * r
-        if f.terms and _is_nzd_mod(stage, f, step_budget):
+        if f.terms and _is_nzd_mod(stage, f):
             return f
     raise NzdSearchExhausted(
         f"no nonzerodivisor found in {retries} draws; "
@@ -236,9 +226,6 @@ def grade(
     A: AlgebraPresentation,
     I: AlgebraIdeal,
     seed: int = 0,
-    *,
-    step_budget: int | None = None,
-    nzd_retries: int = NZD_RETRY_CAP,
 ) -> GradeCertificate:
     """Grade of the proper ideal I, with a certificate.
 
@@ -251,22 +238,22 @@ def grade(
     sequence is maximal; otherwise random combinations of the reduced
     generators are drawn.  The integer is independent of the seed.
     """
-    require_proper(I, "ideal", step_budget)
+    require_proper(I, "ideal")
     rng = random.Random(seed)
     stage = A.relations
     stages = [stage.generators]
     sequence = []
     while True:
-        basis = stage.reduced_basis(step_budget)
-        reduced = [normal_form(g, basis, stage.order, step_budget) for g in I.gens]
+        basis = stage.reduced_basis()
+        reduced = [normal_form(g, basis, stage.order) for g in I.gens]
         pool = [r for r in reduced if r.terms]
-        f = next((r for r in pool if _is_nzd_mod(stage, r, step_budget)), None)
+        f = next((r for r in pool if _is_nzd_mod(stage, r)), None)
         if f is None:
-            Q = ideal_quotient(stage, I.lift, step_budget)
-            w = _extension_witness(stage, Q, step_budget)
+            Q = ideal_quotient(stage, I.lift)
+            w = _extension_witness(stage, Q)
             if w is not None:
                 return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
-            f = _find_nonzerodivisor(stage, pool, rng, nzd_retries, step_budget)
+            f = _find_nonzerodivisor(stage, pool, rng)
         sequence.append(f)
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
         stages.append(stage.generators)
@@ -276,7 +263,6 @@ def validate_grade_certificate(
     A: AlgebraPresentation,
     I: AlgebraIdeal,
     cert: GradeCertificate,
-    step_budget: int | None = None,
 ) -> None:
     """Independent revalidation from raw generators; raises CertificateError.
 
@@ -297,27 +283,27 @@ def validate_grade_certificate(
             if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
                 raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
 
-        lift_basis = buchberger(I.lift.generators, order, step_budget)
+        lift_basis = buchberger(I.lift.generators, order)
         for i, f in enumerate(cert.sequence):
-            if normal_form(f, lift_basis, order, step_budget).terms:
+            if normal_form(f, lift_basis, order).terms:
                 raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
         for i, f in enumerate(cert.sequence):
             base = IdealPresentation(ring, cert.stage_ideals[i], order)
-            Q = ideal_quotient(base, IdealPresentation(ring, (f,), order), step_budget)
-            basis = base.reduced_basis(step_budget)
+            Q = ideal_quotient(base, IdealPresentation(ring, (f,), order))
+            basis = base.reduced_basis()
             for g in Q.generators:
-                if normal_form(g, basis, order, step_budget).terms:
+                if normal_form(g, basis, order).terms:
                     raise CertificateError(
                         f"f_{i + 1} is a zerodivisor modulo stage {i}"
                     )
 
         final = IdealPresentation(ring, cert.stage_ideals[-1], order)
-        final_basis = final.reduced_basis(step_budget)
-        if not normal_form(cert.witness, final_basis, order, step_budget).terms:
+        final_basis = final.reduced_basis()
+        if not normal_form(cert.witness, final_basis, order).terms:
             raise CertificateError("witness lies in the final stage")
         for g in I.lift.generators:
-            if normal_form(cert.witness * g, final_basis, order, step_budget).terms:
+            if normal_form(cert.witness * g, final_basis, order).terms:
                 raise CertificateError("witness does not annihilate the ideal")
 
 
@@ -339,9 +325,6 @@ class CmVerdict:
 def is_cohen_macaulay(
     A: AlgebraPresentation,
     seed: int = 0,
-    *,
-    step_budget: int | None = None,
-    nzd_retries: int = NZD_RETRY_CAP,
 ) -> CmVerdict:
     """CM test for graded connected presentations.
 
@@ -354,6 +337,6 @@ def is_cohen_macaulay(
             "Cohen-Macaulay check supports homogeneous presentations only"
         )
     irrelevant = AlgebraIdeal(A, A.ring.gens())
-    cert = grade(A, irrelevant, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    dim = krull_dim(A, step_budget)
+    cert = grade(A, irrelevant, seed)
+    dim = krull_dim(A)
     return CmVerdict(A, dim, cert.grade, dim == cert.grade, cert)

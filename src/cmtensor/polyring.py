@@ -340,8 +340,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the square past the top bit would be thrown away
+                base = base * base
         return result
 
     def __eq__(self, other):

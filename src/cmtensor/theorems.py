@@ -6,10 +6,11 @@ traverse different constructions), and reports pass/fail with embedded
 grade certificates.  Hypothesis violations yield status "skipped" with
 the violated clause named; a skipped check is not a failed theorem.
 
-Every check has one call shape: its inputs, then ``seed``, then the
-keyword-only ``step_budget`` and ``nzd_retries``, so ``CHECKS`` can drive
-any of them the same way.  ``check_lemma_1_2`` and ``check_prop_2_3_a``
-are deterministic: they accept ``seed`` and ``nzd_retries`` but ignore them.
+Every check has one call shape, its inputs then ``seed``, so ``CHECKS``
+can drive any of them the same way.  ``check_lemma_1_2`` and
+``check_prop_2_3_a`` are deterministic: they accept ``seed`` but ignore it.
+The work limits (reduction steps per basis, nonzerodivisor draws) are
+those of the enclosing :func:`cmtensor.groebner.limits` scope.
 
 Each check, and ``run_all_checks``, runs in one basis memo scope (see
 :mod:`cmtensor.groebner`), so a basis its grades share is computed once.
@@ -35,7 +36,6 @@ from .algebra import (
 from .errors import KernelError
 from .groebner import memo_scoped
 from .invariants import (
-    NZD_RETRY_CAP,
     GradeCertificate,
     grade,
     height,
@@ -56,8 +56,8 @@ class GradeEvidence:
     ideal: AlgebraIdeal
     certificate: GradeCertificate
 
-    def revalidate(self, step_budget: int | None = None) -> None:
-        validate_grade_certificate(self.algebra, self.ideal, self.certificate, step_budget)
+    def revalidate(self) -> None:
+        validate_grade_certificate(self.algebra, self.ideal, self.certificate)
 
     def to_dict(self) -> dict:
         return {"label": self.label, **self.certificate.to_dict()}
@@ -127,20 +127,17 @@ def check_thm_1_1_a(
     B: AlgebraPresentation,
     I: AlgebraIdeal,
     seed: int = 0,
-    *,
-    step_budget: int | None = None,
-    nzd_retries: int = NZD_RETRY_CAP,
 ) -> TheoremReport:
     """Grade of the left-extended ideal equals the grade of the ideal."""
     _own_ideal(I, A, "I")
     inputs = {"A": A.describe(), "B": B.describe(), "I": I.describe()}
-    if not I.is_proper(step_budget):
+    if not I.is_proper():
         return _skipped("thm_1_1_a", inputs, "I must be proper")
     T = tensor(A, B)
     inputs["T"] = T.describe()
     lhs_ideal = embed_ideal(I, T, "left")
-    lhs = grade(T, lhs_ideal, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    rhs = grade(A, I, seed, step_budget=step_budget, nzd_retries=nzd_retries)
+    lhs = grade(T, lhs_ideal, seed)
+    rhs = grade(A, I, seed)
     return _verdict(
         "thm_1_1_a",
         inputs,
@@ -156,22 +153,21 @@ def check_thm_1_1_a(
 @memo_scoped
 def check_thm_1_1_b(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
-    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
 ) -> TheoremReport:
     """Grade of the joined ideal equals the sum of the factor grades."""
     _own_ideal(I, A, "I")
     _own_ideal(J, B, "J")
     inputs = {"A": A.describe(), "B": B.describe(), "I": I.describe(), "J": J.describe()}
-    if not I.is_proper(step_budget):
+    if not I.is_proper():
         return _skipped("thm_1_1_b", inputs, "I must be proper")
-    if not J.is_proper(step_budget):
+    if not J.is_proper():
         return _skipped("thm_1_1_b", inputs, "J must be proper")
     T = tensor(A, B)
     inputs["T"] = T.describe()
     joined = joined_ideal(I, J, T)
-    lhs = grade(T, joined, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    ra = grade(A, I, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    rb = grade(B, J, seed, step_budget=step_budget, nzd_retries=nzd_retries)
+    lhs = grade(T, joined, seed)
+    ra = grade(A, I, seed)
+    rb = grade(B, J, seed)
     return _verdict(
         "thm_1_1_b",
         inputs,
@@ -188,26 +184,25 @@ def check_thm_1_1_b(
 @memo_scoped
 def check_thm_1_1_c(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
-    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
 ) -> TheoremReport:
     """Grade of the product ideal equals the minimum of the factor grades."""
     _own_ideal(I, A, "I")
     _own_ideal(J, B, "J")
     inputs = {"A": A.describe(), "B": B.describe(), "I": I.describe(), "J": J.describe()}
-    if not I.is_proper(step_budget):
+    if not I.is_proper():
         return _skipped("thm_1_1_c", inputs, "I must be proper")
-    if not J.is_proper(step_budget):
+    if not J.is_proper():
         return _skipped("thm_1_1_c", inputs, "J must be proper")
-    if I.is_zero(step_budget):
+    if I.is_zero():
         return _skipped("thm_1_1_c", inputs, "I must be nonzero")
-    if J.is_zero(step_budget):
+    if J.is_zero():
         return _skipped("thm_1_1_c", inputs, "J must be nonzero")
     T = tensor(A, B)
     inputs["T"] = T.describe()
     prod = product_ideal(I, J, T)
-    lhs = grade(T, prod, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    ra = grade(A, I, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    rb = grade(B, J, seed, step_budget=step_budget, nzd_retries=nzd_retries)
+    lhs = grade(T, prod, seed)
+    ra = grade(A, I, seed)
+    rb = grade(B, J, seed)
     return _verdict(
         "thm_1_1_c",
         inputs,
@@ -222,10 +217,7 @@ def check_thm_1_1_c(
 
 
 @memo_scoped
-def check_lemma_1_2(
-    A, B, xs, ys, seed: int = 0,
-    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
-) -> TheoremReport:
+def check_lemma_1_2(A, B, xs, ys, seed: int = 0) -> TheoremReport:
     """Elementwise products of permutable sequences stay permutable in the tensor."""
     inputs = {
         "A": A.describe(),
@@ -235,9 +227,9 @@ def check_lemma_1_2(
     }
     if len(xs) != len(ys):
         return _skipped("lemma_1_2", inputs, "sequences must have equal length")
-    if not is_permutable_regular_sequence(A, xs, step_budget):
+    if not is_permutable_regular_sequence(A, xs):
         return _skipped("lemma_1_2", inputs, "xs is not a permutable sequence of A")
-    if not is_permutable_regular_sequence(B, ys, step_budget):
+    if not is_permutable_regular_sequence(B, ys):
         return _skipped("lemma_1_2", inputs, "ys is not a permutable sequence of B")
     T = tensor(A, B)
     inputs["T"] = T.describe()
@@ -246,34 +238,27 @@ def check_lemma_1_2(
         * embed_ideal(AlgebraIdeal(B, (y,)), T, "right").gens[0]
         for x, y in zip(xs, ys)
     ]
-    lhs = is_permutable_regular_sequence(T, products, step_budget)
+    lhs = is_permutable_regular_sequence(T, products)
     return _verdict("lemma_1_2", inputs, lhs, True)
 
 
 @memo_scoped
-def check_prop_2_3_a(
-    T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0,
-    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
-) -> TheoremReport:
+def check_prop_2_3_a(T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0) -> TheoremReport:
     """Height additivity across the two contractions and the quotient."""
     if not isinstance(T, TensorAlgebra):
         raise KernelError("prop_2_3_a needs a tensor presentation")
     _own_ideal(P, T, "P")
     inputs = {"T": T.describe(), "P": P.describe()}
-    if not P.is_proper(step_budget):
+    if not P.is_proper():
         return _skipped("prop_2_3_a", inputs, "P must be proper")
-    p = contract(P, "left", step_budget)
-    q = contract(P, "right", step_budget)
+    p = contract(P, "left")
+    q = contract(P, "right")
     inputs["p"] = p.describe()
     inputs["q"] = q.describe()
-    U = quotient_algebra(T, joined_ideal(p, q, T), step_budget)
+    U = quotient_algebra(T, joined_ideal(p, q, T))
     P_in_U = AlgebraIdeal(U, P.gens)
-    lhs = height(T, P, step_budget)
-    rhs = (
-        height(T.left, p, step_budget)
-        + height(T.right, q, step_budget)
-        + height(U, P_in_U, step_budget)
-    )
+    lhs = height(T, P)
+    rhs = height(T.left, p) + height(T.right, q) + height(U, P_in_U)
     return _verdict(
         "prop_2_3_a",
         inputs,
@@ -284,17 +269,14 @@ def check_prop_2_3_a(
 
 
 @memo_scoped
-def check_thm_2_1(
-    A, B, seed: int = 0,
-    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
-) -> TheoremReport:
+def check_thm_2_1(A, B, seed: int = 0) -> TheoremReport:
     """The tensor is Cohen-Macaulay exactly when both factors are."""
     inputs = {"A": A.describe(), "B": B.describe()}
     T = tensor(A, B)
     inputs["T"] = T.describe()
-    vt = is_cohen_macaulay(T, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    va = is_cohen_macaulay(A, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    vb = is_cohen_macaulay(B, seed, step_budget=step_budget, nzd_retries=nzd_retries)
+    vt = is_cohen_macaulay(T, seed)
+    va = is_cohen_macaulay(A, seed)
+    vb = is_cohen_macaulay(B, seed)
     inputs["dims"] = (
         f"T: dim {vt.dim} depth {vt.depth}; A: dim {va.dim} depth {va.depth}; "
         f"B: dim {vb.dim} depth {vb.depth}"
@@ -313,31 +295,28 @@ def check_thm_2_1(
 
 
 @memo_scoped
-def check_remark_2_5(
-    T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0,
-    *, step_budget: int | None = None, nzd_retries: int = NZD_RETRY_CAP,
-) -> TheoremReport:
+def check_remark_2_5(T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0) -> TheoremReport:
     """Grade additivity when both contractions are cut out by regular sequences."""
     if not isinstance(T, TensorAlgebra):
         raise KernelError("remark_2_5 needs a tensor presentation")
     _own_ideal(P, T, "P")
     inputs = {"T": T.describe(), "P": P.describe()}
-    if not P.is_proper(step_budget):
+    if not P.is_proper():
         return _skipped("remark_2_5", inputs, "P must be proper")
-    p = contract(P, "left", step_budget)
-    q = contract(P, "right", step_budget)
+    p = contract(P, "left")
+    q = contract(P, "right")
     inputs["p"] = p.describe()
     inputs["q"] = q.describe()
-    if not is_regular_sequence(T.left, p.gens, step_budget):
+    if not is_regular_sequence(T.left, p.gens):
         return _skipped("remark_2_5", inputs, "p is not generated by a regular sequence")
-    if not is_regular_sequence(T.right, q.gens, step_budget):
+    if not is_regular_sequence(T.right, q.gens):
         return _skipped("remark_2_5", inputs, "q is not generated by a regular sequence")
-    U = quotient_algebra(T, joined_ideal(p, q, T), step_budget)
+    U = quotient_algebra(T, joined_ideal(p, q, T))
     P_in_U = AlgebraIdeal(U, P.gens)
-    lhs = grade(T, P, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    rp = grade(T.left, p, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    rq = grade(T.right, q, seed, step_budget=step_budget, nzd_retries=nzd_retries)
-    ru = grade(U, P_in_U, seed, step_budget=step_budget, nzd_retries=nzd_retries)
+    lhs = grade(T, P, seed)
+    rp = grade(T.left, p, seed)
+    rq = grade(T.right, q, seed)
+    ru = grade(U, P_in_U, seed)
     return _verdict(
         "remark_2_5",
         inputs,
@@ -627,21 +606,17 @@ def generate_corpus(seed: int, size_budget: int, field: PrimeField = PrimeField(
 def run_all_checks(
     inst: CorpusInstance,
     seed: int = 0,
-    *,
-    step_budget: int | None = None,
-    nzd_retries: int = NZD_RETRY_CAP,
 ) -> list:
     """Every check applicable to the instance, in a fixed order."""
-    kw = {"step_budget": step_budget, "nzd_retries": nzd_retries}
     reports = [
-        check_thm_1_1_a(inst.A, inst.B, inst.I, seed, **kw),
-        check_thm_1_1_b(inst.A, inst.B, inst.I, inst.J, seed, **kw),
-        check_thm_1_1_c(inst.A, inst.B, inst.I, inst.J, seed, **kw),
+        check_thm_1_1_a(inst.A, inst.B, inst.I, seed),
+        check_thm_1_1_b(inst.A, inst.B, inst.I, inst.J, seed),
+        check_thm_1_1_c(inst.A, inst.B, inst.I, inst.J, seed),
     ]
     if inst.xs and inst.ys:
-        reports.append(check_lemma_1_2(inst.A, inst.B, inst.xs, inst.ys, seed, **kw))
+        reports.append(check_lemma_1_2(inst.A, inst.B, inst.xs, inst.ys, seed))
     if inst.P is not None:
-        reports.append(check_prop_2_3_a(inst.T, inst.P, seed, **kw))
-        reports.append(check_remark_2_5(inst.T, inst.P, seed, **kw))
-    reports.append(check_thm_2_1(inst.A, inst.B, seed, **kw))
+        reports.append(check_prop_2_3_a(inst.T, inst.P, seed))
+        reports.append(check_remark_2_5(inst.T, inst.P, seed))
+    reports.append(check_thm_2_1(inst.A, inst.B, seed))
     return reports

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cmtensor import PolyRing, Polynomial, PrimeField
+from cmtensor import PolyRing, Polynomial, PrimeField, groebner
 
 FIELD = PrimeField()
 
@@ -16,6 +16,22 @@ FIELD = PrimeField()
 @pytest.fixture(scope="session")
 def field():
     return FIELD
+
+
+@pytest.fixture
+def step_counters(monkeypatch):
+    """Every reduction-step counter built while the test runs."""
+    made = []
+
+    class Recording(groebner._StepCounter):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(groebner, "_StepCounter", Recording)
+    return made
 
 
 @pytest.fixture

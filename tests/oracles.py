@@ -19,7 +19,6 @@ import numpy as np
 from cmtensor.algebra import require_proper
 from cmtensor.groebner import IdealPresentation, ideal_quotient, normal_form
 from cmtensor.invariants import (
-    NZD_RETRY_CAP,
     GradeCertificate,
     _extension_witness,
     _find_nonzerodivisor,
@@ -126,29 +125,29 @@ def substitute(f, assignments: dict):
     return acc
 
 
-def reference_grade(A, I, seed=0, *, step_budget=None, nzd_retries=NZD_RETRY_CAP):
+def reference_grade(A, I, seed=0):
     """Grade with the full colon (stage : I) computed at every stage.
 
     The stop test comes first at each stage; only when it does not fire
     are the reduced generators of I tried in order, then random draws.
     ``grade`` must return an equal certificate.
     """
-    require_proper(I, "ideal", step_budget)
+    require_proper(I, "ideal")
     rng = random.Random(seed)
     stage = A.relations
     stages = [stage.generators]
     sequence = []
     while True:
-        Q = ideal_quotient(stage, I.lift, step_budget)
-        w = _extension_witness(stage, Q, step_budget)
+        Q = ideal_quotient(stage, I.lift)
+        w = _extension_witness(stage, Q)
         if w is not None:
             return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
-        basis = stage.reduced_basis(step_budget)
-        reduced = [normal_form(g, basis, stage.order, step_budget) for g in I.gens]
+        basis = stage.reduced_basis()
+        reduced = [normal_form(g, basis, stage.order) for g in I.gens]
         pool = [r for r in reduced if r.terms]
-        f = next((r for r in pool if _is_nzd_mod(stage, r, step_budget)), None)
+        f = next((r for r in pool if _is_nzd_mod(stage, r)), None)
         if f is None:
-            f = _find_nonzerodivisor(stage, pool, rng, nzd_retries, step_budget)
+            f = _find_nonzerodivisor(stage, pool, rng)
         sequence.append(f)
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
         stages.append(stage.generators)

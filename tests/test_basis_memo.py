@@ -17,6 +17,7 @@ from cmtensor import (
     StepBudgetExceeded,
     buchberger,
     grade,
+    limits,
     make_algebra,
     validate_grade_certificate,
 )
@@ -81,8 +82,8 @@ def test_scope_is_dropped_on_return():
 def test_budget_failure_is_not_memoised(computed):
     gens = twisted_cubic_gens()
     with memo_scope():
-        with pytest.raises(StepBudgetExceeded):
-            buchberger(gens, GREVLEX, step_budget=3)
+        with limits(step_budget=3), pytest.raises(StepBudgetExceeded):
+            buchberger(gens, GREVLEX)
         assert not _BASIS_MEMO.get()
         basis = buchberger(gens, GREVLEX)
     assert basis == buchberger(gens, GREVLEX)
@@ -126,3 +127,18 @@ def test_validation_reads_nothing_from_the_grade_scope(computed):
         assert _BASIS_MEMO.get() is memo
     finally:
         _BASIS_MEMO.reset(token)
+
+
+def test_validation_runs_under_the_ambient_budget(computed):
+    x, y, z = R3.gens()
+    A = make_algebra(R3, (x * y,))
+    I = AlgebraIdeal(A, (x + y, z))
+    with memo_scope():
+        cert = grade(A, I)
+        entries = dict(_BASIS_MEMO.get())
+        computed.clear()
+        with limits(step_budget=0), pytest.raises(StepBudgetExceeded):
+            validate_grade_certificate(A, I, cert)
+        assert computed  # the failing basis was computed, not read from the memo
+        assert _BASIS_MEMO.get() == entries
+        validate_grade_certificate(A, I, cert)

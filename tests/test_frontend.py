@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from cmtensor import (
     ParseError,
     PolyRing,
     PrimeField,
+    groebner,
     make_algebra,
     tensor,
     theorems,
@@ -22,6 +24,7 @@ from cmtensor.frontend.cli import main
 from cmtensor.frontend.parser import (
     CHECK_SIGNATURES,
     AssertStmt,
+    MAX_POWER_TERMS,
     CheckStmt,
     RingDecl,
     tokenize,
@@ -129,6 +132,27 @@ class TestParser:
         assert err.value.message == (
             "integer literal of 5000 digits exceeds the limit of 4300 digits"
         )
+
+    def test_power_bound_admits_its_limit(self):
+        n = MAX_POWER_TERMS
+        ast = parse_session(f"ring A = poly(x, y) / ((x + y)^{n - 1}, x^{10 * n}, (x - x)^{n});")
+        assert [len(f.terms) for f in ast.statements[0].relations] == [n, 1, 0]
+
+    @pytest.mark.parametrize(
+        "literal, column, terms",
+        [
+            ("(x + y)^{n}", 35, 2),
+            ("(x + y + z)^{n}", 39, 3),
+            ("((x + y)^20)^20", 40, 21),
+        ],
+        ids=["binomial", "trinomial", "nested"],
+    )
+    def test_power_past_the_bound_is_refused(self, literal, column, terms):
+        text = "ring A = poly(x, y, z) / (" + literal.format(n=MAX_POWER_TERMS) + ");"
+        with pytest.raises(ParseError) as err:
+            parse_session(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.message.startswith(f"polynomial of {terms} terms to the power")
 
     def test_literals_reduced_mod_prime(self):
         ast = parse_session("ring A = poly(x) / (x - 6);", prime=5)
@@ -479,37 +503,79 @@ class TestCli:
         assert "overall: PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, code, message",
         [
-            (["run", "{path}", "--prime", "4"], "cmtensor: --prime: modulus 4 is not prime"),
-            (["corpus", "--prime", "4"], "cmtensor: --prime: modulus 4 is not prime"),
-            (["corpus", "--size", "-1"], "cmtensor: --size must be at least 1, got -1"),
-            (["corpus", "--size", "0"], "cmtensor: --size must be at least 1, got 0"),
-            (["run", "{path}", "--nzd-retries", "-1"], "cmtensor: --nzd-retries must be at least 0, got -1"),
-            (["corpus", "--nzd-retries", "-1"], "cmtensor: --nzd-retries must be at least 0, got -1"),
-            (["run", "{path}", "--gb-step-budget", "0"], "cmtensor: --gb-step-budget must be at least 1, got 0"),
-            (["run", "{path}", "--gb-step-budget", "-1"], "cmtensor: --gb-step-budget must be at least 1, got -1"),
-            (["run", "{path}", "--prime", str(2 ** 89 - 1)],
+            (["run", "{path}", "--prime", "4"], 2, "cmtensor: --prime: modulus 4 is not prime"),
+            (["corpus", "--prime", "4"], 2, "cmtensor: --prime: modulus 4 is not prime"),
+            (["corpus", "--size", "-1"], 2, "cmtensor: --size must be at least 1, got -1"),
+            (["corpus", "--size", "0"], 2, "cmtensor: --size must be at least 1, got 0"),
+            (["run", "{path}", "--nzd-retries", "-1"], 2,
+             "cmtensor: --nzd-retries must be at least 0, got -1"),
+            (["corpus", "--nzd-retries", "-1"], 2,
+             "cmtensor: --nzd-retries must be at least 0, got -1"),
+            (["run", "{path}", "--gb-step-budget", "0"], 2,
+             "cmtensor: --gb-step-budget must be at least 1, got 0"),
+            (["run", "{path}", "--gb-step-budget", "-1"], 2,
+             "cmtensor: --gb-step-budget must be at least 1, got -1"),
+            (["run", "{path}", "--prime", str(2 ** 89 - 1)], 2,
              f"cmtensor: --prime: modulus {2 ** 89 - 1} is too large: primality is "
              f"checked exactly only below {MODULUS_BOUND}"),
-            (["run", "{long}"],
+            (["run", "{long}"], 2,
              "{long}:1:21: syntax error: integer literal of 5000 digits exceeds "
              "the limit of 4300 digits"),
+            (["run", "{power}"], 2,
+             "{power}:1:32: syntax error: polynomial of 2 terms to the power 3000 "
+             f"may have more than {MAX_POWER_TERMS} terms"),
+            (["corpus", "--size", "4", "--gb-step-budget", "1"], 1,
+             "cmtensor: corpus generation failed: reduction step budget of 1 exhausted"),
         ],
         ids=[
             "run-prime", "corpus-prime", "size-negative", "size-zero",
             "run-nzd-negative", "corpus-nzd-negative", "budget-zero", "budget-negative",
-            "prime-too-large", "long-integer-literal",
+            "prime-too-large", "long-integer-literal", "power-too-large",
+            "corpus-generation-budget",
         ],
     )
-    def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, message):
+    def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, code, message):
+        """Bad input exits 2, and a corpus that cannot be generated exits 1,
+        each with one line on stderr, nothing on stdout and no traceback."""
         path = self.write(tmp_path, "ring A = poly(x); compute dim(A);")
         long = tmp_path / "long.cmt"
         long.write_text("ring A = poly(x) / (" + "9" * 5000 + ");")
-        assert main([a.format(path=path, long=long) for a in argv]) == 2
+        power = tmp_path / "power.cmt"
+        power.write_text("ring A = poly(x, y) / ((x + y)^3000);")
+        assert main([a.format(path=path, long=long, power=power) for a in argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == message.format(long=long) + "\n"
+        assert captured.err == message.format(long=long, power=power) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "{path}"], ["corpus", "--size", "4"]], ids=["run", "corpus"]
+    )
+    def test_budget_reaches_every_step_counter(
+        self, tmp_path, capsys, monkeypatch, step_counters, argv
+    ):
+        """With --gb-step-budget N every step counter has limit N, except
+        the unbounded one of exact division."""
+        divisions = []
+
+        def exact_quotient(*args):
+            divisions.append(args)
+            return inner(*args)
+
+        inner = groebner._exact_quotient
+        monkeypatch.setattr(groebner, "_exact_quotient", exact_quotient)
+        path = self.write(
+            tmp_path,
+            "ring A = poly(x, y); ring B = poly(u, v); ring T = tensor(A, B);"
+            "ideal P = T:(x, u, y - v);"
+            "check prop_2_3_a(T, P); check remark_2_5(T, P);",
+        )
+        assert main([a.format(path=path) for a in argv] + ["--gb-step-budget", "500000"]) == 0
+        capsys.readouterr()
+        made = [counter.limit for counter in step_counters]
+        assert made.count(math.inf) == len(divisions)
+        assert made.count(500000) == len(made) - len(divisions) > 0
 
     def test_readme_session_runs(self, tmp_path, capsys):
         blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import random
 
 import pytest
 
+import cmtensor
+
 from cmtensor import (
+    DEFAULT_STEP_BUDGET,
     GREVLEX,
     LEX,
     AmbientMismatchError,
@@ -20,8 +26,11 @@ from cmtensor import (
     ideal_product,
     ideal_quotient,
     ideal_sum,
+    limits,
     normal_form,
 )
+from cmtensor import groebner
+from cmtensor.groebner import NZD_RETRY_CAP, current_limits
 from conftest import random_poly
 from oracles import membership_oracle
 
@@ -112,15 +121,16 @@ class TestBuchberger:
         gens = [x * y - z ** 2, y * z - x ** 2, x * z - y ** 2]
         full = buchberger(gens, GREVLEX)
         assert full  # sanity: the unrestricted computation succeeds
-        with pytest.raises(StepBudgetExceeded):
-            buchberger(gens, GREVLEX, step_budget=3)
+        with limits(step_budget=3), pytest.raises(StepBudgetExceeded):
+            buchberger(gens, GREVLEX)
 
     def test_zero_step_budget_is_not_the_default(self):
         x, y, z = R3.gens()
-        with pytest.raises(StepBudgetExceeded):
-            buchberger([x * y - z ** 2, y * z - x ** 2], GREVLEX, step_budget=0)
-        with pytest.raises(StepBudgetExceeded):
-            normal_form(x ** 2, [x], GREVLEX, step_budget=0)
+        with limits(step_budget=0):
+            with pytest.raises(StepBudgetExceeded):
+                buchberger([x * y - z ** 2, y * z - x ** 2], GREVLEX)
+            with pytest.raises(StepBudgetExceeded):
+                normal_form(x ** 2, [x], GREVLEX)
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatchError):
@@ -318,3 +328,72 @@ class TestPresentationCache:
         x, _ = R2.gens()
         I = IdealPresentation(R2, (R2.zero, x, R2.zero))
         assert I.generators == (x,)
+
+
+class TestLimits:
+    """The one `limits` scope bounds every basis and normal form."""
+
+    def test_defaults_outside_every_scope(self):
+        assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+        assert groebner._StepCounter().limit == DEFAULT_STEP_BUDGET
+
+    def test_nested_scopes_override_and_restore(self):
+        with limits(step_budget=10):
+            assert current_limits() == (10, NZD_RETRY_CAP)
+            with limits(nzd_retries=3):
+                assert current_limits() == (10, 3)
+                with limits(step_budget=20):
+                    assert current_limits() == (20, 3)
+                    assert groebner._StepCounter().limit == 20
+                assert current_limits() == (10, 3)
+            assert current_limits() == (10, NZD_RETRY_CAP)
+        assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+
+    def test_scope_restored_after_an_error(self):
+        x, y, z = R3.gens()
+        with pytest.raises(StepBudgetExceeded), limits(step_budget=1, nzd_retries=0):
+            buchberger([x * y - z ** 2, y * z - x ** 2, x * z - y ** 2])
+        assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+
+    def test_budget_is_per_basis(self, step_counters):
+        # each basis gets a fresh counter, so two bases that each spend the
+        # whole budget both succeed
+        x, y, z = R3.gens()
+        gens = [x * y - z ** 2, y * z - x ** 2, x * z - y ** 2]
+        buchberger(gens)
+        steps = step_counters[0].used
+        with limits(step_budget=steps):
+            assert buchberger(gens) == buchberger(gens)
+        with limits(step_budget=steps - 1), pytest.raises(StepBudgetExceeded):
+            buchberger(gens)
+
+
+def test_no_public_callable_takes_a_limit():
+    """Limits are set only by the scope (and the front end's config)."""
+    exempt = {("cmtensor.groebner", "limits"), ("cmtensor.frontend.executor", "ExecConfig")}
+    modules = [cmtensor] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(cmtensor.__path__, "cmtensor.")
+    ]
+    offenders = []
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if (module.__name__, name) in exempt:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [
+                    (f"{name}.{attr}", fn)
+                    for attr, fn in vars(obj).items()
+                    if callable(fn) and (attr == "__init__" or not attr.startswith("_"))
+                ]
+            for qualname, fn in members:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue
+                if {"step_budget", "nzd_retries"} & set(params):
+                    offenders.append(f"{module.__name__}.{qualname}")
+    assert offenders == []

@@ -27,6 +27,7 @@ from cmtensor import (
     is_regular_sequence,
     is_zerodivisor,
     krull_dim,
+    limits,
     make_algebra,
     tensor,
     validate_grade_certificate,
@@ -318,13 +319,14 @@ class TestGrade:
         x, y = ring.gens()
         A = make_algebra(ring, (x * y * (x + y),))
         I = AlgebraIdeal(A, (x, y))
-        with pytest.raises(NzdSearchExhausted):
-            grade(A, I, seed=0, nzd_retries=8)
+        with limits(nzd_retries=8), pytest.raises(NzdSearchExhausted, match="in 8 draws"):
+            grade(A, I, seed=0)
 
 
 def _grade_outcome(fn, A, I, seed):
     try:
-        return fn(A, I, seed, nzd_retries=8)
+        with limits(nzd_retries=8):
+            return fn(A, I, seed)
     except KernelError as exc:
         return type(exc)
 
@@ -385,10 +387,10 @@ class TestGradeAgainstReference:
         full = []
         inner = invariants.ideal_quotient
 
-        def counting(I, J, step_budget=None):
+        def counting(I, J):
             if J.generators == lift:
                 full.append(J)
-            return inner(I, J, step_budget)
+            return inner(I, J)
 
         monkeypatch.setattr(invariants, "ideal_quotient", counting)
         verdict = is_cohen_macaulay(T)
