@@ -17,7 +17,9 @@ Grammar (statements end with ';', '#' starts a line comment):
 Polynomial expressions use ^ over * over binary +/- with explicit *, and
 integer literals are reduced modulo the session prime at parse time.  A
 power whose expansion may have more than MAX_POWER_TERMS terms is a parse
-error at its exponent.
+error at its exponent, and so is any literal whose products (power steps
+included) need more than MAX_LITERAL_WORK steps: a product of a and b
+terms over n names costs a*b*n, and the offending factor is reported.
 Names must be declared before use and are never shadowed; violations are
 parse errors carrying the source position.
 
@@ -47,6 +49,14 @@ from ..polyring import (
 # literal can spend expanding at parse time: the worst admitted power, a
 # binomial to the 499th, parses in about 0.06 s on one Intel Xeon core.
 MAX_POWER_TERMS = 500
+
+# The most work one literal may spend in products, a product of polynomials
+# of a and b terms over n names costing a*b*n (each power step is one
+# product).  It bounds parse time where the power bound cannot: many
+# written-out factors, or terms over many names.  (x + y)^499 costs 208,302;
+# the slowest admitted literal found, 706 written-out factors (1 + x), parses
+# in about 0.3 s on the same core.
+MAX_LITERAL_WORK = 500_000
 
 _TWO_CHAR = ("==", "!=", "<=", ">=")
 _ONE_CHAR = "(),;=:+-*^/<>"
@@ -268,6 +278,7 @@ class _Parser:
         self.i = 0
         self.field = PrimeField(prime)
         self.symbols = {}  # name -> "ring" | "ideal"
+        self.work = 0  # of the literal being parsed
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -348,6 +359,7 @@ class _Parser:
     def parse_literal(self) -> Polynomial:
         """One polynomial, over the sorted names left after cancellation."""
         ring = self.literal_ring()
+        self.work = 0
         f = self.parse_sum(ring)
         used = sorted(f.support())
         if len(used) == ring.nvars:
@@ -368,8 +380,31 @@ class _Parser:
         acc = self.parse_factor(ring)
         while self.peek().kind == "op" and self.peek().text == "*":
             self.advance()
-            acc = acc * self.parse_factor(ring)
+            tok = self.peek()
+            acc = self.product(acc, self.parse_factor(ring), tok)
         return acc
+
+    def product(self, a: Polynomial, b: Polynomial, tok: Token) -> Polynomial:
+        """a * b, charged to the literal's work; refused at `tok` past the bound."""
+        self.work += len(a.terms) * len(b.terms) * a.ring.nvars
+        if self.work > MAX_LITERAL_WORK:
+            self.fail(
+                f"literal needs more than {MAX_LITERAL_WORK} steps of "
+                "multiplication to expand",
+                tok,
+            )
+        return a * b
+
+    def power(self, base: Polynomial, exponent: int, tok: Token) -> Polynomial:
+        """base ** exponent by the products of ``Polynomial.__pow__``, each charged."""
+        result = base.ring.one
+        while exponent:
+            if exponent & 1:
+                result = self.product(result, base, tok)
+            exponent >>= 1
+            if exponent:
+                base = self.product(base, base, tok)
+        return result
 
     def parse_factor(self, ring) -> Polynomial:
         tok = self.peek()
@@ -397,7 +432,7 @@ class _Parser:
                     f"more than {MAX_POWER_TERMS} terms",
                     etok,
                 )
-            return base ** exponent
+            return self.power(base, exponent, etok)
         return base
 
     def parse_atom(self, ring) -> Polynomial:

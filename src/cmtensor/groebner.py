@@ -13,13 +13,15 @@ Bases are also memoised by content, but only inside a scope.  The memo is
 keyed on (ring, order, set of nonzero generator term maps): the reduced
 basis is unique, so the order and repetition of the generators cannot
 change it.  It lives in a context variable that :func:`memo_scope` sets
-for the outermost scoped call (a theorem check, ``grade`` or
-``is_cohen_macaulay``) and drops when that call returns, so it never
-outlives one computation.  Outside a scope :func:`buchberger` computes
+for the outermost scoped call (a theorem check, ``grade``,
+``is_cohen_macaulay`` or a regular-sequence test) and drops when that
+call returns, so it never outlives one computation.  Outside a scope :func:`buchberger` computes
 every basis afresh.  Only successful results are stored: a
 ``StepBudgetExceeded`` is never memoised, and a memo hit spends no steps.
 Certificate validation always opens a fresh scope (``fresh=True``), so it
-never reads a basis cached by the run whose certificate it checks.
+never reads a basis cached by the run whose certificate it checks.  Other
+layers cache their own values in the same scope through
+:func:`scope_cached` (the Hilbert numerators of :mod:`cmtensor.invariants`).
 
 The work limits come from a second context variable, set by
 :func:`limits`: every basis and every normal form gets a fresh step
@@ -114,6 +116,21 @@ def memo_scope(fresh: bool = False):
         yield
     finally:
         _BASIS_MEMO.reset(token)
+
+
+def scope_cached(key, compute):
+    """The value cached under `key` in the current scope, computed on a miss.
+
+    Outside every scope nothing is cached and `compute()` runs each time.
+    Only values that were computed without raising are stored.
+    """
+    memo = _BASIS_MEMO.get()
+    if memo is None:
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 def memo_scoped(fn):
@@ -259,15 +276,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
         return []
     ring = nonzero[0].ring
     _check_ring(ring, nonzero)
-    memo = _BASIS_MEMO.get()
-    if memo is None:
+    if _BASIS_MEMO.get() is None:
         return _buchberger(ring, nonzero, order)
     key = (ring, order, frozenset(frozenset(g.terms.items()) for g in nonzero))
-    basis = memo.get(key)
-    if basis is None:
-        basis = tuple(_buchberger(ring, nonzero, order))
-        memo[key] = basis
-    return list(basis)
+    return list(scope_cached(key, lambda: tuple(_buchberger(ring, nonzero, order))))
 
 
 def _buchberger(ring, nonzero, order):
@@ -469,26 +481,43 @@ def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polyn
     return Polynomial(ring, quo, _trusted=True)
 
 
+def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
+    """(I : g) for one nonzero g: (I ∩ (g)) divided by g."""
+    Ig = ideal_intersection(I, IdealPresentation(I.ring, (g,), I.order))
+    return IdealPresentation(
+        I.ring,
+        tuple(_exact_quotient(h, g, I.order) for h in Ig.generators),
+        I.order,
+    )
+
+
 def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
     """(I : J) = {f : f*J ⊆ I}.
 
-    Computed generator by generator: (I : g) is (I ∩ (g)) divided by g,
-    and (I : J) is the intersection of those over J's generators.  The
-    quotient by the zero ideal is the whole ring.
+    The quotient by the zero ideal is the whole ring, and a principal J
+    gives (I : g) as (I ∩ (g)) divided by g.  For two or more generators,
+    (I : J) is the intersection of the (I : g) over the distinct nonzero
+    normal forms of J's generators modulo I's reduced basis: (I : g)
+    equals (I : NF(g)), and a generator inside I contributes the unit
+    ideal, which changes no intersection.  The result is then always the
+    reduced grevlex basis of (I : J) in ascending order, whatever I's
+    order: an intersection returns the tag-free part of a reduced block
+    order basis, a single remaining colon is reduced under grevlex, and
+    with none left the basis is (1).
     """
     ring = _common_ring(I, J)
     if not J.generators:
         return IdealPresentation(ring, (ring.one,), I.order)
-    parts = []
-    for g in J.generators:
-        Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
-        parts.append(
-            IdealPresentation(
-                ring,
-                tuple(_exact_quotient(h, g, I.order) for h in Ig.generators),
-                I.order,
-            )
-        )
+    if len(J.generators) == 1:
+        return _principal_quotient(I, J.generators[0])
+    basis = I.reduced_basis()
+    reduced = (normal_form(g, basis, I.order) for g in J.generators)
+    left = dict.fromkeys(r.monic(I.order) for r in reduced if r.terms)
+    if not left:
+        return IdealPresentation(ring, (ring.one,), I.order)
+    parts = [_principal_quotient(I, r) for r in left]
+    if len(parts) == 1:
+        return IdealPresentation(ring, buchberger(parts[0].generators, GREVLEX), I.order)
     acc = parts[0]
     for nxt in parts[1:]:
         acc = ideal_intersection(acc, nxt)

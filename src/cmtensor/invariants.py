@@ -8,9 +8,23 @@ the annihilator stop test fires: (stage : I) strictly above stage yields
 the witness a with a ∉ stage and I*a ⊆ stage, which certifies maximality.
 A generator of I that is a nonzerodivisor modulo the stage already proves
 (stage : I) = stage, so the full colon ideal is computed only at a stage
-where no generator is one.
+where no generator is one.  That colon, like every colon by an ideal of
+two or more generators, is by the distinct nonzero normal forms of the
+generators modulo the stage alone (see ``groebner.ideal_quotient``): the
+relations carried by ``I.lift`` and the generators already in the stage
+drop out, and the result is still the reduced grevlex basis of the colon.
 The stop test is deterministic, so the random choice of nonzerodivisors
 can change certificates but never the grade (Las Vegas, not Monte Carlo).
+
+Whether f is a nonzerodivisor modulo a stage is decided by Hilbert series
+when f and every stage generator are homogeneous (Bayer and Stillman,
+"Computation of Hilbert functions", 1992): for deg f = d >= 1 it is one
+exactly when HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come
+from the leading-monomial ideals by Bigatti's pivot recursion
+("Computation of Hilbert-Poincare series", 1997), and a stage's numerator
+is cached in the current memo scope.  Other inputs use the colon
+(stage : f).  Certificate validation always uses colons, so it checks the
+Hilbert test from a separate code path.
 """
 
 from __future__ import annotations
@@ -37,8 +51,9 @@ from .groebner import (
     memo_scope,
     memo_scoped,
     normal_form,
+    scope_cached,
 )
-from .polyring import Polynomial
+from .polyring import Polynomial, mono_divides
 
 PERMUTATION_BOUND = 5
 
@@ -100,6 +115,75 @@ def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Hilbert numerators
+
+def _plus_shifted(a, b, d: int, sign: int = 1) -> list:
+    """The coefficients of a + sign * t^d * b, trailing zeros dropped."""
+    out = list(a) + [0] * (d + len(b) - len(a))
+    for k, c in enumerate(b):
+        out[d + k] += sign * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _minimal_monomials(monos) -> list:
+    """The minimal generators of the monomial ideal the monomials span."""
+    kept = []
+    for m in sorted(set(monos), key=sum):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _hilbert_numerator(monos) -> list:
+    """N with HS(R/M) = N(t) / (1 - t)^n for the monomial ideal M = (monos).
+
+    Coefficients of t^0, t^1, ... with trailing zeros dropped; ``[]`` for
+    the unit ideal.  Bigatti's pivot recursion: for a pivot p = x_i^e with
+    p outside M, N(M) = N(M + (p)) + t^e N(M : p).  The pivot variable is
+    the one in most minimal generators, and e is the median exponent of
+    x_i over the generators that are not pure powers of it.  Every step
+    enlarges the ideal inside the finite set of ideals generated by
+    divisors of the lcm of the input, so the recursion ends; it stops at
+    pairwise coprime generators, where N is the product of (1 - t^deg).
+    """
+    gens = _minimal_monomials(monos)
+    if not gens:
+        return [1]
+    if not any(gens[0]):
+        return []
+    counts = [0] * len(gens[0])
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                counts[i] += 1
+    i = max(range(len(counts)), key=counts.__getitem__)
+    if counts[i] <= 1:
+        out = [1]
+        for m in gens:
+            out = _plus_shifted(out, out, sum(m), -1)
+        return out
+    # Two minimal generators share x_i and cannot both be pure powers of it,
+    # so a mixed one exists; its x_i exponent is below any pure power's.
+    exps = sorted(m[i] for m in gens if m[i] and sum(m) > m[i])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(len(counts)))
+    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
+    return _plus_shifted(_hilbert_numerator(gens + [pivot]), _hilbert_numerator(colon), e)
+
+
+def _hilbert_numerator_of(J: IdealPresentation) -> tuple:
+    """The Hilbert numerator of R/J, from J's leading monomials.
+
+    Cached in the current memo scope: a stage's numerator serves every
+    candidate tested against it.
+    """
+    lms = frozenset(g.leading_monomial(J.order) for g in J.reduced_basis())
+    return scope_cached(("hilbert numerator", lms), lambda: tuple(_hilbert_numerator(lms)))
+
+
+# ---------------------------------------------------------------------------
 # Zerodivisors and regular sequences
 
 def _colon(base: IdealPresentation, gens):
@@ -145,14 +229,34 @@ def ideal_in_zerodivisors(A: AlgebraPresentation, I: AlgebraIdeal):
 
 
 def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
+    """Whether f is a nonzerodivisor modulo `stage` (true on the zero ring).
+
+    For homogeneous f of degree d >= 1 over a homogeneous stage, the exact
+    sequence 0 -> (R/(stage : f))(-d) -> R/stage -> R/(stage + f) -> 0
+    makes f a nonzerodivisor exactly when
+    HS(R/(stage + f)) = (1 - t^d) HS(R/stage), compared through the Hilbert
+    numerators of the leading-monomial ideals.  The extended ideal is
+    presented as ``stage.generators + (f,)``, the next stage of every
+    caller, so its basis is computed once per scope.  Otherwise the colon
+    (stage : f) is compared with the stage.
+    """
     r = normal_form(f, stage.reduced_basis(), stage.order)
     if not r.terms:
         # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
         return stage.contains_one()
+    if f.is_homogeneous() and all(g.is_homogeneous() for g in stage.generators):
+        d = f.total_degree()
+        if d == 0:
+            return True  # a nonzero constant is a unit
+        extended = IdealPresentation(stage.ring, stage.generators + (f,), stage.order)
+        numerator = _hilbert_numerator_of(stage)
+        expected = _plus_shifted(numerator, numerator, d, -1)
+        return _hilbert_numerator_of(extended) == tuple(expected)
     Q = _colon(stage, (r,))
     return _extension_witness(stage, Q) is None
 
 
+@memo_scoped
 def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bool:
     """Each element a nonzerodivisor modulo its predecessors, final quotient nonzero."""
     stage = A.relations
@@ -163,6 +267,7 @@ def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bo
     return not stage.contains_one()
 
 
+@memo_scoped
 def is_permutable_regular_sequence(
     A: AlgebraPresentation,
     seq: Sequence[Polynomial],

@@ -5,9 +5,11 @@ by exact linear algebra mod p over an explicit monomial basis, and
 dimension by exhaustive enumeration of variable subsets.  Only the raw
 term maps of the inputs are read.
 
-The one exception is :func:`reference_grade`, a reference implementation
-rather than an oracle: the straightforward grade loop built from the
-kernel's primitives, kept to pin the optimised ``grade`` to it.
+The exceptions are reference implementations rather than oracles, the
+straightforward versions built from the kernel's primitives and kept to
+pin the optimised ones to them: :func:`reference_quotient` (a colon by
+every generator), :func:`reference_is_nzd` (the colon test for every
+element) and :func:`reference_grade` (the full colon at every stage).
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ import random
 import numpy as np
 
 from cmtensor.algebra import require_proper
-from cmtensor.groebner import IdealPresentation, ideal_quotient, normal_form
+from cmtensor.groebner import (
+    IdealPresentation,
+    _exact_quotient,
+    ideal_intersection,
+    normal_form,
+)
 from cmtensor.invariants import (
     GradeCertificate,
     _extension_witness,
     _find_nonzerodivisor,
-    _is_nzd_mod,
 )
 
 
@@ -125,8 +131,49 @@ def substitute(f, assignments: dict):
     return acc
 
 
+def reference_quotient(I, J):
+    """(I : J) as the intersection of (I : g) over every generator g of J.
+
+    Each (I : g) is (I ∩ (g)) divided by g.  ``ideal_quotient`` must return
+    the same generators in the same order.
+    """
+    ring = I.ring
+    if not J.generators:
+        return IdealPresentation(ring, (ring.one,), I.order)
+    parts = []
+    for g in J.generators:
+        Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
+        parts.append(
+            IdealPresentation(
+                ring,
+                tuple(_exact_quotient(h, g, I.order) for h in Ig.generators),
+                I.order,
+            )
+        )
+    acc = parts[0]
+    for nxt in parts[1:]:
+        acc = ideal_intersection(acc, nxt)
+    return acc
+
+
+def reference_is_nzd(stage, f):
+    """Whether f is a nonzerodivisor modulo `stage`, by the colon (stage : f).
+
+    An f that vanishes modulo the stage is a zerodivisor unless the stage
+    ring is zero.
+    """
+    r = normal_form(f, stage.reduced_basis(), stage.order)
+    if not r.terms:
+        return stage.contains_one()
+    Q = reference_quotient(stage, IdealPresentation(stage.ring, (r,), stage.order))
+    return _extension_witness(stage, Q) is None
+
+
 def reference_grade(A, I, seed=0):
     """Grade with the full colon (stage : I) computed at every stage.
+
+    Colons and nonzerodivisor tests go through :func:`reference_quotient`
+    and :func:`reference_is_nzd`; only the random draws use the kernel's.
 
     The stop test comes first at each stage; only when it does not fire
     are the reduced generators of I tried in order, then random draws.
@@ -138,14 +185,14 @@ def reference_grade(A, I, seed=0):
     stages = [stage.generators]
     sequence = []
     while True:
-        Q = ideal_quotient(stage, I.lift)
+        Q = reference_quotient(stage, I.lift)
         w = _extension_witness(stage, Q)
         if w is not None:
             return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
         basis = stage.reduced_basis()
         reduced = [normal_form(g, basis, stage.order) for g in I.gens]
         pool = [r for r in reduced if r.terms]
-        f = next((r for r in pool if _is_nzd_mod(stage, r)), None)
+        f = next((r for r in pool if reference_is_nzd(stage, r)), None)
         if f is None:
             f = _find_nonzerodivisor(stage, pool, rng)
         sequence.append(f)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from cmtensor.frontend.cli import main
 from cmtensor.frontend.parser import (
     CHECK_SIGNATURES,
     AssertStmt,
+    MAX_LITERAL_WORK,
     MAX_POWER_TERMS,
     CheckStmt,
     RingDecl,
@@ -153,6 +155,33 @@ class TestParser:
             parse_session(text)
         assert (err.value.line, err.value.column) == (1, column)
         assert err.value.message.startswith(f"polynomial of {terms} terms to the power")
+
+    def test_literal_over_many_names_is_refused_quickly(self):
+        # every monomial is a tuple over all 1,002 names, so the admitted
+        # power (x + y)^499 becomes too costly and is refused at its exponent
+        literal = "(x + y)^499 * " + "*".join(f"v{i}" for i in range(1000))
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_session(f"ring A = poly(x) / ({literal});")
+        assert time.perf_counter() - started < 0.5
+        assert (err.value.line, err.value.column) == (1, 29)
+        assert err.value.message == (
+            f"literal needs more than {MAX_LITERAL_WORK} steps of multiplication to expand"
+        )
+
+    def test_written_out_products_are_refused_at_the_offending_factor(self):
+        # the k-th product of factors (1 + x) costs 2(k + 1), so the budget
+        # runs out at a factor, and the product just before it is admitted
+        literal = "*".join(["(1 + x)"] * 800)
+        with pytest.raises(ParseError) as err:
+            parse_session(f"ring A = poly(x) / ({literal});")
+        start = err.value.column - len("ring A = poly(x) / (") - 1
+        assert literal[start:start + 7] == "(1 + x)" and literal[start - 1] == "*"
+        products = start // 8 - 1
+        assert products ** 2 + 3 * products <= MAX_LITERAL_WORK
+        assert (products + 1) ** 2 + 3 * (products + 1) > MAX_LITERAL_WORK
+        ast = parse_session(f"ring A = poly(x) / ({literal[:start - 1]});")
+        assert len(ast.statements[0].relations[0].terms) == products + 2
 
     def test_literals_reduced_mod_prime(self):
         ast = parse_session("ring A = poly(x) / (x - 6);", prime=5)
@@ -526,6 +555,9 @@ class TestCli:
             (["run", "{power}"], 2,
              "{power}:1:32: syntax error: polynomial of 2 terms to the power 3000 "
              f"may have more than {MAX_POWER_TERMS} terms"),
+            (["run", "{costly}"], 2,
+             "{costly}:1:29: syntax error: literal needs more than "
+             f"{MAX_LITERAL_WORK} steps of multiplication to expand"),
             (["corpus", "--size", "4", "--gb-step-budget", "1"], 1,
              "cmtensor: corpus generation failed: reduction step budget of 1 exhausted"),
         ],
@@ -533,7 +565,7 @@ class TestCli:
             "run-prime", "corpus-prime", "size-negative", "size-zero",
             "run-nzd-negative", "corpus-nzd-negative", "budget-zero", "budget-negative",
             "prime-too-large", "long-integer-literal", "power-too-large",
-            "corpus-generation-budget",
+            "literal-too-costly", "corpus-generation-budget",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, code, message):
@@ -544,10 +576,16 @@ class TestCli:
         long.write_text("ring A = poly(x) / (" + "9" * 5000 + ");")
         power = tmp_path / "power.cmt"
         power.write_text("ring A = poly(x, y) / ((x + y)^3000);")
-        assert main([a.format(path=path, long=long, power=power) for a in argv]) == code
+        costly = tmp_path / "costly.cmt"
+        costly.write_text(
+            "ring A = poly(x) / ((x + y)^499 * "
+            + "*".join(f"v{i}" for i in range(1000)) + ");"
+        )
+        files = dict(path=path, long=long, power=power, costly=costly)
+        assert main([a.format(**files) for a in argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == message.format(long=long, power=power) + "\n"
+        assert captured.err == message.format(**files) + "\n"
 
     @pytest.mark.parametrize(
         "argv", [["run", "{path}"], ["corpus", "--size", "4"]], ids=["run", "corpus"]

@@ -6,6 +6,8 @@ import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmtensor
 
@@ -32,7 +34,7 @@ from cmtensor import (
 from cmtensor import groebner
 from cmtensor.groebner import NZD_RETRY_CAP, current_limits
 from conftest import random_poly
-from oracles import membership_oracle
+from oracles import membership_oracle, reference_quotient
 
 F = PrimeField()
 R2 = PolyRing(("x", "y"), F)
@@ -280,6 +282,62 @@ class TestQuotient:
             Q = ideal_quotient(I, ideal(R2, f))
             for g in ideal_product(Q, ideal(R2, f)).generators:
                 assert ideal_membership(g, I)
+
+
+def _quotient_pair(I, J):
+    return ideal_quotient(I, J), reference_quotient(I, J)
+
+
+class TestQuotientAgainstReference:
+    """`ideal_quotient` colons only by the distinct nonzero normal forms of
+    J's generators; the reference colons by every generator.  The
+    generator tuples must be the same."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    @pytest.mark.parametrize(
+        "case",
+        ["none-left", "one-left", "duplicates", "two-left", "zero-ideal", "zero-ideal-one"],
+    )
+    def test_cases(self, case, order):
+        x, y, z = R3.gens()
+        I = IdealPresentation(R3, (x ** 2, x * y), order)
+        J = {
+            "none-left": (x ** 2, x ** 2 * z + 2 * x * y),
+            "one-left": (x * y, x + x ** 2, y * x ** 2),
+            "duplicates": (x, x, 3 * x + x * y),
+            "two-left": (x, y + z, x * y),
+        }.get(case)
+        if case.startswith("zero-ideal"):
+            I = IdealPresentation(R3, (), order)
+            J = (x, y) if case == "zero-ideal" else (x, 2 * x)
+        Q, R = _quotient_pair(I, IdealPresentation(R3, J, order))
+        assert Q.generators == R.generators and Q.order == R.order
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([GREVLEX, LEX]),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    def test_random(self, data_seed, order, inside, outside, repeat):
+        rng = random.Random(data_seed)
+        ring = (R2, R3)[rng.randrange(2)]
+        I = IdealPresentation(
+            ring,
+            [random_poly(rng, ring, 2, 2, constant_free=True) for _ in range(rng.randint(0, 2))],
+            order,
+        )
+        gens = [
+            sum((random_poly(rng, ring, 1, 2) * g for g in I.generators), ring.zero)
+            for _ in range(inside)
+        ]
+        gens += [random_poly(rng, ring, 2, 2, constant_free=True) for _ in range(outside)]
+        if repeat and gens:
+            gens.append(rng.randrange(1, ring.field.p) * rng.choice(gens))
+        Q, R = _quotient_pair(I, IdealPresentation(ring, gens, order))
+        assert Q.generators == R.generators and Q.order == R.order
 
 
 class TestElimination:

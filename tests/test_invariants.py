@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -32,10 +34,11 @@ from cmtensor import (
     tensor,
     validate_grade_certificate,
 )
-from cmtensor import invariants
+from cmtensor import GREVLEX, LEX, IdealPresentation, groebner, invariants
 from cmtensor.errors import KernelError
+from cmtensor.invariants import _hilbert_numerator, _is_nzd_mod
 from conftest import random_poly
-from oracles import dim_subset_oracle, reference_grade
+from oracles import dim_subset_oracle, monomials_up_to, reference_grade, reference_is_nzd
 
 F = PrimeField()
 
@@ -396,6 +399,157 @@ class TestGradeAgainstReference:
         verdict = is_cohen_macaulay(T)
         assert verdict.is_cm and verdict.depth == 4
         assert len(full) == 1
+
+
+    def test_intersections_of_a_cm_tensor(self, monkeypatch):
+        # every principal test is decided by Hilbert series, and the last
+        # stage's colon is by x alone: the other generators of I.lift
+        # reduce to zero modulo the stage
+        ring = PolyRing(("x", "y", "z"), F)
+        A = make_algebra(ring, (ring.var(0) ** 2,))
+        T = tensor(A, poly_algebra("u", "v"))
+        calls = []
+        inner = groebner.ideal_intersection
+
+        def counting(I1, I2):
+            calls.append((I1, I2))
+            return inner(I1, I2)
+
+        monkeypatch.setattr(groebner, "ideal_intersection", counting)
+        verdict = is_cohen_macaulay(T)
+        assert verdict.is_cm and verdict.depth == 4
+        assert len(calls) == 1
+
+
+def _series(numerator, nvars, degree):
+    """Coefficients of t^0..t^degree of numerator / (1 - t)^nvars."""
+    return [
+        sum(c * math.comb(d - k + nvars - 1, nvars - 1) for k, c in enumerate(numerator[: d + 1]))
+        for d in range(degree + 1)
+    ]
+
+
+def _order_at_one(numerator):
+    """The multiplicity of t = 1 as a root of the numerator."""
+    order, coeffs = 0, list(numerator)
+    while coeffs and not sum(coeffs):
+        # divide by (1 - t): the quotient's coefficients are partial sums
+        coeffs = list(itertools.accumulate(coeffs))[:-1]
+        order += 1
+    return order
+
+
+class TestHilbertNumerator:
+    """Bigatti's pivot recursion against standard monomials counted one by
+    one, and its pole order at t = 1 against the dimension oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_counts_standard_monomials(self, data_seed):
+        rng = random.Random(data_seed)
+        nvars = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(0, 3) for _ in range(nvars))
+            for _ in range(rng.randint(0, 5))
+        ]
+        numerator = _hilbert_numerator(gens)
+        # deg N <= deg lcm(gens), so agreement up to one past it decides N
+        top = sum(max((m[i] for m in gens), default=0) for i in range(nvars)) + 1
+        counts = [0] * (top + 1)
+        for m in monomials_up_to(nvars, top):
+            if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+                counts[sum(m)] += 1
+        assert _series(numerator, nvars, top) == counts
+        assert not numerator or numerator[-1]
+
+    def test_unit_and_zero_ideals(self):
+        assert _hilbert_numerator([(0, 0), (1, 2)]) == []
+        assert _hilbert_numerator([]) == [1]
+        assert _hilbert_numerator([(2, 0), (0, 3)]) == [1, 0, -1, -1, 0, 1]
+
+    def test_pole_order_is_the_dimension(self):
+        rng = random.Random(23)
+        checked = 0
+        for nvars in (1, 2, 3, 4, 5):
+            ring = PolyRing(tuple("abcde"[:nvars]), F)
+            for order in (GREVLEX, LEX):
+                for _ in range(4):
+                    gens = [
+                        random_poly(rng, ring, max_deg=2, max_terms=2, constant_free=True)
+                        for _ in range(rng.randint(0, 3))
+                    ]
+                    A = make_algebra(ring, gens, order)
+                    lms = [g.leading_monomial(order) for g in A.relations.reduced_basis()]
+                    pole = nvars - _order_at_one(_hilbert_numerator(lms))
+                    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
+                    assert pole == krull_dim(A) == dim_subset_oracle(nvars, supports)
+                    checked += 1
+        assert checked == 40
+
+
+class TestNonzerodivisorAgainstReference:
+    """`_is_nzd_mod` decides homogeneous inputs by Hilbert series without
+    a colon ideal; the reference computes (stage : f) every time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([GREVLEX, LEX]),
+        st.sampled_from(["form", "constant", "inside", "inhomogeneous"]),
+    )
+    def test_random_stages(self, data_seed, order, kind):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z", "w")[: rng.randint(1, 4)], F)
+        gens = [
+            random_poly(rng, ring, max_deg=2, max_terms=3, homogeneous=True, constant_free=True)
+            for _ in range(rng.randint(0, 3))
+        ]
+        if kind == "inhomogeneous":
+            gens.append(ring.var(rng.randrange(ring.nvars)) ** 2 + ring.var(0))
+        stage = IdealPresentation(ring, gens, order)
+        if kind == "constant":
+            f = ring.const(rng.randrange(ring.field.p))
+        elif kind == "inside" and stage.generators:
+            f = sum((random_poly(rng, ring, 1, 2, homogeneous=True) * g
+                     for g in stage.generators[:1]), ring.zero)
+        else:
+            f = random_poly(rng, ring, max_deg=2, max_terms=3, homogeneous=True)
+        homogeneous = kind != "inhomogeneous" and f.is_homogeneous()
+        calls = []
+        inner = groebner.ideal_intersection
+
+        def counting(I1, I2):
+            calls.append(I1)
+            return inner(I1, I2)
+
+        groebner.ideal_intersection = counting
+        try:
+            verdict = _is_nzd_mod(stage, f)
+        finally:
+            groebner.ideal_intersection = inner
+        assert verdict == reference_is_nzd(stage, f)
+        if homogeneous:
+            assert not calls
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_known_cases(self, order):
+        ring = PolyRing(("x", "y", "z"), F)
+        x, y, z = ring.gens()
+        stage = make_algebra(ring, (x * y, x * z), order).relations
+        cases = {
+            y + z: False,  # kills x
+            x + y: True,
+            x + y * z: None,  # not homogeneous: the colon decides
+            ring.const(5): True,
+            ring.zero: False,
+            x * y: False,
+        }
+        for f, expected in cases.items():
+            assert _is_nzd_mod(stage, f) == reference_is_nzd(stage, f)
+            if expected is not None:
+                assert _is_nzd_mod(stage, f) == expected
+        unit = IdealPresentation(ring, (x, ring.one), order)
+        assert _is_nzd_mod(unit, y) and reference_is_nzd(unit, y)
 
 
 class TestCertificateValidation:
