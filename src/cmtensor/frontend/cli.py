@@ -13,7 +13,7 @@ from ..polyring import DEFAULT_PRIME, PrimeField
 from ..theorems import generate_corpus, run_all_checks
 from .executor import ExecConfig, execute
 from .parser import parse_session
-from .report import VERSION
+from .report import VERSION, CommandResult, RunReport
 
 
 def _add_common(sub):
@@ -105,25 +105,18 @@ def _cmd_corpus(args) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        for entry in results:
-            status = entry.get("status", "?")
-            check = entry.get("check", "-")
-            lhs = entry.get("lhs")
-            rhs = entry.get("rhs")
-            line = f"[{status}] {entry['instance']} {check}"
-            if status in ("pass", "fail"):
-                line += f"  :: lhs={lhs} rhs={rhs}"
-            if entry.get("detail"):
-                line += f"  ({entry['detail']})"
-            if entry.get("error"):
-                line += f"  !! {entry['error']}"
-            print(line)
-        tally = {}
-        for entry in results:
-            tally[entry["status"]] = tally.get(entry["status"], 0) + 1
-        summary = ", ".join(f"{v} {k}" for k, v in sorted(tally.items()))
-        print(f"{len(results)} checks: {summary}")
-        print("overall:", "FAIL" if failed else "PASS")
+        rows = tuple(
+            CommandResult(
+                command=f"{entry['instance']} {entry.get('check', '-')}",
+                status=entry["status"],
+                lhs=entry.get("lhs"),
+                rhs=entry.get("rhs"),
+                error=entry.get("error"),
+                detail=entry.get("detail", ""),
+            )
+            for entry in results
+        )
+        sys.stdout.write(RunReport(args.prime, args.seed, rows).to_text("checks"))
     return 1 if failed else 0
 
 

@@ -19,7 +19,8 @@ integer literals are reduced modulo the session prime at parse time.  A
 power whose expansion may have more than MAX_POWER_TERMS terms is a parse
 error at its exponent, and so is any literal whose products (power steps
 included) need more than MAX_LITERAL_WORK steps: a product of a and b
-terms over n names costs a*b*n, and the offending factor is reported.
+terms over n names costs a*b*max(n, MIN_PAIR_COST), and the offending
+factor is reported.
 Names must be declared before use and are never shadowed; violations are
 parse errors carrying the source position.
 
@@ -51,12 +52,19 @@ from ..polyring import (
 MAX_POWER_TERMS = 500
 
 # The most work one literal may spend in products, a product of polynomials
-# of a and b terms over n names costing a*b*n (each power step is one
-# product).  It bounds parse time where the power bound cannot: many
-# written-out factors, or terms over many names.  (x + y)^499 costs 208,302;
-# the slowest admitted literal found, 706 written-out factors (1 + x), parses
-# in about 0.3 s on the same core.
+# of a and b terms over n names costing a*b*max(n, MIN_PAIR_COST) (each
+# power step is one product).  It bounds parse time where the power bound
+# cannot: many written-out factors, or terms over many names.
 MAX_LITERAL_WORK = 500_000
+
+# The least a pair of terms is charged, whatever the number of names: a
+# pair costs about 1.1-1.7 us at one to six names and 4.5 us at 64 names
+# (Polynomial.__mul__, one Intel Xeon core), so charging n alone
+# under-counts literals over one or two names.  Four keeps (x + y)^499
+# admitted (416,604 steps); the longest admitted product of factors
+# (1 + x), 353 of them, parses in about 0.14 s, where a charge of n
+# admitted 706 of them, which took 0.55 s.
+MIN_PAIR_COST = 4
 
 _TWO_CHAR = ("==", "!=", "<=", ">=")
 _ONE_CHAR = "(),;=:+-*^/<>"
@@ -386,7 +394,7 @@ class _Parser:
 
     def product(self, a: Polynomial, b: Polynomial, tok: Token) -> Polynomial:
         """a * b, charged to the literal's work; refused at `tok` past the bound."""
-        self.work += len(a.terms) * len(b.terms) * a.ring.nvars
+        self.work += len(a.terms) * len(b.terms) * max(a.ring.nvars, MIN_PAIR_COST)
         if self.work > MAX_LITERAL_WORK:
             self.fail(
                 f"literal needs more than {MAX_LITERAL_WORK} steps of "

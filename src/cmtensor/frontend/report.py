@@ -90,7 +90,9 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
 
-    def to_text(self) -> str:
+    def to_text(self, noun: str = "statements") -> str:
+        """The human-readable report: one line per result, then a tally of
+        the results (counted as `noun`) and the overall verdict."""
         lines = [f"cmtensor {self.version}  prime={self.prime}  seed={self.seed}"]
         for r in self.results:
             line = f"[{r.status}] {r.command}"
@@ -107,6 +109,6 @@ class RunReport:
         for r in self.results:
             counts[r.status] = counts.get(r.status, 0) + 1
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        lines.append(f"{len(self.results)} statements: {summary or 'none'}")
+        lines.append(f"{len(self.results)} {noun}: {summary or 'none'}")
         lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines) + "\n"

@@ -5,6 +5,19 @@ criteria (coprime leading monomials, chain), full multivariate division,
 and the derived operations: membership, equality, sum, product,
 intersection via a tag variable, quotient, and elimination.
 
+The reduction loop works on monomials packed into one int each (see
+:class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
+guard-bit mask tests divisibility.  Polynomials keep exponent tuples; terms
+are packed on entry to the loop and unpacked on exit, and only the
+elements of a reduced basis keep their packed form beside their terms.
+Fields start 8 bits wide; when a monomial reaches a guard bit, the whole
+computation runs again with fields twice as wide on the same step
+counter.  No choice depends on the packing (the largest term first, the
+first basis element that divides it, pairs by lcm degree, lcm, i, j), so
+bases and step counts are those of the same algorithm on exponent tuples,
+kept in the tests as ``reference_buchberger``, plus the steps of any
+narrower run that overflowed.
+
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
 worst duplicate the same computation and publish identical results.
@@ -40,6 +53,7 @@ import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import AmbientMismatchError, StepBudgetExceeded
@@ -50,11 +64,6 @@ from .polyring import (
     PolyRing,
     block_order,
     map_variables,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     restrict_variables,
 )
 
@@ -167,61 +176,158 @@ def _check_ring(ring: PolyRing, polys: Iterable[Polynomial]):
             )
 
 
-class _OrderKeys(dict):
-    """Monomial -> order key, each key computed on first use."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.key = order.key
-
-    def __missing__(self, m):
-        k = self[m] = self.key(m)
-        return k
+class _Overflow(Exception):
+    """A monomial outgrew the fields of its packing."""
 
 
-def _basis_entry(g: Polynomial, order: MonomialOrder):
-    lm, lc = g.leading_term(order)
-    return lm, g.ring.field.inv(lc), g.terms
+def _grevlex_fields(idx: tuple) -> list:
+    return [idx[:k] for k in range(len(idx), 0, -1)]
 
 
-def _reduce_terms(ring, f_terms, basis_data, keys, counter, quotient=None):
-    """Full division remainder of the term map `f_terms` by `basis_data`.
+def _order_fields(nvars: int, order: MonomialOrder) -> list:
+    """The order as sums of exponents over subsets of the variables.
 
-    Deterministic: the leading reducible term is always cancelled against
-    the first basis entry whose leading monomial divides it.  `keys` is an
-    :class:`_OrderKeys` of the order, so each monomial's key is computed
-    once however often it is compared.  When `quotient` is a dict and the
-    basis has one entry, the cofactor is accumulated into it.
+    Monomials compare lexicographically by these sums, most significant
+    first: lex by each exponent; deglex by the degree, then each exponent;
+    grevlex by the degree, then the prefix sums s_{n-1}, ..., s_1 (with
+    equal degrees, a smaller last exponent means a larger s_{n-1}); a block
+    order by the grevlex sums of its front, then those of the rest.
     """
-    p = ring.field.p
-    rank = keys.__getitem__
-    work = dict(f_terms)
+    every = tuple(range(nvars))
+    if order.kind == "lex":
+        return [(i,) for i in every]
+    if order.kind == "deglex":
+        return [every] + [(i,) for i in every]
+    if order.kind == "grevlex":
+        return _grevlex_fields(every)
+    rest = tuple(i for i in every if i not in order.front)
+    return _grevlex_fields(order.front) + _grevlex_fields(rest)
+
+
+class _Packing:
+    """Monomials of one (nvars, order) packed into one int of `bits`-bit fields.
+
+    The order's fields come first, most significant first, then one field
+    for each exponent that is not already a field of its own.  The top bit
+    of every field is a guard bit that a packed monomial keeps clear.  A
+    field is linear in the exponents, so packing is ``sum(e_i * w_i)``, and
+    for packed monomials m and d: integer ``<`` is the order, ``m + d`` is
+    the product (each field stays below twice the guard, so no carry
+    crosses a field), and ``(m - d) & guard`` is zero exactly when d divides
+    m (a field of d above that of m borrows into its guard bit).  Every
+    field is at most the degree, so :meth:`pack` refuses a monomial whose
+    degree reaches the guard bit, and a product that overflows shows as a
+    set guard bit.
+    """
+
+    __slots__ = ("weights", "guard", "limit", "shifts", "mask")
+
+    def __init__(self, nvars: int, order: MonomialOrder, bits: int):
+        fields = _order_fields(nvars, order)
+        own = {f[0] for f in fields if len(f) == 1}
+        fields += [(i,) for i in range(nvars) if i not in own]
+        weights = [0] * nvars
+        shifts = [0] * nvars
+        guard = 0
+        for pos, field in enumerate(reversed(fields)):
+            shift = pos * bits
+            guard |= 1 << (shift + bits - 1)
+            for i in field:
+                weights[i] += 1 << shift
+            if len(field) == 1:
+                shifts[field[0]] = shift
+        self.weights = tuple(weights)
+        self.shifts = tuple(shifts)
+        self.guard = guard
+        self.limit = 1 << (bits - 1)
+        self.mask = (1 << bits) - 1
+
+    def pack(self, m) -> int:
+        if sum(m) >= self.limit:
+            raise _Overflow
+        return sum(map(mul, m, self.weights))
+
+    def unpack(self, x: int) -> tuple:
+        mask = self.mask
+        return tuple([(x >> s) & mask for s in self.shifts])
+
+    def pack_terms(self, terms: dict) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(nvars: int, order: MonomialOrder, bits: int) -> _Packing:
+    return _Packing(nvars, order, bits)
+
+
+def _widening(nvars: int, order: MonomialOrder, run):
+    """`run(packing)` at 8-bit fields, run again at twice the width while
+    a monomial overflows.  The caller's step counter carries over."""
+    bits = 8
+    while True:
+        try:
+            return run(_packing(nvars, order, bits))
+        except _Overflow:
+            bits *= 2
+
+
+def _entry(terms: dict, p: int, monic: bool = False) -> tuple:
+    """(leading monomial, inverse leading coefficient, other terms) of packed
+    `terms`; with `monic` the terms are divided by the leading coefficient."""
+    lm = max(terms)
+    inv = pow(terms[lm], p - 2, p)
+    if monic:
+        return lm, 1, tuple((m, c * inv % p) for m, c in terms.items() if m != lm)
+    return lm, inv, tuple((m, c) for m, c in terms.items() if m != lm)
+
+
+def _entry_of(g: Polynomial, packing: _Packing, p: int) -> tuple:
+    """g's entry: the one its reduced basis made with it, or packed anew."""
+    known = getattr(g, "_packed", None)
+    if known is not None and known[0] is packing:
+        return known[1]
+    return _entry(packing.pack_terms(g.terms), p)
+
+
+def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None) -> dict:
+    """Full division remainder of the packed term map `work` (consumed) by
+    the entries `basis`.
+
+    Deterministic: the largest term is always cancelled against the first
+    entry whose leading monomial divides it.  Each popped term is checked
+    for a guard bit.  When `quotient` is a dict and the basis has one
+    entry, the cofactor is accumulated into it.
+    """
     rem = {}
+    get = work.get
     while work:
-        m = max(work, key=rank)
+        m = max(work)
+        if m & guard:
+            raise _Overflow
         c = work.pop(m)
-        for lm, inv_lc, g_terms in basis_data:
-            if mono_divides(lm, m):
+        for lm, inv_lc, tail in basis:
+            shift = m - lm
+            if not shift & guard:
                 break
         else:
             rem[m] = c
             continue
         counter.spend()
-        shift = mono_div(m, lm)
-        factor = (c * inv_lc) % p
+        factor = c * inv_lc % p
         if quotient is not None:
             quotient[shift] = factor
-        for gm, gc in g_terms.items():
-            if gm == lm:
-                continue
-            t = mono_mul(gm, shift)
-            v = (work.get(t, 0) - factor * gc) % p
+        for gm, gc in tail:
+            t = gm + shift
+            v = (get(t, 0) - factor * gc) % p
             if v:
                 work[t] = v
             else:
-                work.pop(t, None)
+                del work[t]
     return rem
 
 
@@ -238,28 +344,15 @@ def normal_form(
     ring = f.ring
     nz = [g for g in basis if g.terms]
     _check_ring(ring, nz)
-    data = [_basis_entry(g, order) for g in nz]
-    rem = _reduce_terms(ring, f.terms, data, _OrderKeys(order), _StepCounter())
-    return Polynomial(ring, rem, _trusted=True)
+    p = ring.field.p
+    counter = _StepCounter()
 
+    def run(packing):
+        entries = [_entry_of(g, packing, p) for g in nz]
+        rem = _reduce(packing.pack_terms(f.terms), entries, packing.guard, p, counter)
+        return Polynomial(ring, packing.unpack_terms(rem), _trusted=True)
 
-def _spoly_terms(gi, gj, lmi, lmj, p):
-    """S-polynomial term map of two monic polynomials."""
-    L = mono_lcm(lmi, lmj)
-    si = mono_div(L, lmi)
-    sj = mono_div(L, lmj)
-    res = {}
-    for m, c in gi.terms.items():
-        t = mono_mul(m, si)
-        res[t] = c
-    for m, c in gj.terms.items():
-        t = mono_mul(m, sj)
-        v = (res.get(t, 0) - c) % p
-        if v:
-            res[t] = v
-        else:
-            res.pop(t, None)
-    return res
+    return _widening(ring.nvars, order, run)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> list:
@@ -283,13 +376,18 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
 
 
 def _buchberger(ring, nonzero, order):
-    p = ring.field.p
     counter = _StepCounter()
-    keys = _OrderKeys(order)
+    return _widening(
+        ring.nvars, order, lambda packing: _packed_buchberger(ring, nonzero, order, packing, counter)
+    )
 
-    G = [g.monic(order) for g in nonzero]
-    data = [_basis_entry(g, order) for g in G]
-    lms = [lm for lm, _, _ in data]
+
+def _packed_buchberger(ring, nonzero, order, packing, counter):
+    p = ring.field.p
+    guard = packing.guard
+    basis = [_entry(packing.pack_terms(g.terms), p, monic=True) for g in nonzero]
+    lms = [e[0] for e in basis]
+    exps = [packing.unpack(lm) for lm in lms]
 
     # Pairs are only ever removed by selection, so a heap of the unique
     # selection keys pops them in the order of a minimum over the pending set.
@@ -297,24 +395,26 @@ def _buchberger(ring, nonzero, order):
     queue = []
 
     def enqueue(i, j):
-        L = mono_lcm(lms[i], lms[j])
+        L = tuple(map(max, exps[i], exps[j]))
         pending.add((i, j))
-        heapq.heappush(queue, (mono_degree(L), keys[L], i, j, L))
+        heapq.heappush(queue, (sum(L), packing.pack(L), i, j))
 
-    for j in range(len(G)):
+    for j in range(len(basis)):
         for i in range(j):
             enqueue(i, j)
 
     while queue:
-        _, _, i, j, L = heapq.heappop(queue)
+        _, L, i, j = heapq.heappop(queue)
         pending.remove((i, j))
-        if mono_mul(lms[i], lms[j]) == L:
+        lmi, _, tail_i = basis[i]
+        lmj, _, tail_j = basis[j]
+        if lmi + lmj == L:
             continue  # coprime leading monomials: S-poly reduces to zero
         skip = False
-        for k in range(len(G)):
+        for k, lmk in enumerate(lms):
             if k == i or k == j:
                 continue
-            if mono_divides(lms[k], L):
+            if not (L - lmk) & guard:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -323,36 +423,41 @@ def _buchberger(ring, nonzero, order):
         if skip:
             continue
         counter.spend()
-        s_terms = _spoly_terms(G[i], G[j], lms[i], lms[j], p)
-        rem = _reduce_terms(ring, s_terms, data, keys, counter)
+        # The S-polynomial of the monic pair; both leading terms cancel at L.
+        si, sj = L - lmi, L - lmj
+        work = {m + si: c for m, c in tail_i}
+        for m, c in tail_j:
+            t = m + sj
+            v = (work.get(t, 0) - c) % p
+            if v:
+                work[t] = v
+            else:
+                del work[t]
+        rem = _reduce(work, basis, guard, p, counter)
         if rem:
-            r = Polynomial(ring, rem, _trusted=True).monic(order)
-            new = len(G)
-            G.append(r)
-            data.append(_basis_entry(r, order))
-            lms.append(data[-1][0])
+            new = len(basis)
+            basis.append(_entry(rem, p, monic=True))
+            lms.append(basis[-1][0])
+            exps.append(packing.unpack(lms[-1]))
             for t in range(new):
                 enqueue(t, new)
 
-    return _reduced_form(ring, data, order, keys, counter)
-
-
-def _reduced_form(ring, data, order, keys, counter):
-    """Minimalize and interreduce a Groebner basis into its reduced form.
-
-    `data` holds the basis entries of monic elements.  Each kept element
-    keeps its leading term under interreduction, so the output stays in
-    the ascending leading-monomial order of the kept elements.
-    """
+    # Minimalize and interreduce.  Each kept element keeps its leading term
+    # under interreduction, so the output stays in the ascending order of
+    # the kept leading monomials.
     kept = []
-    for entry in sorted(data, key=lambda e: keys[e[0]]):
-        if not any(mono_divides(k[0], entry[0]) for k in kept):
+    for entry in sorted(basis, key=itemgetter(0)):
+        if not any(not (entry[0] - k[0]) & guard for k in kept):
             kept.append(entry)
     out = []
-    for idx, (lm, _, terms) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        rem = _reduce_terms(ring, terms, others, keys, counter)
-        out.append(Polynomial(ring, rem, _trusted=True)._known_lead(order, lm))
+    for idx, (lm, _, tail) in enumerate(kept):
+        work = dict(tail)
+        work[lm] = 1
+        rem = _reduce(work, kept[:idx] + kept[idx + 1:], guard, p, counter)
+        g = Polynomial(ring, packing.unpack_terms(rem), _trusted=True)
+        g._known_lead(order, packing.unpack(lm))
+        g._packed = (packing, _entry(rem, p))
+        out.append(g)
     return out
 
 
@@ -473,12 +578,17 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
 def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """h / g for h a multiple of g."""
     ring = h.ring
-    quo = {}
+    p = ring.field.p
     counter = _StepCounter(math.inf)
-    entry = [_basis_entry(g, order)]
-    if _reduce_terms(ring, h.terms, entry, _OrderKeys(order), counter, quo):
-        raise ArithmeticError("exact division failed; intersection is inconsistent")
-    return Polynomial(ring, quo, _trusted=True)
+
+    def run(packing):
+        quo = {}
+        entry = [_entry_of(g, packing, p)]
+        if _reduce(packing.pack_terms(h.terms), entry, packing.guard, p, counter, quo):
+            raise ArithmeticError("exact division failed; intersection is inconsistent")
+        return Polynomial(ring, packing.unpack_terms(quo), _trusted=True)
+
+    return _widening(ring.nvars, order, run)
 
 
 def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentation:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from operator import add, le, neg
 
 from .errors import AmbientMismatchError, ZeroPolynomialError
 
@@ -91,21 +91,8 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(map(add, m1, m2))
 
 
-def mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    """Exact quotient m1 / m2; the caller guarantees divisibility."""
-    return tuple(map(sub, m1, m2))
-
-
 def mono_divides(m1: Monomial, m2: Monomial) -> bool:
     return all(map(le, m1, m2))
-
-
-def mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a if a > b else b for a, b in zip(m1, m2))
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +236,9 @@ class Polynomial:
 
     # `_lead` is (order, leading monomial) once known; one slot, so that
     # threads racing to fill it never pair an order with another's monomial.
-    __slots__ = ("ring", "terms", "_lead")
+    # `_packed` is set only on the elements of a reduced Groebner basis, as
+    # they are made: the packing and entry the reducer of `groebner` uses.
+    __slots__ = ("ring", "terms", "_lead", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict, *, _trusted: bool = False):
         if not _trusted:

@@ -7,13 +7,15 @@ term maps of the inputs are read.
 
 The exceptions are reference implementations rather than oracles, the
 straightforward versions built from the kernel's primitives and kept to
-pin the optimised ones to them: :func:`reference_quotient` (a colon by
-every generator), :func:`reference_is_nzd` (the colon test for every
-element) and :func:`reference_grade` (the full colon at every stage).
+pin the optimised ones to them: :func:`reference_buchberger` (Buchberger
+on exponent tuples), :func:`reference_quotient` (a colon by every
+generator), :func:`reference_is_nzd` (the colon test for every element)
+and :func:`reference_grade` (the full colon at every stage).
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import numpy as np
@@ -30,6 +32,7 @@ from cmtensor.invariants import (
     _extension_witness,
     _find_nonzerodivisor,
 )
+from cmtensor.polyring import Polynomial, mono_divides, mono_mul
 
 
 def monomials_up_to(nvars: int, degree: int) -> list:
@@ -198,3 +201,119 @@ def reference_grade(A, I, seed=0):
         sequence.append(f)
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
         stages.append(stage.generators)
+
+
+def _mono_div(m1, m2):
+    return tuple(a - b for a, b in zip(m1, m2))
+
+
+def _mono_lcm(m1, m2):
+    return tuple(map(max, m1, m2))
+
+
+def _reference_reduce(terms, entries, key, p, steps):
+    """Full division remainder of the term map by (lm, 1/lc, terms) entries:
+    the largest term first, cancelled against the first entry dividing it."""
+    work = dict(terms)
+    rem = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lm, inv_lc, g_terms in entries:
+            if mono_divides(lm, m):
+                break
+        else:
+            rem[m] = c
+            continue
+        steps[0] += 1
+        shift = _mono_div(m, lm)
+        factor = c * inv_lc % p
+        for gm, gc in g_terms.items():
+            if gm != lm:
+                t = mono_mul(gm, shift)
+                v = (work.get(t, 0) - factor * gc) % p
+                if v:
+                    work[t] = v
+                else:
+                    work.pop(t, None)
+    return rem
+
+
+def reference_buchberger(gens, order):
+    """(reduced basis, reduction steps) by Buchberger on exponent tuples.
+
+    The kernel's algorithm before it packed monomials into integers: the
+    same pair order (lcm degree, lcm in the order, i, j), the same
+    coprime and chain criteria and the same reducer choices, so
+    ``buchberger`` must return an equal basis after as many steps.
+    """
+    nonzero = [g for g in gens if g.terms]
+    if not nonzero:
+        return [], 0
+    ring = nonzero[0].ring
+    p = ring.field.p
+    key = order.key
+    steps = [0]
+    G = [g.monic(order) for g in nonzero]
+    entries = [(g.leading_monomial(order), 1, g.terms) for g in G]
+    pending, queue = set(), []
+
+    def enqueue(i, j):
+        L = _mono_lcm(entries[i][0], entries[j][0])
+        pending.add((i, j))
+        heapq.heappush(queue, (sum(L), key(L), i, j, L))
+
+    for j in range(len(G)):
+        for i in range(j):
+            enqueue(i, j)
+    while queue:
+        _, _, i, j, L = heapq.heappop(queue)
+        pending.remove((i, j))
+        lmi, lmj = entries[i][0], entries[j][0]
+        if mono_mul(lmi, lmj) == L:
+            continue
+        if any(
+            mono_divides(entries[k][0], L)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+            if k not in (i, j)
+        ):
+            continue
+        steps[0] += 1
+        si, sj = _mono_div(L, lmi), _mono_div(L, lmj)
+        s = {mono_mul(m, si): c for m, c in G[i].terms.items()}
+        for m, c in G[j].terms.items():
+            t = mono_mul(m, sj)
+            v = (s.get(t, 0) - c) % p
+            if v:
+                s[t] = v
+            else:
+                s.pop(t, None)
+        rem = _reference_reduce(s, entries, key, p, steps)
+        if rem:
+            r = Polynomial(ring, rem).monic(order)
+            G.append(r)
+            entries.append((r.leading_monomial(order), 1, r.terms))
+            for t in range(len(G) - 1):
+                enqueue(t, len(G) - 1)
+    kept = []
+    for entry in sorted(entries, key=lambda e: key(e[0])):
+        if not any(mono_divides(k[0], entry[0]) for k in kept):
+            kept.append(entry)
+    basis = [
+        Polynomial(ring, _reference_reduce(e[2], kept[:i] + kept[i + 1:], key, p, steps))
+        for i, e in enumerate(kept)
+    ]
+    return basis, steps[0]
+
+
+def reference_normal_form(f, basis, order):
+    """Remainder of f under full division by `basis`, on exponent tuples."""
+    inv = f.ring.field.inv
+    entries = [
+        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g.terms)
+        for g in basis
+        if g.terms
+    ]
+    return Polynomial(f.ring, _reference_reduce(f.terms, entries, order.key, f.ring.field.p, [0]))

@@ -27,6 +27,7 @@ from cmtensor.frontend.parser import (
     AssertStmt,
     MAX_LITERAL_WORK,
     MAX_POWER_TERMS,
+    MIN_PAIR_COST,
     CheckStmt,
     RingDecl,
     tokenize,
@@ -170,18 +171,34 @@ class TestParser:
         )
 
     def test_written_out_products_are_refused_at_the_offending_factor(self):
-        # the k-th product of factors (1 + x) costs 2(k + 1), so the budget
-        # runs out at a factor, and the product just before it is admitted
+        # the k-th product of factors (1 + x) costs 2(k + 1) pairs of terms,
+        # so the budget runs out at a factor, and the product just before it
+        # is admitted
         literal = "*".join(["(1 + x)"] * 800)
         with pytest.raises(ParseError) as err:
             parse_session(f"ring A = poly(x) / ({literal});")
         start = err.value.column - len("ring A = poly(x) / (") - 1
         assert literal[start:start + 7] == "(1 + x)" and literal[start - 1] == "*"
         products = start // 8 - 1
-        assert products ** 2 + 3 * products <= MAX_LITERAL_WORK
-        assert (products + 1) ** 2 + 3 * (products + 1) > MAX_LITERAL_WORK
+        assert MIN_PAIR_COST * (products ** 2 + 3 * products) <= MAX_LITERAL_WORK
+        assert MIN_PAIR_COST * ((products + 1) ** 2 + 3 * (products + 1)) > MAX_LITERAL_WORK
         ast = parse_session(f"ring A = poly(x) / ({literal[:start - 1]});")
         assert len(ast.statements[0].relations[0].terms) == products + 2
+
+    def test_few_names_are_charged_the_pair_floor(self):
+        # a pair of terms over one or two names costs about what it costs
+        # over four, so 706 factors (1 + x), admitted when a pair was
+        # charged the number of names and 4.5 times slower to parse than
+        # (x + y)^499, are refused; (x + y)^499 stays admitted
+        assert MIN_PAIR_COST == 4
+        literal = "*".join(["(1 + x)"] * 706)
+        with pytest.raises(ParseError) as err:
+            parse_session(f"ring A = poly(x) / ({literal});")
+        assert err.value.message == (
+            f"literal needs more than {MAX_LITERAL_WORK} steps of multiplication to expand"
+        )
+        ast = parse_session("ring A = poly(x, y) / ((x + y)^499);")
+        assert len(ast.statements[0].relations[0].terms) == 500
 
     def test_literals_reduced_mod_prime(self):
         ast = parse_session("ring A = poly(x) / (x - 6);", prime=5)
@@ -528,8 +545,19 @@ class TestCli:
         assert all(r["status"] != "fail" for r in payload["results"])
 
     def test_corpus_text(self, capsys):
+        assert main(["corpus", "--seed", "2", "--size", "3", "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
         assert main(["corpus", "--seed", "2", "--size", "3"]) == 0
-        assert "overall: PASS" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # rendered by RunReport.to_text: header, one line per check, tally, verdict
+        assert lines[0] == "cmtensor 0.1.0  prime=32003  seed=2"
+        assert lines[1:-2] == [
+            f"[{r['status']}] {r['instance']} {r['check']}  :: lhs={r['lhs']} rhs={r['rhs']}"
+            + (f"  ({r['detail']})" if r["detail"] else "")
+            for r in results
+        ]
+        assert lines[-2] == f"{len(results)} checks: {len(results)} pass"
+        assert lines[-1] == "overall: PASS"
 
     @pytest.mark.parametrize(
         "argv, code, message",

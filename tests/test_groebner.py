@@ -6,7 +6,7 @@ import pkgutil
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cmtensor
@@ -33,8 +33,14 @@ from cmtensor import (
 )
 from cmtensor import groebner
 from cmtensor.groebner import NZD_RETRY_CAP, current_limits
+from cmtensor.polyring import DEGLEX, block_order, mono_divides, mono_mul
 from conftest import random_poly
-from oracles import membership_oracle, reference_quotient
+from oracles import (
+    membership_oracle,
+    reference_buchberger,
+    reference_normal_form,
+    reference_quotient,
+)
 
 F = PrimeField()
 R2 = PolyRing(("x", "y"), F)
@@ -455,3 +461,230 @@ def test_no_public_callable_takes_a_limit():
                 if {"step_budget", "nzd_retries"} & set(params):
                     offenders.append(f"{module.__name__}.{qualname}")
     assert offenders == []
+
+
+@st.composite
+def _packing_cases(draw):
+    """(packing, order, two monomials whose product still packs)."""
+    nvars = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["lex", "grevlex", "deglex", "block"]))
+    if kind == "block":
+        front = draw(st.sets(st.integers(0, nvars - 1), min_size=1))
+        order = block_order(front)
+    else:
+        order = {"lex": LEX, "grevlex": GREVLEX, "deglex": DEGLEX}[kind]
+    bits = draw(st.sampled_from([8, 16, 32]))
+    packing = groebner._packing(nvars, order, bits)
+    # a degree below half the guard, so that the product packs too
+    top = (packing.limit - 1) // (2 * nvars)
+    mono = st.lists(st.integers(0, top), min_size=nvars, max_size=nvars).map(tuple)
+    return packing, order, draw(mono), draw(mono)
+
+
+class TestPacking:
+    """Packed monomials: integer order, sum and guard test are the tuple ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packing_cases())
+    def test_integer_order_is_the_monomial_order(self, case):
+        packing, order, a, b = case
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert (pa < pb) == (order.key(a) < order.key(b))
+        assert (pa == pb) == (a == b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packing_cases())
+    def test_sum_is_the_product(self, case):
+        packing, _, a, b = case
+        assert packing.pack(a) + packing.pack(b) == packing.pack(mono_mul(a, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packing_cases())
+    def test_guard_test_is_divisibility(self, case):
+        packing, _, a, b = case
+        g = tuple(map(min, a, b))  # a divisor of both
+        for d, m in ((b, a), (a, b), (g, a), (g, b)):
+            divides = not (packing.pack(m) - packing.pack(d)) & packing.guard
+            assert divides == mono_divides(d, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packing_cases())
+    def test_unpack_inverts_pack(self, case):
+        packing, _, a, b = case
+        assert packing.unpack(packing.pack(a)) == a
+        assert packing.unpack(packing.pack(a) + packing.pack(b)) == mono_mul(a, b)
+
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, DEGLEX, block_order((1,))],
+                             ids=["lex", "grevlex", "deglex", "block"])
+    def test_overflow_is_refused_or_flagged(self, order):
+        packing = groebner._packing(3, order, 8)
+        assert packing.limit == 128
+        with pytest.raises(groebner._Overflow):
+            packing.pack((100, 0, 28))
+        for i in range(3):
+            m = tuple(127 if j == i else 0 for j in range(3))
+            assert not packing.pack(m) & packing.guard
+            assert (packing.pack(m) + packing.pack(m)) & packing.guard
+
+
+x3, y3, z3 = R3.gens()
+# x^200 and z^130 in WIDE_SYSTEM reach the guard bit of 8-bit fields, so its
+# bases are computed again with 16-bit fields; WIDE_AFTER_STEPS overflows
+# 8-bit fields under lex only after it has spent reduction steps.
+WIDE_SYSTEM = [x3 ** 200 - y3 ** 3, y3 ** 150 * z3 - x3, z3 ** 130 - 1]
+WIDE_AFTER_STEPS = [x3 ** 5 - y3, y3 ** 5 - z3, z3 ** 5 - x3 * y3 * z3]
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field widths of every packing the kernel asks for."""
+    asked = []
+    packing = groebner._packing
+
+    def recording(nvars, order, bits):
+        asked.append(bits)
+        return packing(nvars, order, bits)
+
+    monkeypatch.setattr(groebner, "_packing", recording)
+    return asked
+
+
+class TestWidening:
+    @pytest.mark.parametrize("order", [LEX, GREVLEX, block_order((0,)), block_order((1, 2))],
+                             ids=["lex", "grevlex", "block0", "block12"])
+    @pytest.mark.parametrize("system", [WIDE_SYSTEM, WIDE_AFTER_STEPS], ids=["wide", "late"])
+    def test_widened_basis_is_the_tuple_basis(self, system, order, widths):
+        basis = buchberger(system, order)
+        expected, _ = reference_buchberger(system, order)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+        # the terms come out in descending order, as the tuple reducer leaves them
+        assert [list(g.terms) for g in basis] == [list(g.terms) for g in expected]
+        f = x3 ** 300 * y3 ** 7 + z3 ** 250 + x3 * y3
+        assert normal_form(f, basis, order) == reference_normal_form(f, expected, order)
+        if system is WIDE_SYSTEM:
+            assert widths[:2] == [8, 16]
+
+    def test_step_budget_spans_the_widening(self, step_counters, widths):
+        buchberger(WIDE_AFTER_STEPS, LEX)
+        assert widths == [8, 16]
+        used = step_counters[-1].used
+        _, wide_only = reference_buchberger(WIDE_AFTER_STEPS, LEX)
+        assert used > wide_only  # the 8-bit run spent steps before it overflowed
+        with limits(step_budget=wide_only), pytest.raises(StepBudgetExceeded):
+            buchberger(WIDE_AFTER_STEPS, LEX)
+        with limits(step_budget=used):
+            assert buchberger(WIDE_AFTER_STEPS, LEX)
+
+    def test_exact_quotient_widens(self):
+        g = x3 ** 100 - y3 * z3
+        h = g * (x3 ** 90 + z3)
+        assert groebner._exact_quotient(h, g, GREVLEX) == x3 ** 90 + z3
+
+
+class TestAgainstTupleBuchberger:
+    """The packed kernel makes the tuple kernel's choices: equal bases after
+    equal numbers of reduction steps."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([LEX, GREVLEX, DEGLEX, block_order((0,)), block_order((1, 2))]),
+    )
+    def test_random_systems(self, step_counters, data_seed, order):
+        rng = random.Random(data_seed)
+        gens = [random_poly(rng, R3, 3, 3) for _ in range(rng.randint(1, 4))]
+        step_counters.clear()
+        basis = buchberger(gens, order)
+        made = list(step_counters)
+        expected, steps = reference_buchberger(gens, order)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+        assert sum(c.used for c in made) == steps
+        f = random_poly(rng, R3, 4, 4)
+        assert normal_form(f, basis, order) == reference_normal_form(f, expected, order)
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestAgainstSympy:
+    """Differential test against sympy's Groebner bases over GF(p).  sympy
+    shares no code with the kernel; its bases are reduced and monic."""
+
+    P = 32003
+
+    def _to_sympy(self, sympy, f, symbols):
+        return sum(
+            (c * sympy.Mul(*(s ** e for s, e in zip(symbols, m))) for m, c in f.terms.items()),
+            sympy.Integer(0),
+        )
+
+    def _basis_set(self, sympy, exprs, symbols):
+        return {
+            frozenset((m, c % self.P) for m, c in sympy.Poly(e, *symbols, modulus=self.P).terms())
+            for e in exprs
+        }
+
+    def _ours(self, basis):
+        return {frozenset(g.terms.items()) for g in basis}
+
+    def _cases(self, seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            ring = (R2, R3)[rng.randrange(2)]
+            gens = [random_poly(rng, ring, 3, 3, constant_free=True) for _ in range(rng.randint(1, 3))]
+            yield rng, ring, [g for g in gens if g.terms]
+
+    @pytest.mark.parametrize("order, name", [(LEX, "lex"), (GREVLEX, "grevlex")],
+                             ids=["lex", "grevlex"])
+    def test_reduced_bases(self, sympy, order, name):
+        for _, ring, gens in self._cases(17, 25):
+            symbols = sympy.symbols(ring.names)
+            exprs = [self._to_sympy(sympy, g, symbols) for g in gens]
+            theirs = sympy.groebner(exprs, *symbols, order=name, modulus=self.P).exprs
+            assert self._ours(buchberger(gens, order)) == self._basis_set(sympy, theirs, symbols)
+
+    def _sympy_intersection(self, sympy, symbols, I, J):
+        t = sympy.Symbol("_tag")
+        gens = [t * f for f in I] + [(1 - t) * g for g in J]
+        basis = sympy.groebner(gens, t, *symbols, order="lex", modulus=self.P).exprs
+        return [g for g in basis if not g.has(t)]
+
+    def _reduced(self, sympy, symbols, exprs):
+        if not exprs:
+            return set()
+        return self._basis_set(
+            sympy, sympy.groebner(exprs, *symbols, order="grevlex", modulus=self.P).exprs, symbols
+        )
+
+    def test_intersections(self, sympy):
+        for rng, ring, gens in self._cases(23, 15):
+            others = [random_poly(rng, ring, 2, 2, constant_free=True) for _ in range(rng.randint(1, 2))]
+            others = [g for g in others if g.terms]
+            if not gens or not others:
+                continue
+            symbols = sympy.symbols(ring.names)
+            I = [self._to_sympy(sympy, g, symbols) for g in gens]
+            J = [self._to_sympy(sympy, g, symbols) for g in others]
+            met = ideal_intersection(ideal(ring, *gens), ideal(ring, *others))
+            theirs = self._reduced(sympy, symbols, self._sympy_intersection(sympy, symbols, I, J))
+            assert self._ours(buchberger(met.generators, GREVLEX)) == theirs
+
+    def test_quotients(self, sympy):
+        for rng, ring, gens in self._cases(29, 15):
+            g = random_poly(rng, ring, 2, 2, constant_free=True)
+            if not gens or not g.terms:
+                continue
+            symbols = sympy.symbols(ring.names)
+            I = [self._to_sympy(sympy, f, symbols) for f in gens]
+            sg = self._to_sympy(sympy, g, symbols)
+            parts = []
+            for h in self._sympy_intersection(sympy, symbols, I, [sg]):
+                q, r = sympy.div(sympy.Poly(h, *symbols, modulus=self.P),
+                                 sympy.Poly(sg, *symbols, modulus=self.P))
+                assert r.is_zero
+                parts.append(q.as_expr())
+            Q = ideal_quotient(ideal(ring, *gens), ideal(ring, g))
+            assert self._ours(buchberger(Q.generators, GREVLEX)) == self._reduced(sympy, symbols, parts)
