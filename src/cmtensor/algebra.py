@@ -124,7 +124,7 @@ class AlgebraIdeal:
     def __init__(self, owner: AlgebraPresentation, gens: Iterable[Polynomial] = ()):
         gens = tuple(g for g in gens if g.terms)
         for g in gens:
-            if g.ring != owner.ring:
+            if g.ring is not owner.ring and g.ring != owner.ring:
                 raise AmbientMismatchError(
                     f"generator over {g.ring.names} for an ideal of {owner.ring.names}"
                 )

@@ -108,6 +108,8 @@ def current_limits() -> _Limits:
 
 # The basis memo of the current scope, or None outside every scope.
 _BASIS_MEMO: ContextVar = ContextVar("cmtensor_basis_memo", default=None)
+# A key that :func:`scope_cached` has not stored maps to this.
+_MISSING = object()
 
 
 @contextmanager
@@ -131,13 +133,14 @@ def scope_cached(key, compute):
     """The value cached under `key` in the current scope, computed on a miss.
 
     Outside every scope nothing is cached and `compute()` runs each time.
-    Only values that were computed without raising are stored.
+    Only values that were computed without raising are stored; ``None`` is
+    a value like any other.
     """
     memo = _BASIS_MEMO.get()
     if memo is None:
         return compute()
-    value = memo.get(key)
-    if value is None:
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
         value = memo[key] = compute()
     return value
 
@@ -170,7 +173,7 @@ class _StepCounter:
 
 def _check_ring(ring: PolyRing, polys: Iterable[Polynomial]):
     for g in polys:
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise AmbientMismatchError(
                 f"polynomial over {g.ring.names} used in {ring.names}"
             )
@@ -508,7 +511,7 @@ class IdealPresentation:
 
 
 def _common_ring(I1: IdealPresentation, I2: IdealPresentation) -> PolyRing:
-    if I1.ring != I2.ring:
+    if I1.ring is not I2.ring and I1.ring != I2.ring:
         raise AmbientMismatchError(
             f"ideals over {I1.ring.names} and {I2.ring.names}"
         )
@@ -516,7 +519,7 @@ def _common_ring(I1: IdealPresentation, I2: IdealPresentation) -> PolyRing:
 
 
 def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
-    if f.ring != I.ring:
+    if f.ring is not I.ring and f.ring != I.ring:
         raise AmbientMismatchError("membership across different ambients")
     return I.contains(f)
 

@@ -7,14 +7,22 @@ Grade is computed by extending a regular sequence inside the ideal until
 the annihilator stop test fires: (stage : I) strictly above stage yields
 the witness a with a ∉ stage and I*a ⊆ stage, which certifies maximality.
 A generator of I that is a nonzerodivisor modulo the stage already proves
-(stage : I) = stage, so the full colon ideal is computed only at a stage
-where no generator is one.  That colon, like every colon by an ideal of
-two or more generators, is by the distinct nonzero normal forms of the
-generators modulo the stage alone (see ``groebner.ideal_quotient``): the
-relations carried by ``I.lift`` and the generators already in the stage
-drop out, and the result is still the reduced grevlex basis of the colon.
-The stop test is deterministic, so the random choice of nonzerodivisors
-can change certificates but never the grade (Las Vegas, not Monte Carlo).
+(stage : I) = stage, so the stop test runs only at a stage where no
+generator is one.  The witness is the first element of the reduced
+grevlex basis of (stage : I) outside the stage, reduced modulo the stage
+and made monic.  For a grevlex stage whose generators, and those of I,
+are homogeneous, it is found by linear algebra one degree at a time (see
+``_colon_witness``).  Let r_i be the distinct nonzero normal forms of I's
+generators modulo the stage, and K_e the standard forms a of degree e
+with every a * r_i in the stage.  Then (stage : I) equals the stage below
+the first degree e with K_e ≠ 0, and in that degree the first basis
+element of the colon outside the stage is the element of K_e with the
+least leading monomial.  Past a degree cap taken from the input, and for
+every other order or an inhomogeneous input, the colon ideal itself is
+computed, by those normal forms alone (see ``groebner.ideal_quotient``);
+the witness is the same polynomial either way.  The stop test is
+deterministic, so the random choice of nonzerodivisors can change
+certificates but never the grade (Las Vegas, not Monte Carlo).
 
 Whether f is a nonzerodivisor modulo a stage is decided by Hilbert series
 when f and every stage generator are homogeneous (Bayer and Stillman,
@@ -23,8 +31,9 @@ exactly when HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come
 from the leading-monomial ideals by Bigatti's pivot recursion
 ("Computation of Hilbert-Poincare series", 1997), and a stage's numerator
 is cached in the current memo scope.  Other inputs use the colon
-(stage : f).  Certificate validation always uses colons, so it checks the
-Hilbert test from a separate code path.
+(stage : f).  Certificate validation checks every sequence element with
+a colon and the witness with normal forms, so it checks the Hilbert test
+and the linear-algebra stop test from a separate code path.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from .groebner import (
     normal_form,
     scope_cached,
 )
-from .polyring import Polynomial, mono_divides
+from .polyring import Polynomial, mono_divides, mono_mul
 
 PERMUTATION_BOUND = 5
 
@@ -205,6 +214,140 @@ def _extension_witness(base: IdealPresentation, Q: IdealPresentation):
     return None
 
 
+def _add_scaled(acc: dict, terms: dict, c: int, p: int) -> None:
+    """acc += c * terms over F_p, keeping only nonzero entries."""
+    for k, v in terms.items():
+        v = (acc.get(k, 0) + c * v) % p
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+
+
+def _least_kernel_element(ring, standard, rs, nf_of, order):
+    """The monic a in the span of `standard` (ascending) with every
+    NF(a * r) zero and the least leading monomial, or None.
+
+    The images of the standard monomials are eliminated in ascending
+    order, each row carrying its combination of monomials: the first image
+    that reduces to zero gives the kernel element, led by its own monomial
+    with coefficient 1.
+    """
+    p = ring.field.p
+    rows = []
+    for s in standard:
+        image = {}
+        for i, r in enumerate(rs):
+            for t, c in r.terms.items():
+                for m, v in nf_of(mono_mul(s, t)).items():
+                    k = (i, m)
+                    v = (image.get(k, 0) + c * v) % p
+                    if v:
+                        image[k] = v
+                    else:
+                        del image[k]
+        combo = {s: 1}
+        for pivot, row, comb in rows:
+            c = image.get(pivot)
+            if c:
+                _add_scaled(image, row, p - c, p)
+                _add_scaled(combo, comb, p - c, p)
+        if not image:
+            terms = sorted(combo.items(), key=lambda t: order.key(t[0]), reverse=True)
+            return Polynomial(ring, dict(terms), _trusted=True)
+        pivot = next(iter(image))
+        inv = pow(image[pivot], p - 2, p)
+        rows.append(
+            (
+                pivot,
+                {k: v * inv % p for k, v in image.items()},
+                {k: v * inv % p for k, v in combo.items()},
+            )
+        )
+    return None
+
+
+def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
+    """The witness of (stage : I) ⊋ stage, or None when the colon is the stage.
+
+    The witness is what ``_extension_witness(stage, ideal_quotient(stage,
+    I.lift))`` returns: the first generator of Q = (stage : I) outside the
+    stage, reduced modulo the stage and made monic.  Those generators are
+    a Groebner basis of Q in ascending grevlex order: the reduced one, or
+    for an I.lift of one generator g the quotients by g of the reduced
+    basis of stage ∩ (g).  When I.lift's generators all lie in the stage,
+    Q is the unit ideal and the witness is 1 (None on the zero ring).
+
+    For a grevlex stage with every generator of the stage and of I.lift
+    homogeneous, it is found by linear algebra one degree at a time,
+    without the colon (the Macaulay-matrix view of Lazard, "Groebner bases,
+    Gaussian elimination and resolution of systems of algebraic
+    equations", 1983).  Let r_1..r_m be the distinct monic nonzero normal
+    forms of I.lift's generators modulo the stage, and K_e the space of
+    a in the span of the stage's standard monomials of degree e with every
+    NF(a * r_i) = 0; then Q_e = stage_e ⊕ K_e.  At the first degree e with
+    K_e ≠ 0, the witness is the monic element of K_e with the least
+    leading monomial μ, unique because K_e meets the span of the monomials
+    up to μ in one dimension:
+
+    - below e, Q equals the stage, so every basis element of Q of lower
+      degree lies in the stage;
+    - in degree e, in(Q)_e = in(stage)_e ⊔ in(K_e), and every monomial of
+      in(Q) in degree e - 1 lies in in(stage), so μ is a minimal
+      generator of in(Q) and some basis element g is led by μ; μ is
+      standard, so NF(g) is a nonzero element of K_e led by μ (for the
+      reduced basis, g itself: its other terms lie outside in(Q));
+    - a basis element of degree e led by m < μ has m ∈ in(stage), and if
+      it were outside the stage its normal form would be a nonzero element
+      of K_e with every term at most m, below μ: so it lies in the stage;
+    - so the first basis element outside the stage is g, and its monic
+      normal form is the least element of K_e.
+
+    A degree with no standard monomial has none above it either, so then
+    Q is the stage and there is no witness.  Past degree
+    max(degree of the stage's reduced basis, deg r_i) + 2, and for every
+    other order or an inhomogeneous input, the colon is computed instead.
+    """
+    order = stage.order
+    basis = stage.reduced_basis()
+    reduced = (normal_form(g, basis, order) for g in I.lift.generators)
+    rs = list(dict.fromkeys(r.monic(order) for r in reduced if r.terms))
+    if not rs:
+        return None if stage.contains_one() else stage.ring.one
+    if order.kind == "grevlex" and all(
+        g.is_homogeneous() for g in stage.generators + I.lift.generators
+    ):
+        ring = stage.ring
+        leads = [g.leading_monomial(order) for g in basis]
+        cap = max(g.total_degree() for g in basis + tuple(rs)) + 2
+        standard = [(0,) * ring.nvars]
+        known = {}
+
+        def nf_of(m):
+            terms = known.get(m)
+            if terms is None:
+                if any(mono_divides(l, m) for l in leads):
+                    x = Polynomial(ring, {m: 1}, _trusted=True)
+                    terms = normal_form(x, basis, order).terms
+                else:
+                    terms = {m: 1}
+                known[m] = terms
+            return terms
+
+        for _ in range(cap + 1):
+            if not standard:
+                return None
+            w = _least_kernel_element(ring, standard, rs, nf_of, order)
+            if w is not None:
+                return w
+            above = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in standard for i in range(ring.nvars)}
+            standard = sorted(
+                (m for m in above if not any(mono_divides(l, m) for l in leads)),
+                key=order.key,
+            )
+    return _extension_witness(stage, ideal_quotient(stage, I.lift))
+
+
 def is_zerodivisor(A: AlgebraPresentation, f: Polynomial):
     """Whether f is a zerodivisor of A; on True also a witness g with f*g = 0.
 
@@ -222,9 +365,7 @@ def ideal_in_zerodivisors(A: AlgebraPresentation, I: AlgebraIdeal):
     True exactly when some a outside the relations satisfies I*a ⊆ relations.
     """
     require_proper(I, "ideal")
-    J = A.relations
-    Q = ideal_quotient(J, I.lift)
-    w = _extension_witness(J, Q)
+    w = _colon_witness(A.relations, I)
     return (True, w) if w is not None else (False, None)
 
 
@@ -337,11 +478,18 @@ def grade(
     Extends a regular sequence inside I.  At each stage the generators of
     I, reduced modulo the stage, are tried in order with the principal
     test; the first nonzerodivisor extends the sequence, and it also
-    proves (stage : I) = stage.  Only when none is one is the full colon
-    (stage : I) computed: if it is strictly above the stage, its witness
-    proves every element of I is a zerodivisor modulo the stage, so the
-    sequence is maximal; otherwise random combinations of the reduced
-    generators are drawn.  The integer is independent of the seed.
+    proves (stage : I) = stage.  Only when none is one is the stop test
+    run: if (stage : I) is strictly above the stage, its witness proves
+    every element of I is a zerodivisor modulo the stage, so the sequence
+    is maximal; otherwise random combinations of the reduced generators
+    are drawn.  For a grevlex stage and homogeneous generators the stop
+    test is linear algebra in one degree at a time, up to a cap taken
+    from the input, and otherwise the colon (stage : I); both give the
+    same witness, the first element of the reduced grevlex basis of
+    (stage : I) outside the stage (see ``_colon_witness``).
+    :func:`validate_grade_certificate` checks the witness with normal
+    forms and the sequence with colons.  The integer is independent of
+    the seed.
     """
     require_proper(I, "ideal")
     rng = random.Random(seed)
@@ -354,8 +502,7 @@ def grade(
         pool = [r for r in reduced if r.terms]
         f = next((r for r in pool if _is_nzd_mod(stage, r)), None)
         if f is None:
-            Q = ideal_quotient(stage, I.lift)
-            w = _extension_witness(stage, Q)
+            w = _colon_witness(stage, I)
             if w is not None:
                 return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
             f = _find_nonzerodivisor(stage, pool, rng)

@@ -22,7 +22,7 @@ from cmtensor import (
     validate_grade_certificate,
 )
 from cmtensor import groebner
-from cmtensor.groebner import _BASIS_MEMO, memo_scope
+from cmtensor.groebner import _BASIS_MEMO, memo_scope, scope_cached
 
 F = PrimeField()
 R3 = PolyRing(("x", "y", "z"), F)
@@ -98,6 +98,22 @@ def test_permuted_and_repeated_generators_share_an_entry(computed):
         assert len(_BASIS_MEMO.get()) == 1
     assert again == first
     assert len(computed) == 1
+
+
+def test_a_cached_none_is_a_hit():
+    runs = []
+
+    def compute():
+        runs.append(None)
+        return None
+
+    assert scope_cached("nothing", compute) is None
+    assert scope_cached("nothing", compute) is None
+    assert len(runs) == 2  # outside every scope each call computes
+    with memo_scope():
+        assert scope_cached("nothing", compute) is None
+        assert scope_cached("nothing", compute) is None
+    assert len(runs) == 3
 
 
 def test_memo_hands_out_fresh_lists():

@@ -36,7 +36,12 @@ from cmtensor import (
 )
 from cmtensor import GREVLEX, LEX, IdealPresentation, groebner, invariants
 from cmtensor.errors import KernelError
-from cmtensor.invariants import _hilbert_numerator, _is_nzd_mod
+from cmtensor.invariants import (
+    _colon_witness,
+    _extension_witness,
+    _hilbert_numerator,
+    _is_nzd_mod,
+)
 from conftest import random_poly
 from oracles import dim_subset_oracle, monomials_up_to, reference_grade, reference_is_nzd
 
@@ -380,45 +385,194 @@ class TestGradeAgainstReference:
         assert cert.grade == 1 and len(cert.sequence[0].terms) == 2
         assert cert == reference_grade(A, I, seed)
 
-    def test_full_colon_computed_once_for_a_cm_tensor(self, monkeypatch):
-        # depth 4 is found from the variables themselves, so only the last
-        # stage needs the full (stage : I)
+    @staticmethod
+    def _full_colons(monkeypatch, order):
+        """The colons by the whole of I.lift and all tag-variable
+        intersections made while deciding that (x^2) ⊗ k[u, v] is CM."""
         ring = PolyRing(("x", "y", "z"), F)
-        A = make_algebra(ring, (ring.var(0) ** 2,))
+        A = make_algebra(ring, (ring.var(0) ** 2,), order)
         T = tensor(A, poly_algebra("u", "v"))
         lift = T.ring.gens() + T.relations.generators
-        full = []
-        inner = invariants.ideal_quotient
+        full, intersections = [], []
+        quotient = invariants.ideal_quotient
+        intersection = groebner.ideal_intersection
 
-        def counting(I, J):
+        def counting_quotient(I, J):
             if J.generators == lift:
                 full.append(J)
-            return inner(I, J)
+            return quotient(I, J)
 
-        monkeypatch.setattr(invariants, "ideal_quotient", counting)
+        def counting_intersection(I1, I2):
+            intersections.append((I1, I2))
+            return intersection(I1, I2)
+
+        monkeypatch.setattr(invariants, "ideal_quotient", counting_quotient)
+        monkeypatch.setattr(groebner, "ideal_intersection", counting_intersection)
         verdict = is_cohen_macaulay(T)
         assert verdict.is_cm and verdict.depth == 4
-        assert len(full) == 1
+        assert verdict.certificate.witness == T.ring.var(0)
+        return len(full), len(intersections)
 
+    def test_full_colon_computed_once_for_a_cm_tensor(self, monkeypatch):
+        # depth 4 is found from the variables themselves; the last stage is
+        # grevlex and homogeneous, so its stop test is linear algebra and
+        # no colon by I.lift is computed at all
+        assert self._full_colons(monkeypatch, GREVLEX)[0] == 0
+
+    def test_full_colon_computed_once_for_a_lex_cm_tensor(self, monkeypatch):
+        # under lex the last stage takes the one full colon (stage : I)
+        assert self._full_colons(monkeypatch, LEX)[0] == 1
 
     def test_intersections_of_a_cm_tensor(self, monkeypatch):
-        # every principal test is decided by Hilbert series, and the last
-        # stage's colon is by x alone: the other generators of I.lift
-        # reduce to zero modulo the stage
-        ring = PolyRing(("x", "y", "z"), F)
-        A = make_algebra(ring, (ring.var(0) ** 2,))
-        T = tensor(A, poly_algebra("u", "v"))
-        calls = []
-        inner = groebner.ideal_intersection
+        # every principal test is decided by Hilbert series and the stop
+        # test by linear algebra: no tag-variable intersection at all
+        assert self._full_colons(monkeypatch, GREVLEX)[1] == 0
+
+    def test_intersections_of_a_lex_cm_tensor(self, monkeypatch):
+        # under lex the last stage's colon is by x alone: the other
+        # generators of I.lift reduce to zero modulo the stage
+        assert self._full_colons(monkeypatch, LEX)[1] == 1
+
+
+def _colon_route(stage, I):
+    """The stop test's witness from the colon ideal (stage : I) itself."""
+    return _extension_witness(stage, groebner.ideal_quotient(stage, I.lift))
+
+
+def _random_form(rng, ring, deg):
+    return random_poly(rng, ring, max_deg=deg, max_terms=3, homogeneous=True, constant_free=True)
+
+
+def _homogeneous_algebra(rng, names, kind):
+    ring = PolyRing(names, F)
+    if kind == "artinian":
+        rels = [v ** rng.randint(1, 3) for v in ring.gens()]
+        rels += [_random_form(rng, ring, 2) for _ in range(rng.randint(0, 1))]
+    elif kind == "non-cm":
+        a, b = rng.sample(range(ring.nvars), 2)
+        rels = [ring.var(a) ** 2, ring.var(a) * ring.var(b)]
+    else:
+        rels = [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+    return make_algebra(ring, rels)
+
+
+class TestColonWitness:
+    """For grevlex stages and homogeneous input the stop test finds its
+    witness by linear algebra in one degree at a time; everything else, and
+    everything past the degree cap, takes the colon ideal.  The witness is
+    the same polynomial either way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["artinian", "forms", "non-cm", "tensor"]),
+        st.integers(0, 3),
+    )
+    def test_random_homogeneous_algebras(self, data_seed, kind, seed):
+        rng = random.Random(data_seed)
+        if kind == "tensor":
+            A = tensor(
+                _homogeneous_algebra(rng, ("x", "y"), rng.choice(["artinian", "forms", "non-cm"])),
+                _homogeneous_algebra(rng, ("u", "v"), rng.choice(["artinian", "forms"])),
+            )
+        else:
+            A = _homogeneous_algebra(rng, ("x", "y", "z")[: rng.randint(2, 3)], kind)
+        if rng.random() < 0.3:
+            gens = A.ring.gens()
+        else:
+            gens = [_random_form(rng, A.ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        I = AlgebraIdeal(A, gens)
+        outcome = _grade_outcome(grade, A, I, seed)
+        assert outcome == _grade_outcome(reference_grade, A, I, seed)
+        stages = [A.relations.generators]
+        if isinstance(outcome, GradeCertificate):
+            stages = outcome.stage_ideals
+        for gens in stages:
+            stage = IdealPresentation(A.ring, gens, A.relations.order)
+            assert _colon_witness(stage, I) == _colon_route(stage, I)
+
+    @staticmethod
+    def _witness_and_colons(monkeypatch, stage, I):
+        colons = []
+        inner = invariants.ideal_quotient
 
         def counting(I1, I2):
-            calls.append((I1, I2))
+            colons.append(I2)
             return inner(I1, I2)
 
-        monkeypatch.setattr(groebner, "ideal_intersection", counting)
-        verdict = is_cohen_macaulay(T)
-        assert verdict.is_cm and verdict.depth == 4
-        assert len(calls) == 1
+        monkeypatch.setattr(invariants, "ideal_quotient", counting)
+        return _colon_witness(stage, I), len(colons)
+
+    @pytest.mark.parametrize("case", ["lex", "inhomogeneous", "above-the-cap"])
+    def test_fallback_takes_the_colon(self, monkeypatch, case):
+        ring = PolyRing(("x", "y"), F)
+        x, y = ring.gens()
+        if case == "lex":
+            A = make_algebra(ring, (x * x, x * y), LEX)
+            I, expected = AlgebraIdeal(A, (x, y)), x
+        elif case == "inhomogeneous":
+            A = make_algebra(ring, (x * y - x,))
+            I, expected = AlgebraIdeal(A, (y - 1,)), x
+        else:
+            # the socle x^4 y^4 lies in degree 8, past the cap 5 + 2
+            A = make_algebra(ring, (x ** 5, y ** 5))
+            I, expected = AlgebraIdeal(A, (x, y)), x ** 4 * y ** 4
+        w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
+        assert colons == 1
+        assert w == expected == _colon_route(A.relations, I)
+
+    def test_colon_equal_to_the_stage_stops_at_the_cap(self, monkeypatch):
+        # y is a nonzerodivisor modulo (x^2), so no degree has a witness;
+        # degrees 0..max(2, 1) + 2 are tried, then the colon decides
+        A = algebra(("x", "y"), lambda x, y: (x * x,))
+        I = AlgebraIdeal(A, (A.ring.var(1),))
+        degrees = []
+        inner = invariants._least_kernel_element
+
+        def tripwire(*args):
+            degrees.append(args)
+            if len(degrees) > 50:
+                raise AssertionError("the degree loop does not stop")
+            return inner(*args)
+
+        monkeypatch.setattr(invariants, "_least_kernel_element", tripwire)
+        w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
+        assert (w, colons, len(degrees)) == (None, 1, 5)
+        assert _colon_route(A.relations, I) is None
+
+    def test_no_standard_monomials_means_no_witness(self, monkeypatch):
+        # (x^2, y^2) : (1) is the stage itself; degree 3 has no standard
+        # monomial, which decides it without the colon
+        A = algebra(("x", "y"), lambda x, y: (x * x, y * y))
+        I = AlgebraIdeal(A, (A.ring.one,))
+        w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
+        assert (w, colons) == (None, 0)
+        assert _colon_route(A.relations, I) is None
+
+    def test_least_leading_monomial_is_the_witness(self, monkeypatch):
+        # no linear form kills all of xy, xz, yz modulo the squares, and in
+        # degree 2 xy, xz and yz all do: the witness is the least, yz
+        A = algebra(("x", "y", "z"), lambda x, y, z: (x * x, y * y, z * z))
+        x, y, z = A.ring.gens()
+        I = AlgebraIdeal(A, (x * y, x * z, y * z))
+        w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
+        assert colons == 0
+        assert w == y * z == _colon_route(A.relations, I)
+
+    def test_zero_ring_stage(self, monkeypatch):
+        A = poly_algebra("x", "y")
+        I = AlgebraIdeal(A, A.ring.gens())
+        stage = IdealPresentation(A.ring, (A.ring.one,))
+        w, colons = self._witness_and_colons(monkeypatch, stage, I)
+        assert (w, colons) == (None, 0)
+        assert _colon_route(stage, I) is None
+
+    def test_ideal_inside_the_stage_is_witnessed_by_one(self):
+        A = algebra(("x", "y"), lambda x, y: (x * y,))
+        x, y = A.ring.gens()
+        stage = IdealPresentation(A.ring, (x * y, x, y))
+        I = AlgebraIdeal(A, (x, y))
+        assert _colon_witness(stage, I) == A.ring.one == _colon_route(stage, I)
 
 
 def _series(numerator, nvars, degree):
