@@ -1,9 +1,12 @@
 """Reduced Groebner bases and the ideal calculus built on them.
 
-Buchberger's algorithm with the normal selection strategy and both pair
-criteria (coprime leading monomials, chain), full multivariate division,
-and the derived operations: membership, equality, sum, product,
-intersection via a tag variable, quotient, and elimination.
+Buchberger's algorithm with Gebauer-Moeller pair updates (Gebauer and
+Moeller, "On an installation of Buchberger's algorithm", 1988), pairs
+selected by sugar under lex and block orders (Giovini et al., "'One sugar
+cube, please'", 1991) and by the normal strategy under grevlex and deglex,
+full multivariate division, and the derived operations: membership,
+equality, sum, product, intersection via a tag variable, quotient, and
+elimination.
 
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
@@ -12,11 +15,12 @@ are packed on entry to the loop and unpacked on exit, and only the
 elements of a reduced basis keep their packed form beside their terms.
 Fields start 8 bits wide; when a monomial reaches a guard bit, the whole
 computation runs again with fields twice as wide on the same step
-counter.  No choice depends on the packing (the largest term first, the
-first basis element that divides it, pairs by lcm degree, lcm, i, j), so
-bases and step counts are those of the same algorithm on exponent tuples,
-kept in the tests as ``reference_buchberger``, plus the steps of any
-narrower run that overflowed.
+counter.  No choice depends on the packing (the pairs each update keeps,
+pairs by sugar or lcm degree, then lcm degree, lcm, i, j, the largest
+term first, the first basis element that divides it), so bases and step
+counts are those of the same algorithm on exponent tuples, kept in the
+tests as ``reference_buchberger``, plus the steps of any narrower run that
+overflowed.
 
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
@@ -362,10 +366,30 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
     """The unique reduced Groebner basis of the ideal the generators span.
 
     Zero generators are ignored; the zero ideal yields the empty basis.
-    Pairs are selected by minimal lcm degree (normal strategy) and skipped
-    via the coprime-leading-monomial and chain criteria.  The returned
-    basis is monic, auto-reduced, and sorted ascending by leading monomial.
-    Inside a memo scope a basis already computed there is returned again.
+    The generators, then each new remainder h, enter by a Gebauer-Moeller
+    update:
+
+    - h is paired with every live element (one whose leading monomial no
+      later element's divides);
+    - a new pair is dropped when another new pair's lcm divides its lcm,
+      and among equal lcms only the pair with the oldest partner stays;
+      pairs with coprime leading monomials serve as such divisors, then
+      are dropped themselves, since their S-polynomials reduce to zero;
+    - a pending pair (a, b) is deleted when lm(h) divides its lcm and that
+      lcm is neither lcm(a, h) nor lcm(b, h);
+    - the live elements whose leading monomial lm(h) divides retire.
+
+    Under lex and block orders the pair of least sugar is reduced first,
+    then least lcm degree, lcm, i, j; under grevlex and deglex the pair of
+    least lcm degree (the normal strategy), then lcm, i, j.  An input's
+    sugar is its total degree; a pair's is the larger of sugar + deg L -
+    deg lm over its two elements, L being the pair's lcm; a remainder
+    inherits its pair's sugar.  Each reduced S-pair spends one step of
+    the step budget, and each cancellation in its division one more.
+
+    The returned basis is monic, auto-reduced, and sorted ascending by
+    leading monomial.  Inside a memo scope a basis already computed there
+    is returned again.
     """
     nonzero = [g for g in gens if g.terms]
     if not nonzero:
@@ -388,43 +412,69 @@ def _buchberger(ring, nonzero, order):
 def _packed_buchberger(ring, nonzero, order, packing, counter):
     p = ring.field.p
     guard = packing.guard
+    pack = packing.pack
     basis = [_entry(packing.pack_terms(g.terms), p, monic=True) for g in nonzero]
     lms = [e[0] for e in basis]
     exps = [packing.unpack(lm) for lm in lms]
-
-    # Pairs are only ever removed by selection, so a heap of the unique
-    # selection keys pops them in the order of a minimum over the pending set.
-    pending = set()
+    # Lex and block orders select pairs by sugar, grevlex and deglex by lcm
+    # degree.  A pair's sugar is its lcm degree plus the larger excess of
+    # sugar over leading-monomial degree of its two elements.
+    if order.kind in ("lex", "block"):
+        excess = [max(map(sum, g.terms)) - sum(e) for g, e in zip(nonzero, exps)]
+    else:
+        excess = None
+    live = []  # elements whose leading monomial no later one divides
+    pairs = {}  # pending (i, j) -> packed lcm; the heap skips deleted pairs
     queue = []
 
-    def enqueue(i, j):
-        L = tuple(map(max, exps[i], exps[j]))
-        pending.add((i, j))
-        heapq.heappush(queue, (sum(L), packing.pack(L), i, j))
+    def update(h):
+        """Gebauer-Moeller: pair h with the live elements, keep only the new
+        pairs no other new pair's lcm divides, delete the old pairs h makes
+        redundant, and retire the elements lm(h) divides."""
+        lmh = lms[h]
+        eh = exps[h]
+        if pairs:
+            doomed = [
+                (i, j) for (i, j), L in pairs.items()
+                if not (L - lmh) & guard
+                and L != pack(tuple(map(max, exps[i], eh)))
+                and L != pack(tuple(map(max, exps[j], eh)))
+            ]
+            for ij in doomed:
+                del pairs[ij]
+        news = []
+        for i in live:
+            e = tuple(map(max, exps[i], eh))
+            news.append((pack(e), i, e))
+        retired = False
+        for L, i, e in news:
+            if L == lms[i]:
+                retired = True  # lm(h) divides lm(i)
+            # among equal lcms the pair with the oldest partner survives;
+            # coprime pairs divide others before they are dropped themselves
+            if lms[i] + lmh == L:
+                continue
+            for M, k, _ in news:
+                if not (L - M) & guard and (M != L or k < i):
+                    break
+            else:
+                pairs[i, h] = L
+                d = sum(e)
+                s = d if excess is None else d + max(excess[i], excess[h])
+                heapq.heappush(queue, (s, d, L, i, h))
+        if retired:
+            live[:] = [i for L, i, _ in news if L != lms[i]]
+        live.append(h)
 
-    for j in range(len(basis)):
-        for i in range(j):
-            enqueue(i, j)
+    for h in range(len(basis)):
+        update(h)
 
     while queue:
-        _, L, i, j = heapq.heappop(queue)
-        pending.remove((i, j))
+        sugar, _, L, i, j = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue
         lmi, _, tail_i = basis[i]
         lmj, _, tail_j = basis[j]
-        if lmi + lmj == L:
-            continue  # coprime leading monomials: S-poly reduces to zero
-        skip = False
-        for k, lmk in enumerate(lms):
-            if k == i or k == j:
-                continue
-            if not (L - lmk) & guard:
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    skip = True  # chain criterion
-                    break
-        if skip:
-            continue
         counter.spend()
         # The S-polynomial of the monic pair; both leading terms cancel at L.
         si, sj = L - lmi, L - lmj
@@ -438,18 +488,18 @@ def _packed_buchberger(ring, nonzero, order, packing, counter):
                 del work[t]
         rem = _reduce(work, basis, guard, p, counter)
         if rem:
-            new = len(basis)
             basis.append(_entry(rem, p, monic=True))
             lms.append(basis[-1][0])
             exps.append(packing.unpack(lms[-1]))
-            for t in range(new):
-                enqueue(t, new)
+            if excess is not None:
+                excess.append(sugar - sum(exps[-1]))
+            update(len(basis) - 1)
 
     # Minimalize and interreduce.  Each kept element keeps its leading term
     # under interreduction, so the output stays in the ascending order of
     # the kept leading monomials.
     kept = []
-    for entry in sorted(basis, key=itemgetter(0)):
+    for entry in sorted(map(basis.__getitem__, live), key=itemgetter(0)):
         if not any(not (entry[0] - k[0]) & guard for k in kept):
             kept.append(entry)
     out = []
@@ -612,11 +662,12 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
     (I : J) is the intersection of the (I : g) over the distinct nonzero
     normal forms of J's generators modulo I's reduced basis: (I : g)
     equals (I : NF(g)), and a generator inside I contributes the unit
-    ideal, which changes no intersection.  The result is then always the
-    reduced grevlex basis of (I : J) in ascending order, whatever I's
-    order: an intersection returns the tag-free part of a reduced block
-    order basis, a single remaining colon is reduced under grevlex, and
-    with none left the basis is (1).
+    ideal, which changes no intersection; a generator of J that is also
+    a generator of I is skipped before its normal form is taken.  The
+    result is then always the reduced grevlex basis of (I : J) in
+    ascending order, whatever I's order: an intersection returns the
+    tag-free part of a reduced block order basis, a single remaining colon
+    is reduced under grevlex, and with none left the basis is (1).
     """
     ring = _common_ring(I, J)
     if not J.generators:
@@ -624,7 +675,7 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
     if len(J.generators) == 1:
         return _principal_quotient(I, J.generators[0])
     basis = I.reduced_basis()
-    reduced = (normal_form(g, basis, I.order) for g in J.generators)
+    reduced = (normal_form(g, basis, I.order) for g in J.generators if g not in I.generators)
     left = dict.fromkeys(r.monic(I.order) for r in reduced if r.terms)
     if not left:
         return IdealPresentation(ring, (ring.one,), I.order)

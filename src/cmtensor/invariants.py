@@ -310,7 +310,10 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     """
     order = stage.order
     basis = stage.reduced_basis()
-    reduced = (normal_form(g, basis, order) for g in I.lift.generators)
+    # a generator of the stage itself reduces to zero: skip its normal form
+    reduced = (
+        normal_form(g, basis, order) for g in I.lift.generators if g not in stage.generators
+    )
     rs = list(dict.fromkeys(r.monic(order) for r in reduced if r.terms))
     if not rs:
         return None if stage.contains_one() else stage.ring.one

@@ -1,9 +1,11 @@
 """Independent oracles used to cross-check the kernel.
 
 These deliberately avoid the Groebner code paths: membership is decided
-by exact linear algebra mod p over an explicit monomial basis, and
-dimension by exhaustive enumeration of variable subsets.  Only the raw
-term maps of the inputs are read.
+by exact linear algebra mod p over an explicit monomial basis, dimension
+by exhaustive enumeration of variable subsets, and reduced bases by
+Buchberger on exponent tuples with no pair criterion at all
+(:func:`reference_buchberger_all_pairs`).  Only the raw term maps of the
+inputs are read.
 
 The exceptions are reference implementations rather than oracles, the
 straightforward versions built from the kernel's primitives and kept to
@@ -239,13 +241,43 @@ def _reference_reduce(terms, entries, key, p, steps):
     return rem
 
 
+def _reference_interreduced(ring, entries, live, key, p, steps):
+    """The reduced basis from the Groebner basis entries[k] for k in live:
+    minimalize in ascending leading monomial order, then interreduce."""
+    kept = []
+    for entry in sorted((entries[k] for k in live), key=lambda e: key(e[0])):
+        if not any(mono_divides(k[0], entry[0]) for k in kept):
+            kept.append(entry)
+    return [
+        Polynomial(ring, _reference_reduce(e[2], kept[:i] + kept[i + 1:], key, p, steps))
+        for i, e in enumerate(kept)
+    ]
+
+
+def _reference_spoly(f, g, L, p):
+    """The S-polynomial of the monic entries f and g, whose lcm is L."""
+    sf = _mono_div(L, f[0])
+    sg = _mono_div(L, g[0])
+    s = {mono_mul(m, sf): c for m, c in f[2].items()}
+    for m, c in g[2].items():
+        t = mono_mul(m, sg)
+        v = (s.get(t, 0) - c) % p
+        if v:
+            s[t] = v
+        else:
+            s.pop(t, None)
+    return s
+
+
 def reference_buchberger(gens, order):
     """(reduced basis, reduction steps) by Buchberger on exponent tuples.
 
-    The kernel's algorithm before it packed monomials into integers: the
-    same pair order (lcm degree, lcm in the order, i, j), the same
-    coprime and chain criteria and the same reducer choices, so
-    ``buchberger`` must return an equal basis after as many steps.
+    The kernel's algorithm without packed monomials: the same Gebauer-Moeller
+    update (new pairs, the oldest partner among equal lcms, coprime pairs
+    as dividers only, old pairs deleted, elements retired), the same pair
+    order (sugar for lex and block orders, then lcm degree, lcm in the
+    order, i, j) and the same reducer choices, so ``buchberger`` must
+    return an equal basis after as many steps.
     """
     nonzero = [g for g in gens if g.terms]
     if not nonzero:
@@ -256,56 +288,84 @@ def reference_buchberger(gens, order):
     steps = [0]
     G = [g.monic(order) for g in nonzero]
     entries = [(g.leading_monomial(order), 1, g.terms) for g in G]
-    pending, queue = set(), []
+    sugar = [g.total_degree() for g in G]
+    use_sugar = order.kind in ("lex", "block")
+    live, pairs, queue = [], {}, []
 
-    def enqueue(i, j):
-        L = _mono_lcm(entries[i][0], entries[j][0])
-        pending.add((i, j))
-        heapq.heappush(queue, (sum(L), key(L), i, j, L))
+    def update(h):
+        lmh = entries[h][0]
 
-    for j in range(len(G)):
-        for i in range(j):
-            enqueue(i, j)
+        def lcm(k):
+            return _mono_lcm(entries[k][0], lmh)
+
+        for (a, b), L in list(pairs.items()):
+            if mono_divides(lmh, L) and L != lcm(a) and L != lcm(b):
+                del pairs[a, b]
+        news = [(lcm(i), i) for i in live]
+        for L, i in news:
+            if any(mono_divides(M, L) and (M != L or k < i) for M, k in news):
+                continue
+            if mono_mul(entries[i][0], lmh) == L:
+                continue
+            pairs[i, h] = L
+            d = sum(L)
+            s = max(sugar[k] + d - sum(entries[k][0]) for k in (i, h)) if use_sugar else d
+            heapq.heappush(queue, (s, d, key(L), i, h))
+        live[:] = [k for k in live if not mono_divides(lmh, entries[k][0])]
+        live.append(h)
+
+    for h in range(len(entries)):
+        update(h)
     while queue:
-        _, _, i, j, L = heapq.heappop(queue)
-        pending.remove((i, j))
-        lmi, lmj = entries[i][0], entries[j][0]
-        if mono_mul(lmi, lmj) == L:
-            continue
-        if any(
-            mono_divides(entries[k][0], L)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(G))
-            if k not in (i, j)
-        ):
+        s, _, _, i, j = heapq.heappop(queue)
+        L = pairs.pop((i, j), None)
+        if L is None:
             continue
         steps[0] += 1
-        si, sj = _mono_div(L, lmi), _mono_div(L, lmj)
-        s = {mono_mul(m, si): c for m, c in G[i].terms.items()}
-        for m, c in G[j].terms.items():
-            t = mono_mul(m, sj)
-            v = (s.get(t, 0) - c) % p
-            if v:
-                s[t] = v
-            else:
-                s.pop(t, None)
-        rem = _reference_reduce(s, entries, key, p, steps)
+        rem = _reference_reduce(_reference_spoly(entries[i], entries[j], L, p), entries, key, p, steps)
         if rem:
             r = Polynomial(ring, rem).monic(order)
-            G.append(r)
             entries.append((r.leading_monomial(order), 1, r.terms))
-            for t in range(len(G) - 1):
-                enqueue(t, len(G) - 1)
-    kept = []
-    for entry in sorted(entries, key=lambda e: key(e[0])):
-        if not any(mono_divides(k[0], entry[0]) for k in kept):
-            kept.append(entry)
-    basis = [
-        Polynomial(ring, _reference_reduce(e[2], kept[:i] + kept[i + 1:], key, p, steps))
-        for i, e in enumerate(kept)
-    ]
-    return basis, steps[0]
+            sugar.append(s)
+            update(len(entries) - 1)
+    return _reference_interreduced(ring, entries, live, key, p, steps), steps[0]
+
+
+def reference_buchberger_all_pairs(gens, order):
+    """The reduced basis by Buchberger with no criterion at all.
+
+    Every pair of elements is reduced, the pairs of each new remainder
+    included, least sugar first; then the basis is minimalized and
+    interreduced.  It shares no code with the kernel's pair handling or
+    its reducer.
+    """
+    nonzero = [g for g in gens if g.terms]
+    if not nonzero:
+        return []
+    ring = nonzero[0].ring
+    key = order.key
+    entries, sugar, queue = [], [], []
+
+    def add(g, s):
+        g = g.monic(order)
+        lm = g.leading_monomial(order)
+        for i, e in enumerate(entries):
+            L = _mono_lcm(e[0], lm)
+            d = sum(L)
+            s_pair = max(sugar[i] + d - sum(e[0]), s + d - sum(lm))
+            heapq.heappush(queue, (s_pair, d, key(L), i, len(entries), L))
+        entries.append((lm, 1, g.terms))
+        sugar.append(s)
+
+    for g in nonzero:
+        add(g, g.total_degree())
+    while queue:
+        s, *_, i, j, L = heapq.heappop(queue)
+        spoly = _reference_spoly(entries[i], entries[j], L, ring.field.p)
+        rem = _reference_reduce(spoly, entries, key, ring.field.p, [0])
+        if rem:
+            add(Polynomial(ring, rem), s)
+    return _reference_interreduced(ring, entries, range(len(entries)), key, ring.field.p, [0])
 
 
 def reference_normal_form(f, basis, order):

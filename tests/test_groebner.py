@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import heapq
 import importlib
 import inspect
 import pkgutil
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +40,7 @@ from conftest import random_poly
 from oracles import (
     membership_oracle,
     reference_buchberger,
+    reference_buchberger_all_pairs,
     reference_normal_form,
     reference_quotient,
 )
@@ -582,8 +585,9 @@ class TestWidening:
 
 
 class TestAgainstTupleBuchberger:
-    """The packed kernel makes the tuple kernel's choices: equal bases after
-    equal numbers of reduction steps."""
+    """The packed kernel makes the tuple kernel's choices, pair updates and
+    selection included: equal bases after equal numbers of reduction
+    steps."""
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -602,6 +606,116 @@ class TestAgainstTupleBuchberger:
         assert sum(c.used for c in made) == steps
         f = random_poly(rng, R3, 4, 4)
         assert normal_form(f, basis, order) == reference_normal_form(f, expected, order)
+
+
+def katsura(n: int) -> list:
+    """The katsura-n system in n + 1 variables."""
+    ring = PolyRing(tuple(f"u{i}" for i in range(n + 1)), F)
+    u = ring.gens()
+
+    def at(level):
+        return u[abs(level)] if abs(level) <= n else ring.zero
+
+    eqs = [
+        sum((at(l) * at(m - l) for l in range(-n, n + 1)), ring.zero) - at(m)
+        for m in range(n)
+    ]
+    eqs.append(sum((at(l) for l in range(-n, n + 1)), ring.zero) - 1)
+    return eqs
+
+
+@pytest.fixture
+def pair_log(monkeypatch):
+    """What one buchberger call does with its pairs: ("push", i, j) when a
+    pair is queued, ("pop", i, j) when it is selected, and ("reduce",) for
+    every division (each selected pair it keeps, then each basis element
+    in the final interreduction)."""
+    log = []
+
+    def heappush(queue, item):
+        log.append(("push",) + item[-2:])
+        heapq.heappush(queue, item)
+
+    def heappop(queue):
+        item = heapq.heappop(queue)
+        log.append(("pop",) + item[-2:])
+        return item
+
+    reduce = groebner._reduce
+
+    def logged_reduce(*args, **kwargs):
+        log.append(("reduce",))
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
+    monkeypatch.setattr(groebner, "_reduce", logged_reduce)
+    return log
+
+
+def pair_fates(log, basis):
+    """(queued, reduced, skipped) pairs of the logged call that returned
+    `basis`: a selected pair is reduced when a division follows it."""
+    events = log[:len(log) - len(basis)]  # drop the interreduction
+    assert log[len(events):] == [("reduce",)] * len(basis)
+    queued = {e[1:] for e in events if e[0] == "push"}
+    reduced, skipped = set(), set()
+    for e, after in zip(events, events[1:] + [("end",)]):
+        if e[0] == "pop":
+            (reduced if after == ("reduce",) else skipped).add(e[1:])
+    return queued, reduced, skipped
+
+
+class TestPairUpdate:
+    """The Gebauer-Moeller update drops pairs without changing the basis."""
+
+    def _basis(self, gens, pair_log):
+        basis = buchberger(gens, GREVLEX)
+        expected = reference_buchberger_all_pairs(gens, GREVLEX)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+        return pair_fates(pair_log, basis)
+
+    def test_a_new_pair_whose_lcm_another_divides_is_dropped(self, pair_log):
+        # lcm(xz, yz) = xyz divides lcm(xz, xy^2) = xy^2z
+        queued, _, _ = self._basis([x3 * y3 ** 2 + z3, y3 * z3 + x3, x3 * z3 + y3], pair_log)
+        assert (1, 2) in queued and (0, 2) not in queued
+
+    def test_equal_lcms_keep_the_oldest_partner(self, pair_log):
+        # lcm(xz, xy) = lcm(xz, yz) = xyz
+        queued, _, _ = self._basis([x3 * y3 + z3, y3 * z3 + x3, x3 * z3 + y3], pair_log)
+        assert (0, 2) in queued and (1, 2) not in queued
+
+    def test_an_old_pair_the_new_element_chains_is_deleted(self, pair_log):
+        # y divides lcm(xy, yz) = xyz, which is neither lcm(xy, y) nor lcm(yz, y)
+        queued, reduced, skipped = self._basis([x3 * y3 + z3, y3 * z3 + x3, y3 + z3], pair_log)
+        assert (0, 1) in queued and (0, 1) in skipped and (0, 1) not in reduced
+        assert {(0, 2), (1, 2)} <= reduced
+
+    def test_a_coprime_pair_divides_others_then_is_dropped(self, pair_log):
+        # lcm(y, x) = xy is coprime and divides lcm(xyz, x) = xyz
+        queued, reduced, _ = self._basis([y3 + z3, x3 * y3 * z3 + x3, x3 + z3], pair_log)
+        assert queued == reduced == {(0, 1)}
+
+    def test_katsura4_lex_inside_a_small_budget(self):
+        # the normal strategy took 5,979 steps here; sugar takes 1,345
+        gens = katsura(4)
+        with limits(step_budget=2000):
+            basis = buchberger(gens, LEX)
+        expected = reference_buchberger_all_pairs(gens, LEX)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.sampled_from([LEX, GREVLEX, DEGLEX, block_order((0,)), block_order((1, 2))]),
+    )
+    def test_random_systems_against_all_pairs(self, data_seed, homogeneous, order):
+        rng = random.Random(data_seed)
+        gens = [random_poly(rng, R3, 3, 3, homogeneous=homogeneous)
+                for _ in range(rng.randint(1, 4))]
+        basis = buchberger(gens, order)
+        expected = reference_buchberger_all_pairs(gens, order)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
 
 
 @pytest.fixture
