@@ -8,6 +8,14 @@ full multivariate division, and the derived operations: membership,
 equality, sum, product, intersection via a tag variable, quotient, and
 elimination.
 
+Monomial input takes exact combinatorial routes (Miller and Sturmfels,
+*Combinatorial Commutative Algebra*, 2005, ch. 1), chosen by the shape of
+the input alone and returning exactly what the general path returns.  A
+basis of single-term generators is their minimal terms with coefficient 1,
+and two ideals of single terms intersect in the minimal lcms lcm(m, n);
+neither spends a reduction step.  Division by single terms drops each
+divisible term, one step each, as the reducer does.
+
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
 guard-bit mask tests divisibility.  Polynomials keep exponent tuples; terms
@@ -68,6 +76,7 @@ from .polyring import (
     PolyRing,
     block_order,
     map_variables,
+    mono_divides,
     restrict_variables,
 )
 
@@ -351,8 +360,14 @@ def normal_form(
     ring = f.ring
     nz = [g for g in basis if g.terms]
     _check_ring(ring, nz)
-    p = ring.field.p
     counter = _StepCounter()
+    if all(len(g.terms) == 1 for g in nz):
+        # Division by single terms drops each divisible term in one step.
+        leads = [m for g in nz for m in g.terms]
+        rem = {m: c for m, c in f.terms.items() if not any(mono_divides(l, m) for l in leads)}
+        counter.spend(len(f.terms) - len(rem))
+        return Polynomial(ring, rem, _trusted=True)
+    p = ring.field.p
 
     def run(packing):
         entries = [_entry_of(g, packing, p) for g in nz]
@@ -385,7 +400,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
     sugar is its total degree; a pair's is the larger of sugar + deg L -
     deg lm over its two elements, L being the pair's lcm; a remainder
     inherits its pair's sugar.  Each reduced S-pair spends one step of
-    the step budget, and each cancellation in its division one more.
+    the step budget, and each cancellation in its division one more.  When
+    every generator is a single term the basis is their minimal terms,
+    with coefficient 1, and no step is spent.
 
     The returned basis is monic, auto-reduced, and sorted ascending by
     leading monomial.  Inside a memo scope a basis already computed there
@@ -403,10 +420,33 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
 
 
 def _buchberger(ring, nonzero, order):
+    if all(len(g.terms) == 1 for g in nonzero):
+        return _monomial_basis(ring, [m for g in nonzero for m in g.terms], order)
     counter = _StepCounter()
     return _widening(
         ring.nvars, order, lambda packing: _packed_buchberger(ring, nonzero, order, packing, counter)
     )
+
+
+def _monomial_basis(ring, monos, order):
+    """The reduced basis of the monomial ideal (monos): its minimal
+    generators with coefficient 1, ascending in the order, with no step
+    spent.  Each keeps its packed entry, as Buchberger's output does."""
+
+    def run(packing):
+        guard = packing.guard
+        kept = []
+        for lm, m in sorted({packing.pack(m): m for m in monos}.items()):
+            if not any(not (lm - k) & guard for k, _ in kept):
+                kept.append((lm, m))
+        out = []
+        for lm, m in kept:
+            g = Polynomial(ring, {m: 1}, _trusted=True)._known_lead(order, m)
+            g._packed = (packing, (lm, 1, ()))
+            out.append(g)
+        return out
+
+    return _widening(ring.nvars, order, run)
 
 
 def _packed_buchberger(ring, nonzero, order, packing, counter):
@@ -608,11 +648,21 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     """I1 ∩ I2 via the tag-variable construction t*I1 + (1-t)*I2.
 
     The tag variable is appended to the ambient, eliminated with a block
-    order, and never leaks into the result.
+    order, and never leaks into the result: the generators are the tag-free
+    part of the reduced basis, ascending in grevlex (the block order on
+    tag-free monomials).  When every generator of both is a single term,
+    that part is the minimal lcms lcm(m, n) with coefficient 1, ascending
+    in grevlex, and it is built directly.
     """
     ring = _common_ring(I1, I2)
     if not I1.generators or not I2.generators:
         return IdealPresentation(ring, (), I1.order)
+    if all(len(g.terms) == 1 for g in I1.generators + I2.generators):
+        lcms = [
+            tuple(map(max, m, n)) for f in I1.generators for m in f.terms
+            for g in I2.generators for n in g.terms
+        ]
+        return IdealPresentation(ring, _monomial_basis(ring, lcms, GREVLEX), I1.order)
     ext = ring.extended(ring.fresh_name("_t"))
     ti = ext.nvars - 1
     t = ext.var(ti)

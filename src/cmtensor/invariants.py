@@ -30,10 +30,13 @@ when f and every stage generator are homogeneous (Bayer and Stillman,
 exactly when HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come
 from the leading-monomial ideals by Bigatti's pivot recursion
 ("Computation of Hilbert-Poincare series", 1997), and a stage's numerator
-is cached in the current memo scope.  Other inputs use the colon
-(stage : f).  Certificate validation checks every sequence element with
-a colon and the witness with normal forms, so it checks the Hilbert test
-and the linear-algebra stop test from a separate code path.
+is cached in the current memo scope.  Before either, a stage that is a
+monomial ideal and an f whose normal form is one term are decided by
+coprimality: f is a nonzerodivisor exactly when that term is coprime to
+every minimal generator of the stage.  Other inputs use the colon
+(stage : f).  Certificate validation checks every sequence element with a
+colon and the witness with normal forms, so it checks the coprimality and
+Hilbert tests and the linear-algebra stop test from a separate code path.
 """
 
 from __future__ import annotations
@@ -381,13 +384,22 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     HS(R/(stage + f)) = (1 - t^d) HS(R/stage), compared through the Hilbert
     numerators of the leading-monomial ideals.  The extended ideal is
     presented as ``stage.generators + (f,)``, the next stage of every
-    caller, so its basis is computed once per scope.  Otherwise the colon
-    (stage : f) is compared with the stage.
+    caller, so its basis is computed once per scope.  Before that, when the
+    stage is a monomial ideal (its reduced basis is single terms) and NF(f)
+    is one term, f is a nonzerodivisor exactly when that term is coprime to
+    every basis monomial: (M : u) is generated by the m / gcd(m, u), and
+    one of them lies outside M when some minimal generator m meets u.
+    Otherwise the colon (stage : f) is compared with the stage.
     """
-    r = normal_form(f, stage.reduced_basis(), stage.order)
+    basis = stage.reduced_basis()
+    r = normal_form(f, basis, stage.order)
     if not r.terms:
         # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
         return stage.contains_one()
+    if len(r.terms) == 1 and all(len(g.terms) == 1 for g in basis):
+        # a monomial modulo a monomial ideal: coprime to every minimal generator
+        (m,) = r.terms
+        return not any(any(map(min, m, lm)) for g in basis for lm in g.terms)
     if f.is_homogeneous() and all(g.is_homogeneous() for g in stage.generators):
         d = f.total_degree()
         if d == 0:

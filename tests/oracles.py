@@ -10,9 +10,10 @@ inputs are read.
 The exceptions are reference implementations rather than oracles, the
 straightforward versions built from the kernel's primitives and kept to
 pin the optimised ones to them: :func:`reference_buchberger` (Buchberger
-on exponent tuples), :func:`reference_quotient` (a colon by every
-generator), :func:`reference_is_nzd` (the colon test for every element)
-and :func:`reference_grade` (the full colon at every stage).
+on exponent tuples), :func:`reference_intersection` (the tag variable for
+every input), :func:`reference_quotient` (a colon by every generator),
+:func:`reference_is_nzd` (the colon test for every element) and
+:func:`reference_grade` (the full colon at every stage).
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import numpy as np
 from cmtensor.algebra import require_proper
 from cmtensor.groebner import (
     IdealPresentation,
+    _common_ring,
     _exact_quotient,
-    ideal_intersection,
+    _pad_into,
+    buchberger,
     normal_form,
 )
 from cmtensor.invariants import (
@@ -34,7 +37,13 @@ from cmtensor.invariants import (
     _extension_witness,
     _find_nonzerodivisor,
 )
-from cmtensor.polyring import Polynomial, mono_divides, mono_mul
+from cmtensor.polyring import (
+    Polynomial,
+    block_order,
+    mono_divides,
+    mono_mul,
+    restrict_variables,
+)
 
 
 def monomials_up_to(nvars: int, degree: int) -> list:
@@ -136,18 +145,43 @@ def substitute(f, assignments: dict):
     return acc
 
 
+def reference_intersection(I1, I2):
+    """I1 ∩ I2 via the tag-variable construction t*I1 + (1-t)*I2.
+
+    The tag variable is appended to the ambient, eliminated with a block
+    order, and never leaks into the result.
+    """
+    ring = _common_ring(I1, I2)
+    if not I1.generators or not I2.generators:
+        return IdealPresentation(ring, (), I1.order)
+    ext = ring.extended(ring.fresh_name("_t"))
+    ti = ext.nvars - 1
+    t = ext.var(ti)
+    one_minus_t = ext.one - t
+    gens = [t * _pad_into(ext, f) for f in I1.generators]
+    gens += [one_minus_t * _pad_into(ext, g) for g in I2.generators]
+    basis = buchberger(gens, block_order((ti,)))
+    back = [
+        restrict_variables(g, ring, range(ring.nvars))
+        for g in basis
+        if ti not in g.support()
+    ]
+    return IdealPresentation(ring, back, I1.order)
+
+
 def reference_quotient(I, J):
     """(I : J) as the intersection of (I : g) over every generator g of J.
 
-    Each (I : g) is (I ∩ (g)) divided by g.  ``ideal_quotient`` must return
-    the same generators in the same order.
+    Each (I : g) is (I ∩ (g)) divided by g, and every intersection is
+    :func:`reference_intersection`'s.  ``ideal_quotient`` must return the
+    same generators in the same order.
     """
     ring = I.ring
     if not J.generators:
         return IdealPresentation(ring, (ring.one,), I.order)
     parts = []
     for g in J.generators:
-        Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
+        Ig = reference_intersection(I, IdealPresentation(ring, (g,), I.order))
         parts.append(
             IdealPresentation(
                 ring,
@@ -157,7 +191,7 @@ def reference_quotient(I, J):
         )
     acc = parts[0]
     for nxt in parts[1:]:
-        acc = ideal_intersection(acc, nxt)
+        acc = reference_intersection(acc, nxt)
     return acc
 
 
@@ -277,7 +311,8 @@ def reference_buchberger(gens, order):
     as dividers only, old pairs deleted, elements retired), the same pair
     order (sugar for lex and block orders, then lcm degree, lcm in the
     order, i, j) and the same reducer choices, so ``buchberger`` must
-    return an equal basis after as many steps.
+    return an equal basis after as many steps.  Single-term generators
+    take the kernel's monomial route: their minimal terms, no step spent.
     """
     nonzero = [g for g in gens if g.terms]
     if not nonzero:
@@ -285,6 +320,13 @@ def reference_buchberger(gens, order):
     ring = nonzero[0].ring
     p = ring.field.p
     key = order.key
+    if all(len(g.terms) == 1 for g in nonzero):
+        # single terms: the minimal ones with coefficient 1, no step spent
+        kept = []
+        for m in sorted({m for g in nonzero for m in g.terms}, key=key):
+            if not any(mono_divides(k, m) for k in kept):
+                kept.append(m)
+        return [Polynomial(ring, {m: 1}) for m in kept], 0
     steps = [0]
     G = [g.monic(order) for g in nonzero]
     entries = [(g.leading_monomial(order), 1, g.terms) for g in G]

@@ -586,7 +586,7 @@ class TestCli:
             (["run", "{costly}"], 2,
              "{costly}:1:29: syntax error: literal needs more than "
              f"{MAX_LITERAL_WORK} steps of multiplication to expand"),
-            (["corpus", "--size", "6", "--gb-step-budget", "1"], 1,
+            (["corpus", "--size", "12", "--gb-step-budget", "1"], 1,
              "cmtensor: corpus generation failed: reduction step budget of 1 exhausted"),
         ],
         ids=[

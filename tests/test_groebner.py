@@ -20,6 +20,7 @@ from cmtensor import (
     AmbientMismatchError,
     IdealPresentation,
     PolyRing,
+    Polynomial,
     PrimeField,
     StepBudgetExceeded,
     buchberger,
@@ -33,14 +34,17 @@ from cmtensor import (
     limits,
     normal_form,
 )
-from cmtensor import groebner
+from cmtensor import groebner, invariants
 from cmtensor.groebner import NZD_RETRY_CAP, current_limits
+from cmtensor.invariants import _is_nzd_mod
 from cmtensor.polyring import DEGLEX, block_order, mono_divides, mono_mul
 from conftest import random_poly
 from oracles import (
     membership_oracle,
     reference_buchberger,
     reference_buchberger_all_pairs,
+    reference_intersection,
+    reference_is_nzd,
     reference_normal_form,
     reference_quotient,
 )
@@ -716,6 +720,141 @@ class TestPairUpdate:
         basis = buchberger(gens, order)
         expected = reference_buchberger_all_pairs(gens, order)
         assert [g.terms for g in basis] == [g.terms for g in expected]
+
+
+ORDERS = [LEX, GREVLEX, DEGLEX, block_order((0,)), block_order((1, 2))]
+
+
+@st.composite
+def _single_terms(draw, min_size=1):
+    """Single-term polynomials of R3 with coefficients drawn from all of
+    F_p minus 0, repeated terms, now and then a constant, and exponents
+    of 128 and more, which widen the packing to 16-bit fields."""
+    exponent = st.one_of(st.integers(0, 3), st.integers(128, 140))
+    monos = draw(st.lists(st.tuples(exponent, exponent, exponent), min_size=min_size, max_size=5))
+    if monos:
+        monos += draw(st.lists(st.sampled_from(monos), max_size=2))
+    if draw(st.integers(0, 9)) == 0:
+        monos.append((0, 0, 0))
+    coeffs = draw(st.lists(st.integers(1, F.p - 1), min_size=len(monos), max_size=len(monos)))
+    return [Polynomial(R3, {m: c}) for m, c in zip(monos, coeffs)]
+
+
+def _packed_normal_form(f, basis, order):
+    """normal_form's general path, the packed reducer: (remainder terms,
+    steps spent)."""
+    p = f.ring.field.p
+    counter = groebner._StepCounter()
+
+    def run(packing):
+        entries = [groebner._entry_of(g, packing, p) for g in basis if g.terms]
+        rem = groebner._reduce(packing.pack_terms(f.terms), entries, packing.guard, p, counter)
+        return packing.unpack_terms(rem)
+
+    return groebner._widening(f.ring.nvars, order, run), counter.used
+
+
+class TestMonomialRoutes:
+    """Single-term input skips Buchberger, the tag variable and the Hilbert
+    test; each route returns exactly what the algorithm it replaces
+    returns."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_single_terms(), st.sampled_from(ORDERS))
+    def test_bases_against_all_pairs(self, step_counters, gens, order):
+        step_counters.clear()
+        basis = buchberger(gens, order)
+        assert sum(c.used for c in step_counters) == 0
+        expected = reference_buchberger_all_pairs(gens, order)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+        assert [g.terms for g in basis] == [g.terms for g in reference_buchberger(gens, order)[0]]
+        wide = max(sum(m) for g in gens for m in g.terms) >= 128
+        for g in basis:
+            (m,) = g.terms
+            assert g.leading_monomial(order) == m
+            packing, entry = g._packed
+            assert packing is groebner._packing(3, order, 16 if wide else 8)
+            assert entry == (packing.pack(m), 1, ())
+
+    @settings(max_examples=150, deadline=None)
+    @given(_single_terms(), _single_terms(), st.sampled_from([GREVLEX, LEX]))
+    def test_intersections_against_the_tag_variable(self, gens1, gens2, order):
+        I1, I2 = IdealPresentation(R3, gens1, order), IdealPresentation(R3, gens2, order)
+        got = ideal_intersection(I1, I2)
+        expected = reference_intersection(I1, I2)
+        assert got.order == expected.order == order
+        assert [g.terms for g in got.generators] == [g.terms for g in expected.generators]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_single_terms(min_size=0), _single_terms(), st.integers(0, 2**32))
+    def test_nonzerodivisors_against_the_colon(self, gens, terms, data_seed):
+        """f is a single term, or a single term plus a multiple of the stage
+        (its normal form is one term), or a sum of two terms (its normal
+        form may have two)."""
+        rng = random.Random(data_seed)
+        stage = IdealPresentation(R3, gens)
+        f = terms[0]
+        kind = rng.randrange(3)
+        if kind == 1 and gens:
+            f = f + random_poly(rng, R3, 2, 2) * gens[0]
+        elif kind == 2:
+            f = f + terms[-1]
+        assert _is_nzd_mod(stage, f) == reference_is_nzd(stage, f)
+
+    def test_coprimality_decides_without_a_colon_or_hilbert_series(self, monkeypatch):
+        x, y = R2.gens()
+
+        def refuse(*args):
+            raise AssertionError("the coprimality route should decide")
+
+        monkeypatch.setattr(invariants, "_hilbert_numerator_of", refuse)
+        monkeypatch.setattr(invariants, "_colon", refuse)
+        stage = IdealPresentation(R2, (x ** 2, 3 * x * y))
+        assert not _is_nzd_mod(stage, y)  # y * x lies in the stage
+        assert not _is_nzd_mod(stage, 5 * x + x * y)  # NF is 5x
+        square = IdealPresentation(R2, (x ** 2,))
+        assert _is_nzd_mod(square, 2 * y + x ** 2 * y)  # NF is 2y
+        assert _is_nzd_mod(square, y ** 130)
+        assert _is_nzd_mod(stage, R2.const(7))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_single_terms(min_size=0), st.integers(0, 2**32), st.sampled_from(ORDERS))
+    def test_normal_forms_and_steps_against_the_reducer(self, step_counters, gens, data_seed, order):
+        rng = random.Random(data_seed)
+        f = random_poly(rng, R3, 4, 6)
+        if rng.random() < 0.3:
+            f = f + x3 ** 130 * y3
+        for basis in (gens, buchberger(gens, order)):
+            step_counters.clear()
+            nf = normal_form(f, basis, order)
+            used = sum(c.used for c in step_counters)
+            terms, steps = _packed_normal_form(f, basis, order)
+            assert nf.terms == terms
+            assert used == steps
+
+    def test_fixed_cases(self):
+        x, y = R2.gens()
+        assert buchberger([x * y, 4 * R2.one, y], LEX) == [R2.one]
+        I = IdealPresentation(R2, (R2.one,))
+        J = IdealPresentation(R2, (x ** 2, 2 * x * y, x ** 2))
+        assert ideal_intersection(I, J).generators == (x * y, x ** 2)
+        assert ideal_intersection(J, IdealPresentation(R2, (y ** 3,))).generators == (x * y ** 3,)
+        assert normal_form(2 * x ** 3 + y, [3 * x ** 2], GREVLEX) == y
+
+    def test_a_zero_budget_passes_monomial_bases_but_not_divisions(self):
+        x, y = R2.gens()
+        gens = [x ** 2, x * y, y ** 3]
+        with limits(step_budget=0):
+            with pytest.raises(StepBudgetExceeded):  # Buchberger reduces (x^2, xy)
+                groebner._widening(2, GREVLEX, lambda packing: groebner._packed_buchberger(
+                    R2, gens, GREVLEX, packing, groebner._StepCounter()))
+            assert buchberger(gens) == [x * y, x ** 2, y ** 3]
+            assert ideal_intersection(ideal(R2, *gens), ideal(R2, x)).generators == (x * y, x ** 2)
+            assert normal_form(y, [x]) == y
+            with pytest.raises(StepBudgetExceeded):
+                normal_form(x ** 2, [x])
 
 
 @pytest.fixture
