@@ -13,8 +13,10 @@ Monomial input takes exact combinatorial routes (Miller and Sturmfels,
 the input alone and returning exactly what the general path returns.  A
 basis of single-term generators is their minimal terms with coefficient 1,
 and two ideals of single terms intersect in the minimal lcms lcm(m, n);
-neither spends a reduction step.  Division by single terms drops each
-divisible term, one step each, as the reducer does.
+neither spends a reduction step.  The colon of an ideal of single terms by
+one term c*n is generated by the minimal m / gcd(m, n), each with
+coefficient 1/c, with no intersection or division.  Division by single
+terms drops each divisible term, one step each, as the reducer does.
 
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
@@ -65,7 +67,7 @@ import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import AmbientMismatchError, StepBudgetExceeded
@@ -358,15 +360,23 @@ def normal_form(
     f minus the result lies in the ideal the basis generates.
     """
     ring = f.ring
-    nz = [g for g in basis if g.terms]
-    _check_ring(ring, nz)
-    counter = _StepCounter()
-    if all(len(g.terms) == 1 for g in nz):
+    leads = []
+    for g in basis:
+        if len(g.terms) > 1:
+            break
+        if g.terms:
+            if g.ring is not ring:
+                _check_ring(ring, (g,))
+            leads += g.terms
+    else:
         # Division by single terms drops each divisible term in one step.
-        leads = [m for g in nz for m in g.terms]
+        counter = _StepCounter()
         rem = {m: c for m, c in f.terms.items() if not any(mono_divides(l, m) for l in leads)}
         counter.spend(len(f.terms) - len(rem))
         return Polynomial(ring, rem, _trusted=True)
+    nz = [g for g in basis if g.terms]
+    _check_ring(ring, nz)
+    counter = _StepCounter()
     p = ring.field.p
 
     def run(packing):
@@ -695,7 +705,22 @@ def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polyn
 
 
 def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
-    """(I : g) for one nonzero g: (I ∩ (g)) divided by g."""
+    """(I : g) for one nonzero g: (I ∩ (g)) divided by g.
+
+    When g = c*n and every generator of I is a single term, that is the
+    minimal m / gcd(m, n) ascending in grevlex, each with coefficient 1/c:
+    dividing by n maps the minimal lcms lcm(m, n) of the intersection onto
+    them and keeps their order.
+    """
+    ring = I.ring
+    if len(g.terms) == 1 and all(len(h.terms) == 1 for h in I.generators):
+        ((n, c),) = g.terms.items()
+        quotients = [tuple(map(sub, m, map(min, m, n))) for h in I.generators for m in h.terms]
+        basis = _monomial_basis(ring, quotients, GREVLEX)
+        if c != 1:
+            inv = ring.field.inv(c)
+            basis = [Polynomial(ring, {m: inv}, _trusted=True) for h in basis for m in h.terms]
+        return IdealPresentation(ring, basis, I.order)
     Ig = ideal_intersection(I, IdealPresentation(I.ring, (g,), I.order))
     return IdealPresentation(
         I.ring,
@@ -717,7 +742,10 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
     result is then always the reduced grevlex basis of (I : J) in
     ascending order, whatever I's order: an intersection returns the
     tag-free part of a reduced block order basis, a single remaining colon
-    is reduced under grevlex, and with none left the basis is (1).
+    is reduced under grevlex, and with none left the basis is (1).  Each
+    (I : g) of single-term I and g is read off the generators (see
+    ``_principal_quotient``), so a colon of monomial ideals computes no
+    Groebner basis beyond I's own.
     """
     ring = _common_ring(I, J)
     if not J.generators:

@@ -20,9 +20,19 @@ element of the colon outside the stage is the element of K_e with the
 least leading monomial.  Past a degree cap taken from the input, and for
 every other order or an inhomogeneous input, the colon ideal itself is
 computed, by those normal forms alone (see ``groebner.ideal_quotient``);
-the witness is the same polynomial either way.  The stop test is
-deterministic, so the random choice of nonzerodivisors can change
-certificates but never the grade (Las Vegas, not Monte Carlo).
+the witness is the same polynomial either way.  When the stage is a
+monomial ideal and the r_i are single terms, the colon is a monomial ideal
+read off by gcds and lcms, and the witness is its grevlex-least minimal
+generator outside the stage.  The stop test is deterministic, so the
+random choice of nonzerodivisors can change certificates but never the
+grade (Las Vegas, not Monte Carlo).
+
+When the relations and the generators of I are all single terms, every
+stage up to the first random draw is a monomial ideal, and ``grade`` runs
+those stages on exponent tuples (see ``_monomial_grade``): no stage
+basis, normal form or colon is computed, and the sequence and witness
+are those of the general loop, which takes over, with its random draws
+untouched, at a stage where one is needed.
 
 Whether f is a nonzerodivisor modulo a stage is decided by Hilbert series
 when f and every stage generator are homogeneous (Bayer and Stillman,
@@ -45,6 +55,7 @@ import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import sub
 
 from .algebra import AlgebraIdeal, AlgebraPresentation, require_proper
 from .errors import (
@@ -65,7 +76,7 @@ from .groebner import (
     normal_form,
     scope_cached,
 )
-from .polyring import Polynomial, mono_divides, mono_mul
+from .polyring import GREVLEX, Polynomial, mono_divides, mono_mul
 
 PERMUTATION_BOUND = 5
 
@@ -270,6 +281,29 @@ def _least_kernel_element(ring, standard, rs, nf_of, order):
     return None
 
 
+def _monomial_witness(ring, leads, survivors):
+    """The witness of (M : (survivors)) ⊋ M for a monomial ideal M, or None
+    when the colon is M.
+
+    `leads` are the minimal generators of M and `survivors` monomials
+    outside it.  (M : t) is generated by the m / gcd(m, t) over the minimal
+    generators m, and an intersection of monomial ideals by the minimal
+    lcms, so the colon's minimal generators need no Groebner basis.  They
+    are its reduced basis, so the witness is the grevlex-least of them
+    outside M, with coefficient 1.
+    """
+    colon = None
+    for t in survivors:
+        part = _minimal_monomials([tuple(map(sub, m, map(min, m, t))) for m in leads])
+        if colon is not None:
+            part = _minimal_monomials([tuple(map(max, a, b)) for a in colon for b in part])
+        colon = part
+    outside = [q for q in colon if not any(mono_divides(l, q) for l in leads)]
+    if not outside:
+        return None
+    return Polynomial(ring, {min(outside, key=GREVLEX.key): 1}, _trusted=True)
+
+
 def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     """The witness of (stage : I) ⊋ stage, or None when the colon is the stage.
 
@@ -310,6 +344,10 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     Q is the stage and there is no witness.  Past degree
     max(degree of the stage's reduced basis, deg r_i) + 2, and for every
     other order or an inhomogeneous input, the colon is computed instead.
+
+    When the stage's reduced basis and the r_i are all single terms, for
+    any order, Q is a monomial ideal and the witness comes from its
+    minimal generators (see ``_monomial_witness``).
     """
     order = stage.order
     basis = stage.reduced_basis()
@@ -320,6 +358,10 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     rs = list(dict.fromkeys(r.monic(order) for r in reduced if r.terms))
     if not rs:
         return None if stage.contains_one() else stage.ring.one
+    if all(len(g.terms) == 1 for g in basis + tuple(rs)):
+        return _monomial_witness(
+            stage.ring, [m for g in basis for m in g.terms], [m for r in rs for m in r.terms]
+        )
     if order.kind == "grevlex" and all(
         g.is_homogeneous() for g in stage.generators + I.lift.generators
     ):
@@ -378,6 +420,9 @@ def ideal_in_zerodivisors(A: AlgebraPresentation, I: AlgebraIdeal):
 def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     """Whether f is a nonzerodivisor modulo `stage` (true on the zero ring).
 
+    Every caller passes f reduced modulo the stage (its normal form), which
+    is what lets a zero f and a single-term f be decided at once.
+
     For homogeneous f of degree d >= 1 over a homogeneous stage, the exact
     sequence 0 -> (R/(stage : f))(-d) -> R/stage -> R/(stage + f) -> 0
     makes f a nonzerodivisor exactly when
@@ -391,14 +436,13 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     one of them lies outside M when some minimal generator m meets u.
     Otherwise the colon (stage : f) is compared with the stage.
     """
-    basis = stage.reduced_basis()
-    r = normal_form(f, basis, stage.order)
-    if not r.terms:
+    if not f.terms:
         # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
         return stage.contains_one()
-    if len(r.terms) == 1 and all(len(g.terms) == 1 for g in basis):
+    basis = stage.reduced_basis()
+    if len(f.terms) == 1 and all(len(g.terms) == 1 for g in basis):
         # a monomial modulo a monomial ideal: coprime to every minimal generator
-        (m,) = r.terms
+        (m,) = f.terms
         return not any(any(map(min, m, lm)) for g in basis for lm in g.terms)
     if f.is_homogeneous() and all(g.is_homogeneous() for g in stage.generators):
         d = f.total_degree()
@@ -408,7 +452,7 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
         numerator = _hilbert_numerator_of(stage)
         expected = _plus_shifted(numerator, numerator, d, -1)
         return _hilbert_numerator_of(extended) == tuple(expected)
-    Q = _colon(stage, (r,))
+    Q = _colon(stage, (f,))
     return _extension_witness(stage, Q) is None
 
 
@@ -417,9 +461,11 @@ def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bo
     """Each element a nonzerodivisor modulo its predecessors, final quotient nonzero."""
     stage = A.relations
     for f in seq:
-        if not _is_nzd_mod(stage, f):
+        r = normal_form(f, stage.reduced_basis(), stage.order)
+        if not _is_nzd_mod(stage, r):
             return False
-        stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
+        # stage + (r) is stage + (f), and the ideal the Hilbert test built
+        stage = IdealPresentation(A.ring, stage.generators + (r,), stage.order)
     return not stage.contains_one()
 
 
@@ -482,6 +528,49 @@ def _find_nonzerodivisor(stage, pool, rng):
     )
 
 
+def _monomial_grade(relations: IdealPresentation, I: AlgebraIdeal) -> tuple:
+    """The stage loop of :func:`grade` on exponent tuples, for relations
+    and generators of I that are all single terms.
+
+    Returns the sequence and the witness.  Each stage is a monomial ideal
+    M, kept as its minimal generators, and the loop gives the general
+    loop's answers without its machinery: a generator's normal form is
+    itself or zero, as some minimal generator divides it or not; a
+    surviving one is a nonzerodivisor exactly when it is coprime to every
+    minimal generator (then it joins them, since it can divide none); and
+    when none is, the stop test's witness is ``_monomial_witness``'s.  With
+    no survivor the witness is 1: every stage lies in the proper ideal
+    I.lift.  The witness is None where the general loop must take over,
+    with the rng still unused: (M : I) = M, so a random combination is to
+    be drawn.
+    """
+    ring = relations.ring
+    leads = _minimal_monomials([m for g in relations.generators for m in g.terms])
+    covered = {i for m in leads for i, e in enumerate(m) if e}
+    terms = [(g, m) for g in I.gens for m in g.terms]
+    sequence = []
+    while True:
+        survivors = [(g, m) for g, m in terms if not any(mono_divides(l, m) for l in leads)]
+        if not survivors:
+            return sequence, ring.one
+        for g, m in survivors:
+            if not any(m[i] for i in covered):
+                break
+        else:
+            ts = list(dict.fromkeys(m for _, m in survivors))
+            return sequence, _monomial_witness(ring, leads, ts)
+        sequence.append(g)
+        leads.append(m)
+        covered.update(i for i, e in enumerate(m) if e)
+
+
+def _certificate(relations: tuple, sequence: list, witness: Polynomial) -> GradeCertificate:
+    """The certificate of a sequence: stage k is the relations plus its
+    first k elements."""
+    stages = tuple(relations + tuple(sequence[:k]) for k in range(len(sequence) + 1))
+    return GradeCertificate(tuple(sequence), witness, stages, len(sequence))
+
+
 @memo_scoped
 def grade(
     A: AlgebraPresentation,
@@ -501,16 +590,24 @@ def grade(
     test is linear algebra in one degree at a time, up to a cap taken
     from the input, and otherwise the colon (stage : I); both give the
     same witness, the first element of the reduced grevlex basis of
-    (stage : I) outside the stage (see ``_colon_witness``).
+    (stage : I) outside the stage (see ``_colon_witness``).  When the
+    relations and the generators of I are all single terms, the stages
+    run on exponent tuples until a random draw is needed, with the same
+    sequence and witness (see ``_monomial_grade``).
     :func:`validate_grade_certificate` checks the witness with normal
     forms and the sequence with colons.  The integer is independent of
     the seed.
     """
     require_proper(I, "ideal")
-    rng = random.Random(seed)
     stage = A.relations
-    stages = [stage.generators]
+    relations = stage.generators
     sequence = []
+    if all(len(g.terms) == 1 for g in relations + I.gens):
+        sequence, w = _monomial_grade(stage, I)
+        if w is not None:
+            return _certificate(relations, sequence, w)
+        stage = IdealPresentation(A.ring, relations + tuple(sequence), stage.order)
+    rng = random.Random(seed)
     while True:
         basis = stage.reduced_basis()
         reduced = [normal_form(g, basis, stage.order) for g in I.gens]
@@ -519,11 +616,10 @@ def grade(
         if f is None:
             w = _colon_witness(stage, I)
             if w is not None:
-                return GradeCertificate(tuple(sequence), w, tuple(stages), len(sequence))
+                return _certificate(relations, sequence, w)
             f = _find_nonzerodivisor(stage, pool, rng)
         sequence.append(f)
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
-        stages.append(stage.generators)
 
 
 def validate_grade_certificate(

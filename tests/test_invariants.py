@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cmtensor import (
     AlgebraIdeal,
+    AlgebraPresentation,
     CertificateError,
     GradedOnlyError,
     GradeCertificate,
@@ -31,10 +32,11 @@ from cmtensor import (
     krull_dim,
     limits,
     make_algebra,
+    normal_form,
     tensor,
     validate_grade_certificate,
 )
-from cmtensor import GREVLEX, LEX, IdealPresentation, groebner, invariants
+from cmtensor import GREVLEX, LEX, IdealPresentation, Polynomial, groebner, invariants
 from cmtensor.errors import KernelError
 from cmtensor.invariants import (
     _colon_witness,
@@ -42,8 +44,15 @@ from cmtensor.invariants import (
     _hilbert_numerator,
     _is_nzd_mod,
 )
+from cmtensor.polyring import DEGLEX, block_order
 from conftest import random_poly
-from oracles import dim_subset_oracle, monomials_up_to, reference_grade, reference_is_nzd
+from oracles import (
+    dim_subset_oracle,
+    monomials_up_to,
+    reference_grade,
+    reference_is_nzd,
+    reference_quotient,
+)
 
 F = PrimeField()
 
@@ -386,18 +395,21 @@ class TestGradeAgainstReference:
         assert cert == reference_grade(A, I, seed)
 
     @staticmethod
-    def _full_colons(monkeypatch, order):
-        """The colons by the whole of I.lift and all tag-variable
-        intersections made while deciding that (x^2) ⊗ k[u, v] is CM."""
+    def _colon_paths(monkeypatch, order, relation):
+        """Deciding that k[x, y, z]/(relation) ⊗ k[u, v] is CM: the colons
+        by the whole of I.lift, all tag-variable intersections, all colons
+        and all degrees of the linear-algebra stop test, and the witness."""
         ring = PolyRing(("x", "y", "z"), F)
-        A = make_algebra(ring, (ring.var(0) ** 2,), order)
+        A = make_algebra(ring, (relation(*ring.gens()),), order)
         T = tensor(A, poly_algebra("u", "v"))
         lift = T.ring.gens() + T.relations.generators
-        full, intersections = [], []
+        full, intersections, colons, degrees = [], [], [], []
         quotient = invariants.ideal_quotient
         intersection = groebner.ideal_intersection
+        kernel = invariants._least_kernel_element
 
         def counting_quotient(I, J):
+            colons.append(J)
             if J.generators == lift:
                 full.append(J)
             return quotient(I, J)
@@ -406,37 +418,64 @@ class TestGradeAgainstReference:
             intersections.append((I1, I2))
             return intersection(I1, I2)
 
+        def counting_kernel(*args):
+            degrees.append(args)
+            return kernel(*args)
+
         monkeypatch.setattr(invariants, "ideal_quotient", counting_quotient)
         monkeypatch.setattr(groebner, "ideal_intersection", counting_intersection)
+        monkeypatch.setattr(invariants, "_least_kernel_element", counting_kernel)
         verdict = is_cohen_macaulay(T)
         assert verdict.is_cm and verdict.depth == 4
-        assert verdict.certificate.witness == T.ring.var(0)
-        return len(full), len(intersections)
+        counts = dict(
+            full=len(full), intersections=len(intersections), colons=len(colons),
+            degrees=len(degrees),
+        )
+        return counts, verdict.certificate.witness
+
+    @staticmethod
+    def _binomial(x, y, z):
+        # x, u and v extend the sequence; y and z are zerodivisors modulo
+        # (x, yz, u, v), a monomial stage equal to its colon by I, which the
+        # monomial route decides; a random y + c*z is drawn, and the last
+        # stage, not a monomial ideal, takes the stop test counted here
+        return x * x - y * z
 
     def test_full_colon_computed_once_for_a_cm_tensor(self, monkeypatch):
-        # depth 4 is found from the variables themselves; the last stage is
-        # grevlex and homogeneous, so its stop test is linear algebra and
-        # no colon by I.lift is computed at all
-        assert self._full_colons(monkeypatch, GREVLEX)[0] == 0
+        # the last stage is grevlex and homogeneous, so its stop test is
+        # linear algebra and no colon by I.lift is computed at all
+        counts, witness = self._colon_paths(monkeypatch, GREVLEX, self._binomial)
+        assert counts["full"] == 0 and witness == witness.ring.var(2)
 
     def test_full_colon_computed_once_for_a_lex_cm_tensor(self, monkeypatch):
         # under lex the last stage takes the one full colon (stage : I)
-        assert self._full_colons(monkeypatch, LEX)[0] == 1
+        counts, witness = self._colon_paths(monkeypatch, LEX, self._binomial)
+        assert counts["full"] == 1 and witness == witness.ring.var(2)
 
     def test_intersections_of_a_cm_tensor(self, monkeypatch):
         # every principal test is decided by Hilbert series and the stop
         # test by linear algebra: no tag-variable intersection at all
-        assert self._full_colons(monkeypatch, GREVLEX)[1] == 0
+        assert self._colon_paths(monkeypatch, GREVLEX, self._binomial)[0]["intersections"] == 0
 
     def test_intersections_of_a_lex_cm_tensor(self, monkeypatch):
-        # under lex the last stage's colon is by x alone: the other
-        # generators of I.lift reduce to zero modulo the stage
-        assert self._full_colons(monkeypatch, LEX)[1] == 1
+        # under lex the last stage's colon is by z alone: the other
+        # generators of I.lift reduce to zero or to multiples of z
+        assert self._colon_paths(monkeypatch, LEX, self._binomial)[0]["intersections"] == 1
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_monomial_cm_tensor_takes_no_colon(self, monkeypatch, order):
+        # (x^2) ⊗ k[u, v]: every stage is a monomial ideal, so grade runs on
+        # exponent tuples, with no colon, intersection or linear algebra
+        counts, witness = self._colon_paths(monkeypatch, order, lambda x, y, z: x * x)
+        assert counts == dict(full=0, intersections=0, colons=0, degrees=0)
+        assert witness == witness.ring.var(0)
 
 
 def _colon_route(stage, I):
-    """The stop test's witness from the colon ideal (stage : I) itself."""
-    return _extension_witness(stage, groebner.ideal_quotient(stage, I.lift))
+    """The stop test's witness from the colon ideal (stage : I) itself,
+    computed by the reference colon, which shares no route with the
+    kernel's."""
+    return _extension_witness(stage, reference_quotient(stage, I.lift))
 
 
 def _random_form(rng, ring, deg):
@@ -503,29 +542,42 @@ class TestColonWitness:
         monkeypatch.setattr(invariants, "ideal_quotient", counting)
         return _colon_witness(stage, I), len(colons)
 
-    @pytest.mark.parametrize("case", ["lex", "inhomogeneous", "above-the-cap"])
-    def test_fallback_takes_the_colon(self, monkeypatch, case):
+    @staticmethod
+    def _fallback_case(case, shift):
+        """An algebra, an ideal and the expected witness for each fallback.
+        With `shift` the variable x becomes x + y, so that no stage is a
+        monomial ideal."""
         ring = PolyRing(("x", "y"), F)
         x, y = ring.gens()
+        if shift:
+            x = x + y
         if case == "lex":
             A = make_algebra(ring, (x * x, x * y), LEX)
-            I, expected = AlgebraIdeal(A, (x, y)), x
-        elif case == "inhomogeneous":
+            return A, AlgebraIdeal(A, (x, y)), x
+        if case == "inhomogeneous":
             A = make_algebra(ring, (x * y - x,))
-            I, expected = AlgebraIdeal(A, (y - 1,)), x
-        else:
+            return A, AlgebraIdeal(A, (y - 1,)), x
+        if case == "above-the-cap":
             # the socle x^4 y^4 lies in degree 8, past the cap 5 + 2
             A = make_algebra(ring, (x ** 5, y ** 5))
-            I, expected = AlgebraIdeal(A, (x, y)), x ** 4 * y ** 4
+            socle = normal_form(x ** 4 * y ** 4, A.relations.reduced_basis())
+            return A, AlgebraIdeal(A, (x, y)), socle.monic()
+        # y is a nonzerodivisor modulo (x^2): the colon is the stage
+        A = make_algebra(ring, (x * x,))
+        return A, AlgebraIdeal(A, (y,)), None
+
+    @pytest.mark.parametrize("case", ["lex", "inhomogeneous", "above-the-cap"])
+    def test_fallback_takes_the_colon(self, monkeypatch, case):
+        # the inhomogeneous case is not monomial as it stands
+        A, I, expected = self._fallback_case(case, shift=case != "inhomogeneous")
         w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
         assert colons == 1
         assert w == expected == _colon_route(A.relations, I)
 
     def test_colon_equal_to_the_stage_stops_at_the_cap(self, monkeypatch):
-        # y is a nonzerodivisor modulo (x^2), so no degree has a witness;
-        # degrees 0..max(2, 1) + 2 are tried, then the colon decides
-        A = algebra(("x", "y"), lambda x, y: (x * x,))
-        I = AlgebraIdeal(A, (A.ring.var(1),))
+        # y is a nonzerodivisor modulo ((x + y)^2), so no degree has a
+        # witness; degrees 0..max(2, 1) + 2 are tried, then the colon decides
+        A, I, _ = self._fallback_case("colon-is-the-stage", shift=True)
         degrees = []
         inner = invariants._least_kernel_element
 
@@ -539,6 +591,25 @@ class TestColonWitness:
         w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
         assert (w, colons, len(degrees)) == (None, 1, 5)
         assert _colon_route(A.relations, I) is None
+
+    @pytest.mark.parametrize("case", ["lex", "above-the-cap", "colon-is-the-stage"])
+    def test_monomial_stage_takes_no_colon(self, monkeypatch, case):
+        # the unshifted inputs of the three tests above: a monomial stage
+        # and single-term normal forms give the witness from the minimal
+        # generators of the colon, with no colon, linear algebra or
+        # intersection
+        A, I, expected = self._fallback_case(case, shift=False)
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise AssertionError("a monomial stage takes the combinatorial route")
+
+        monkeypatch.setattr(invariants, "_least_kernel_element", refuse)
+        monkeypatch.setattr(groebner, "ideal_intersection", refuse)
+        w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
+        assert (colons, calls) == (0, [])
+        assert w == expected == _colon_route(A.relations, I)
 
     def test_no_standard_monomials_means_no_witness(self, monkeypatch):
         # (x^2, y^2) : (1) is the stage itself; degree 3 has no standard
@@ -573,6 +644,120 @@ class TestColonWitness:
         stage = IdealPresentation(A.ring, (x * y, x, y))
         I = AlgebraIdeal(A, (x, y))
         assert _colon_witness(stage, I) == A.ring.one == _colon_route(stage, I)
+
+
+MONOMIAL_ORDERS = [GREVLEX, LEX, DEGLEX, block_order((0,))]
+
+
+def _random_terms(rng, ring, count, max_exp=3):
+    """`count` single-term polynomials with coefficients anywhere in F_p
+    minus 0, some of them repeated, now and then with another coefficient."""
+    terms = []
+    for _ in range(count):
+        if terms and rng.random() < 0.25:
+            m = next(iter(rng.choice(terms).terms))
+        else:
+            m = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+        terms.append(Polynomial(ring, {m: rng.choice([1, rng.randrange(1, ring.field.p)])}))
+    return terms
+
+
+class TestMonomialGrade:
+    """Single-term relations and ideals: `grade` runs its stage loop on
+    exponent tuples, the stop test and principal colons take the monomial
+    routes, and each gives what the general path gives.  The references
+    compute every colon with the tag variable."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(MONOMIAL_ORDERS))
+    def test_grade_against_the_reference(self, data_seed, seed, order):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z")[: rng.randint(1, 3)], F)
+        rels = _random_terms(rng, ring, rng.randint(0, 3))
+        if any(not any(m) for g in rels for m in g.terms):
+            return  # make_algebra refuses the zero ring; see test_zero_ring
+        A = make_algebra(ring, rels, order)
+        I = AlgebraIdeal(A, _random_terms(rng, ring, rng.randint(0, 4)))
+        outcome = _grade_outcome(grade, A, I, seed)
+        assert outcome == _grade_outcome(reference_grade, A, I, seed)
+        if isinstance(outcome, GradeCertificate):
+            validate_grade_certificate(A, I, outcome)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", ["xy", "z-first", "after-the-draw"])
+    def test_hand_off_to_the_random_draw(self, case, seed):
+        # (M : I) = M at a monomial stage where no generator is a
+        # nonzerodivisor: the general loop draws, with the rng unused
+        ring = PolyRing(("x", "y", "z"), F)
+        x, y, z = ring.gens()
+        if case == "xy":
+            A, gens = make_algebra(ring, (x * y,)), (x, y)
+        elif case == "z-first":
+            A, gens = make_algebra(ring, (3 * x * y,)), (5 * z, x, 2 * y, x)
+        else:
+            A, gens = make_algebra(ring, (x * y, x * z, y * z)), (x, y, z)
+        I = AlgebraIdeal(A, gens)
+        cert = grade(A, I, seed)
+        assert cert == reference_grade(A, I, seed)
+        assert any(len(f.terms) > 1 for f in cert.sequence)
+        validate_grade_certificate(A, I, cert)
+
+    def test_zero_ring(self):
+        ring = PolyRing(("x", "y"), F)
+        x, y = ring.gens()
+        A = AlgebraPresentation(ring, IdealPresentation(ring, (x, 4 * ring.one)), True)
+        I = AlgebraIdeal(A, (y,))
+        assert _grade_outcome(grade, A, I, 0) is ImproperIdealError
+        assert _grade_outcome(reference_grade, A, I, 0) is ImproperIdealError
+        stage = IdealPresentation(ring, (x * y, 4 * ring.one))
+        assert _colon_witness(stage, I) is None is _colon_route(stage, I)
+
+    def test_spends_no_reduction_steps(self, step_counters):
+        # the general loop reduces x^2 * y modulo (x^2, xy) in its stop test
+        A = algebra(("x", "y"), lambda x, y: (x * x, x * y))
+        x, y = A.ring.gens()
+        I = AlgebraIdeal(A, (x, y))
+        with limits(step_budget=0):
+            cert = grade(A, I)
+        assert (cert.grade, cert.witness) == (0, x)
+        assert sum(c.used for c in step_counters) == 0
+        assert cert == reference_grade(A, I)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(MONOMIAL_ORDERS))
+    def test_principal_quotient_against_the_reference(self, data_seed, order):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z")[: rng.randint(1, 3)], F)
+        I = IdealPresentation(ring, _random_terms(rng, ring, rng.randint(0, 4)), order)
+        (g,) = _random_terms(rng, ring, 1)
+        J = IdealPresentation(ring, (g,), order)
+        got = groebner.ideal_quotient(I, J)
+        expected = reference_quotient(I, J)
+        assert got.order == expected.order == order
+        assert [h.terms for h in got.generators] == [h.terms for h in expected.generators]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(MONOMIAL_ORDERS))
+    def test_colon_witness_against_the_colon(self, data_seed, order):
+        """The stage is a monomial ideal; I's generators are single terms,
+        or single terms plus a multiple of a relation, whose normal forms
+        are single terms, or now and then a sum of two terms."""
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z")[: rng.randint(1, 3)], F)
+        rels = _random_terms(rng, ring, rng.randint(0, 2))
+        if any(not any(m) for g in rels for m in g.terms):
+            return
+        A = make_algebra(ring, rels, order)
+        gens = _random_terms(rng, ring, rng.randint(1, 3))
+        for i, g in enumerate(gens):
+            kind = rng.randrange(5)
+            if kind == 0 and rels:
+                gens[i] = g + random_poly(rng, ring, 2, 2) * rng.choice(rels)
+            elif kind == 1:
+                gens[i] = g + _random_terms(rng, ring, 1)[0]
+        I = AlgebraIdeal(A, gens)
+        stage = IdealPresentation(ring, rels + _random_terms(rng, ring, rng.randint(0, 3)), order)
+        assert _colon_witness(stage, I) == _colon_route(stage, I)
 
 
 def _series(numerator, nvars, degree):
@@ -676,9 +861,10 @@ class TestNonzerodivisorAgainstReference:
             calls.append(I1)
             return inner(I1, I2)
 
+        r = normal_form(f, stage.reduced_basis(), order)
         groebner.ideal_intersection = counting
         try:
-            verdict = _is_nzd_mod(stage, f)
+            verdict = _is_nzd_mod(stage, r)
         finally:
             groebner.ideal_intersection = inner
         assert verdict == reference_is_nzd(stage, f)
@@ -699,11 +885,12 @@ class TestNonzerodivisorAgainstReference:
             x * y: False,
         }
         for f, expected in cases.items():
-            assert _is_nzd_mod(stage, f) == reference_is_nzd(stage, f)
+            verdict = _is_nzd_mod(stage, normal_form(f, stage.reduced_basis(), order))
+            assert verdict == reference_is_nzd(stage, f)
             if expected is not None:
-                assert _is_nzd_mod(stage, f) == expected
+                assert verdict == expected
         unit = IdealPresentation(ring, (x, ring.one), order)
-        assert _is_nzd_mod(unit, y) and reference_is_nzd(unit, y)
+        assert _is_nzd_mod(unit, ring.zero) and reference_is_nzd(unit, y)
 
 
 class TestCertificateValidation:
