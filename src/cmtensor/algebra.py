@@ -135,6 +135,15 @@ class AlgebraIdeal:
         )
 
     def is_proper(self) -> bool:
+        """Whether 1 ∉ I.
+
+        When no generator of the lift has a constant term, the lift lies in
+        (x_1, ..., x_n), so I is proper and no basis is built; otherwise the
+        lift's reduced basis decides.
+        """
+        zero = (0,) * self.owner.ring.nvars
+        if all(zero not in g.terms for g in self.lift.generators):
+            return True
         return not self.lift.contains_one()
 
     def is_zero(self) -> bool:

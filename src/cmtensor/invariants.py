@@ -47,6 +47,10 @@ every minimal generator of the stage.  Other inputs use the colon
 (stage : f).  Certificate validation checks every sequence element with a
 colon and the witness with normal forms, so it checks the coprimality and
 Hilbert tests and the linear-algebra stop test from a separate code path.
+It skips only what holds by construction of the raw generators: a
+sequence element that is a generator of I's lift lies in I, and the
+witness times a generator of the lift that is also a generator of the
+final stage lies in that stage.
 """
 
 from __future__ import annotations
@@ -631,7 +635,13 @@ def validate_grade_certificate(
 
     Uses only normal forms and ideal quotients over freshly built
     presentations, never state left over from the grade run: it runs in a
-    fresh basis memo scope, even when called inside another scope.
+    fresh basis memo scope, even when called inside another scope.  Two
+    facts are read off the raw generators instead: a sequence element equal
+    to a generator of ``I.lift`` is a member of I (the basis of ``I.lift``
+    is built only for the first element that is not one), and for a
+    generator g of ``I.lift`` that is also a generator of the final stage,
+    witness * g lies in (g), inside that stage, so its normal form is not
+    taken.
     """
     with memo_scope(fresh=True):
         ring = A.ring
@@ -646,8 +656,13 @@ def validate_grade_certificate(
             if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
                 raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
 
-        lift_basis = buchberger(I.lift.generators, order)
+        generators = I.lift.generators
+        lift_basis = None
         for i, f in enumerate(cert.sequence):
+            if f in generators:
+                continue
+            if lift_basis is None:
+                lift_basis = buchberger(generators, order)
             if normal_form(f, lift_basis, order).terms:
                 raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
@@ -665,7 +680,9 @@ def validate_grade_certificate(
         final_basis = final.reduced_basis()
         if not normal_form(cert.witness, final_basis, order).terms:
             raise CertificateError("witness lies in the final stage")
-        for g in I.lift.generators:
+        for g in generators:
+            if g in final.generators:
+                continue
             if normal_form(cert.witness * g, final_basis, order).terms:
                 raise CertificateError("witness does not annihilate the ideal")
 

@@ -23,7 +23,7 @@ import random
 
 import numpy as np
 
-from cmtensor.algebra import require_proper
+from cmtensor.errors import ImproperIdealError
 from cmtensor.groebner import (
     IdealPresentation,
     _common_ring,
@@ -216,9 +216,11 @@ def reference_grade(A, I, seed=0):
 
     The stop test comes first at each stage; only when it does not fire
     are the reduced generators of I tried in order, then random draws.
-    ``grade`` must return an equal certificate.
+    ``grade`` must return an equal certificate.  Properness is decided by
+    the basis of ``I.lift``, not by the kernel's constant-term test.
     """
-    require_proper(I, "ideal")
+    if I.lift.contains_one():
+        raise ImproperIdealError(f"ideal {I.describe()} is not proper")
     rng = random.Random(seed)
     stage = A.relations
     stages = [stage.generators]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtensor import (
     AlgebraIdeal,
@@ -10,6 +12,7 @@ from cmtensor import (
     KernelError,
     PolyRing,
     PrimeField,
+    StepBudgetExceeded,
     ZeroRingError,
     contract,
     embed_ideal,
@@ -17,6 +20,7 @@ from cmtensor import (
     ideal_equal,
     joined_ideal,
     krull_dim,
+    limits,
     make_algebra,
     product_ideal,
     quotient_algebra,
@@ -255,6 +259,45 @@ class TestContract:
             back = contract(embed_ideal(I, T, "left"), "left")
             assert back.owner is A
             assert ideal_equal(back.lift, I.lift)
+
+
+class TestProperness:
+    """``is_proper`` answers a constant-free lift without a basis."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_agrees_with_the_basis(self, seed, nvars):
+        rng = random.Random(seed)
+        ring = PolyRing(("x", "y", "z")[:nvars], F)
+        rels = [random_poly(rng, ring, max_deg=2) for _ in range(rng.randint(0, 2))]
+        try:
+            A = make_algebra(ring, rels)
+        except ZeroRingError:
+            return
+        gens = [random_poly(rng, ring, max_deg=2) for _ in range(rng.randint(0, 3))]
+        I = AlgebraIdeal(A, gens)
+        assert I.is_proper() == (not I.lift.contains_one())
+
+    def test_units_and_improper_sums(self):
+        ring = PolyRing(("x", "y"), F)
+        x, y = ring.gens()
+        A = make_algebra(ring, (x ** 2,))
+        assert not AlgebraIdeal(A, (1 + x,)).is_proper()  # (1 + x)(1 - x) = 1 - x^2
+        assert not AlgebraIdeal(A, (x, x + 1)).is_proper()
+        assert not AlgebraIdeal(A, (x * y - 1, y)).is_proper()
+        assert AlgebraIdeal(A, (x + y ** 2, y)).is_proper()
+        assert AlgebraIdeal(A, (y - 1,)).is_proper()  # inside the maximal (x, y - 1)
+
+    def test_constant_free_lift_builds_no_basis(self):
+        ring = PolyRing(("x", "y", "z"), F)
+        x, y, z = ring.gens()
+        A = make_algebra(ring, (x * y - z ** 2,))
+        I = AlgebraIdeal(A, (y * z - x ** 2, x * z - y ** 2))
+        with limits(step_budget=0):
+            assert I.is_proper()
+            with pytest.raises(StepBudgetExceeded):
+                I.lift.contains_one()
+        assert I.lift._basis is None
 
 
 class TestQuotientAlgebra:

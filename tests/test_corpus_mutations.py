@@ -1,0 +1,47 @@
+"""Tampered corpus certificates must be refused.
+
+``test_corpus_digests`` revalidates every certificate of the 64-instance
+reference corpus.  This tampers with each of them in two ways that
+``validate_grade_certificate`` must catch:
+
+- the witness replaced by a generator of the final stage, which lies in
+  that stage;
+- for a grade of at least 1, the last sequence element dropped with its
+  stage.  The witness w then no longer annihilates I: if w * f_k lay in
+  stage k - 1, so would w, since f_k is a nonzerodivisor there, while w
+  lies outside stage k.  Since f_k lies in I, some generator g of I has
+  w * g outside stage k - 1, and no such g is a generator of that stage.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from cmtensor import CertificateError, validate_grade_certificate
+from test_corpus_digests import corpus_runs
+
+
+def test_tampered_corpus_certificates_are_refused():
+    evidence = [e for _, reports in corpus_runs() for r in reports for e in r.certificates]
+    replaced = dropped = 0
+    for e in evidence:
+        cert = e.certificate
+        final = cert.stage_ideals[-1]
+        if final:
+            bad = dataclasses.replace(cert, witness=final[0])
+            with pytest.raises(CertificateError, match="lies in the final stage"):
+                validate_grade_certificate(e.algebra, e.ideal, bad)
+            replaced += 1
+        if cert.grade:
+            bad = dataclasses.replace(
+                cert,
+                sequence=cert.sequence[:-1],
+                stage_ideals=cert.stage_ideals[:-1],
+                grade=cert.grade - 1,
+            )
+            with pytest.raises(CertificateError, match="does not annihilate"):
+                validate_grade_certificate(e.algebra, e.ideal, bad)
+            dropped += 1
+    assert (len(evidence), replaced, dropped) == (796, 787, 530)

@@ -46,6 +46,7 @@ from cmtensor.invariants import (
 )
 from cmtensor.polyring import DEGLEX, block_order
 from conftest import random_poly
+from test_basis_memo import computed  # noqa: F401  (fixture)
 from oracles import (
     dim_subset_oracle,
     monomials_up_to,
@@ -946,6 +947,53 @@ class TestCertificateValidation:
         )
         with pytest.raises(CertificateError):
             validate_grade_certificate(A, I, bad)
+
+    def test_members_that_are_not_generators(self):
+        # membership of an element that is no generator of I.lift is still
+        # decided by the basis of I.lift
+        A = self.A
+        x, y = A.ring.gens()
+        I = AlgebraIdeal(A, (x,))
+        rels = A.relations.generators
+        for f, w in ((2 * x, A.ring.one), (x + x * y, 1 + y)):
+            cert = GradeCertificate((f,), w, (rels, rels + (f,)), 1)
+            validate_grade_certificate(A, I, cert)
+
+    def test_foreign_element_after_a_generator(self):
+        # the basis of I.lift is built only at the second element, and it
+        # must still refuse that element
+        A = poly_algebra("x", "y", "z")
+        x, y, _ = A.ring.gens()
+        I = AlgebraIdeal(A, (x,))
+        rels = A.relations.generators
+        bad = GradeCertificate((x, y), A.ring.one, (rels, rels + (x,), rels + (x, y)), 2)
+        with pytest.raises(CertificateError, match="outside the ideal"):
+            validate_grade_certificate(A, I, bad)
+
+    def test_witness_annihilating_only_the_final_stage(self):
+        # w = z annihilates every generator of the final stage (z^2, x), but
+        # not the generator y of I that lies outside it
+        ring = PolyRing(("x", "y", "z"), F)
+        x, y, z = ring.gens()
+        A = make_algebra(ring, (z ** 2,))
+        I = AlgebraIdeal(A, (x, y))
+        rels = A.relations.generators
+        bad = GradeCertificate((x,), z, (rels, rels + (x,)), 1)
+        with pytest.raises(CertificateError, match="does not annihilate"):
+            validate_grade_certificate(A, I, bad)
+
+    def test_all_generator_certificate_builds_no_lift_basis(self, computed):
+        ring = PolyRing(("x", "y"), F)
+        x, y = ring.gens()
+        A = make_algebra(ring)
+        I = AlgebraIdeal(A, (x, y, x * y + y ** 2))
+        cert = grade(A, I)
+        assert cert.sequence == (x, y)
+        computed.clear()
+        validate_grade_certificate(A, I, cert)
+        assert computed  # the stages' bases are still built
+        lift = frozenset(I.lift.generators)
+        assert all(frozenset(args[1]) != lift for args in computed)
 
 
 class TestCohenMacaulay:
