@@ -8,15 +8,12 @@ full multivariate division, and the derived operations: membership,
 equality, sum, product, intersection via a tag variable, quotient, and
 elimination.
 
-Monomial input takes exact combinatorial routes (Miller and Sturmfels,
-*Combinatorial Commutative Algebra*, 2005, ch. 1), chosen by the shape of
-the input alone and returning exactly what the general path returns.  A
-basis of single-term generators is their minimal terms with coefficient 1,
-and two ideals of single terms intersect in the minimal lcms lcm(m, n);
-neither spends a reduction step.  The colon of an ideal of single terms by
-one term c*n is generated by the minimal m / gcd(m, n), each with
-coefficient 1/c, with no intersection or division.  Division by single
-terms drops each divisible term, one step each, as the reducer does.
+Monomial input takes exact routes, chosen by the shape of the input alone
+and returning exactly what the general path returns: a basis of single
+terms, and the colon of single terms by one term, are read off the
+generators by :mod:`cmtensor.monomial` and spend no reduction step.
+Division by single terms drops each divisible term, one step each, as the
+reducer does.
 
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
@@ -67,9 +64,10 @@ import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import NamedTuple
 
+from . import monomial
 from .errors import AmbientMismatchError, StepBudgetExceeded
 from .polyring import (
     GREVLEX,
@@ -431,32 +429,21 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
 
 def _buchberger(ring, nonzero, order):
     if all(len(g.terms) == 1 for g in nonzero):
-        return _monomial_basis(ring, [m for g in nonzero for m in g.terms], order)
+        return _monomial_basis(ring, monomial.minimal(m for g in nonzero for m in g.terms), order)
     counter = _StepCounter()
     return _widening(
         ring.nvars, order, lambda packing: _packed_buchberger(ring, nonzero, order, packing, counter)
     )
 
 
-def _monomial_basis(ring, monos, order):
-    """The reduced basis of the monomial ideal (monos): its minimal
-    generators with coefficient 1, ascending in the order, with no step
-    spent.  Each keeps its packed entry, as Buchberger's output does."""
-
-    def run(packing):
-        guard = packing.guard
-        kept = []
-        for lm, m in sorted({packing.pack(m): m for m in monos}.items()):
-            if not any(not (lm - k) & guard for k, _ in kept):
-                kept.append((lm, m))
-        out = []
-        for lm, m in kept:
-            g = Polynomial(ring, {m: 1}, _trusted=True)._known_lead(order, m)
-            g._packed = (packing, (lm, 1, ()))
-            out.append(g)
-        return out
-
-    return _widening(ring.nvars, order, run)
+def _monomial_basis(ring, gens, order, coeff=1):
+    """The minimal generators `gens` of a monomial ideal as polynomials with
+    coefficient `coeff`, ascending in the order: with coefficient 1, the
+    ideal's reduced basis, with no step spent."""
+    return [
+        Polynomial(ring, {m: coeff}, _trusted=True)._known_lead(order, m)
+        for m in sorted(gens, key=order.key)
+    ]
 
 
 def _packed_buchberger(ring, nonzero, order, packing, counter):
@@ -660,19 +647,12 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     The tag variable is appended to the ambient, eliminated with a block
     order, and never leaks into the result: the generators are the tag-free
     part of the reduced basis, ascending in grevlex (the block order on
-    tag-free monomials).  When every generator of both is a single term,
-    that part is the minimal lcms lcm(m, n) with coefficient 1, ascending
-    in grevlex, and it is built directly.
+    tag-free monomials).  Ideals of single terms take the same path; their
+    intersection is the one of :func:`cmtensor.monomial.intersection`.
     """
     ring = _common_ring(I1, I2)
     if not I1.generators or not I2.generators:
         return IdealPresentation(ring, (), I1.order)
-    if all(len(g.terms) == 1 for g in I1.generators + I2.generators):
-        lcms = [
-            tuple(map(max, m, n)) for f in I1.generators for m in f.terms
-            for g in I2.generators for n in g.terms
-        ]
-        return IdealPresentation(ring, _monomial_basis(ring, lcms, GREVLEX), I1.order)
     ext = ring.extended(ring.fresh_name("_t"))
     ti = ext.nvars - 1
     t = ext.var(ti)
@@ -708,18 +688,14 @@ def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentatio
     """(I : g) for one nonzero g: (I ∩ (g)) divided by g.
 
     When g = c*n and every generator of I is a single term, that is the
-    minimal m / gcd(m, n) ascending in grevlex, each with coefficient 1/c:
-    dividing by n maps the minimal lcms lcm(m, n) of the intersection onto
-    them and keeps their order.
+    reduced grevlex basis of the colon (I : n) of
+    :func:`cmtensor.monomial.colon`, each element with coefficient 1/c.
     """
     ring = I.ring
     if len(g.terms) == 1 and all(len(h.terms) == 1 for h in I.generators):
         ((n, c),) = g.terms.items()
-        quotients = [tuple(map(sub, m, map(min, m, n))) for h in I.generators for m in h.terms]
-        basis = _monomial_basis(ring, quotients, GREVLEX)
-        if c != 1:
-            inv = ring.field.inv(c)
-            basis = [Polynomial(ring, {m: inv}, _trusted=True) for h in basis for m in h.terms]
+        quotients = monomial.colon([m for h in I.generators for m in h.terms], n)
+        basis = _monomial_basis(ring, quotients, GREVLEX, ring.field.inv(c))
         return IdealPresentation(ring, basis, I.order)
     Ig = ideal_intersection(I, IdealPresentation(I.ring, (g,), I.order))
     return IdealPresentation(
@@ -743,9 +719,8 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
     ascending order, whatever I's order: an intersection returns the
     tag-free part of a reduced block order basis, a single remaining colon
     is reduced under grevlex, and with none left the basis is (1).  Each
-    (I : g) of single-term I and g is read off the generators (see
-    ``_principal_quotient``), so a colon of monomial ideals computes no
-    Groebner basis beyond I's own.
+    (I : g) of single-term I and g is read off the generators by
+    :mod:`cmtensor.monomial` (see ``_principal_quotient``).
     """
     ring = _common_ring(I, J)
     if not J.generators:

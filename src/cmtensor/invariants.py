@@ -1,8 +1,8 @@
 """Ring-theoretic invariants of presented algebras.
 
-Krull dimension comes from the leading-term ideal: the dimension is the
-largest variable subset meeting no basis leading-monomial support, which
-equals the variable count minus a minimum hitting set of those supports.
+Krull dimension comes from the leading-term ideal: it is the variable
+count minus the codimension of the ideal of the basis leading monomials
+(:func:`cmtensor.monomial.codimension`).
 Grade is computed by extending a regular sequence inside the ideal until
 the annihilator stop test fires: (stage : I) strictly above stage yields
 the witness a with a ∉ stage and I*a ⊆ stage, which certifies maximality.
@@ -21,8 +21,8 @@ least leading monomial.  Past a degree cap taken from the input, and for
 every other order or an inhomogeneous input, the colon ideal itself is
 computed, by those normal forms alone (see ``groebner.ideal_quotient``);
 the witness is the same polynomial either way.  When the stage is a
-monomial ideal and the r_i are single terms, the colon is a monomial ideal
-read off by gcds and lcms, and the witness is its grevlex-least minimal
+monomial ideal and the r_i are single terms, the colon is read off by
+:mod:`cmtensor.monomial`, and the witness is its grevlex-least minimal
 generator outside the stage.  The stop test is deterministic, so the
 random choice of nonzerodivisors can change certificates but never the
 grade (Las Vegas, not Monte Carlo).
@@ -38,29 +38,27 @@ Whether f is a nonzerodivisor modulo a stage is decided by Hilbert series
 when f and every stage generator are homogeneous (Bayer and Stillman,
 "Computation of Hilbert functions", 1992): for deg f = d >= 1 it is one
 exactly when HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come
-from the leading-monomial ideals by Bigatti's pivot recursion
-("Computation of Hilbert-Poincare series", 1997), and a stage's numerator
-is cached in the current memo scope.  Before either, a stage that is a
-monomial ideal and an f whose normal form is one term are decided by
-coprimality: f is a nonzerodivisor exactly when that term is coprime to
-every minimal generator of the stage.  Other inputs use the colon
-(stage : f).  Certificate validation checks every sequence element with a
-colon and the witness with normal forms, so it checks the coprimality and
-Hilbert tests and the linear-algebra stop test from a separate code path.
-It skips only what holds by construction of the raw generators: a
-sequence element that is a generator of I's lift lies in I, and the
-witness times a generator of the lift that is also a generator of the
-final stage lies in that stage.
+from the leading-monomial ideals (see :mod:`cmtensor.monomial`), and a
+stage's numerator is cached in the current memo scope.  Before either, a
+stage that is a monomial ideal and an f whose normal form is one term are
+decided by coprimality.  Other inputs use the colon (stage : f).
+Certificate validation checks every sequence element with a colon and the
+witness with normal forms, so it checks the coprimality and Hilbert tests
+and the linear-algebra stop test from a separate code path.  It skips only
+what holds by construction of the raw generators: a sequence element that
+is a generator of I's lift lies in I, and the witness times a generator of
+the lift that is also a generator of the final stage lies in that stage.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import sub
 
+from . import monomial
 from .algebra import AlgebraIdeal, AlgebraPresentation, require_proper
 from .errors import (
     CertificateError,
@@ -88,39 +86,13 @@ PERMUTATION_BOUND = 5
 # ---------------------------------------------------------------------------
 # Dimension
 
-def _min_hitting_set(sets: list) -> int:
-    """Minimum number of variables meeting every support set."""
-    work = []
-    for s in sorted(set(sets), key=len):
-        if not any(t <= s for t in work):
-            work.append(s)
-    best = len({x for s in work for x in s})
-
-    def descend(remaining, chosen):
-        nonlocal best
-        if chosen >= best:
-            return
-        if not remaining:
-            best = chosen
-            return
-        branch = min(remaining, key=len)
-        for x in sorted(branch):
-            descend([t for t in remaining if x not in t], chosen + 1)
-
-    descend(work, 0)
-    return best
-
-
 def _dim_from_basis(nvars: int, basis, order) -> int:
-    supports = []
+    leads = []
     for g in basis:
         if g.total_degree() == 0:
             raise ZeroRingError("presentation collapsed to the zero ring")
-        lm = g.leading_monomial(order)
-        supports.append(frozenset(i for i, e in enumerate(lm) if e))
-    if not supports:
-        return nvars
-    return nvars - _min_hitting_set(supports)
+        leads.append(g.leading_monomial(order))
+    return nvars - monomial.codimension(leads)
 
 
 def krull_dim(A: AlgebraPresentation) -> int:
@@ -142,63 +114,7 @@ def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert numerators
-
-def _plus_shifted(a, b, d: int, sign: int = 1) -> list:
-    """The coefficients of a + sign * t^d * b, trailing zeros dropped."""
-    out = list(a) + [0] * (d + len(b) - len(a))
-    for k, c in enumerate(b):
-        out[d + k] += sign * c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _minimal_monomials(monos) -> list:
-    """The minimal generators of the monomial ideal the monomials span."""
-    kept = []
-    for m in sorted(set(monos), key=sum):
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return kept
-
-
-def _hilbert_numerator(monos) -> list:
-    """N with HS(R/M) = N(t) / (1 - t)^n for the monomial ideal M = (monos).
-
-    Coefficients of t^0, t^1, ... with trailing zeros dropped; ``[]`` for
-    the unit ideal.  Bigatti's pivot recursion: for a pivot p = x_i^e with
-    p outside M, N(M) = N(M + (p)) + t^e N(M : p).  The pivot variable is
-    the one in most minimal generators, and e is the median exponent of
-    x_i over the generators that are not pure powers of it.  Every step
-    enlarges the ideal inside the finite set of ideals generated by
-    divisors of the lcm of the input, so the recursion ends; it stops at
-    pairwise coprime generators, where N is the product of (1 - t^deg).
-    """
-    gens = _minimal_monomials(monos)
-    if not gens:
-        return [1]
-    if not any(gens[0]):
-        return []
-    counts = [0] * len(gens[0])
-    for m in gens:
-        for i, e in enumerate(m):
-            if e:
-                counts[i] += 1
-    i = max(range(len(counts)), key=counts.__getitem__)
-    if counts[i] <= 1:
-        out = [1]
-        for m in gens:
-            out = _plus_shifted(out, out, sum(m), -1)
-        return out
-    # Two minimal generators share x_i and cannot both be pure powers of it,
-    # so a mixed one exists; its x_i exponent is below any pure power's.
-    exps = sorted(m[i] for m in gens if m[i] and sum(m) > m[i])
-    e = exps[len(exps) // 2]
-    pivot = tuple(e if j == i else 0 for j in range(len(counts)))
-    colon = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
-    return _plus_shifted(_hilbert_numerator(gens + [pivot]), _hilbert_numerator(colon), e)
-
+# Zerodivisors and regular sequences
 
 def _hilbert_numerator_of(J: IdealPresentation) -> tuple:
     """The Hilbert numerator of R/J, from J's leading monomials.
@@ -207,11 +123,8 @@ def _hilbert_numerator_of(J: IdealPresentation) -> tuple:
     candidate tested against it.
     """
     lms = frozenset(g.leading_monomial(J.order) for g in J.reduced_basis())
-    return scope_cached(("hilbert numerator", lms), lambda: tuple(_hilbert_numerator(lms)))
+    return scope_cached(("hilbert numerator", lms), lambda: tuple(monomial.hilbert_numerator(lms)))
 
-
-# ---------------------------------------------------------------------------
-# Zerodivisors and regular sequences
 
 def _colon(base: IdealPresentation, gens):
     other = IdealPresentation(base.ring, gens, base.order)
@@ -290,18 +203,11 @@ def _monomial_witness(ring, leads, survivors):
     when the colon is M.
 
     `leads` are the minimal generators of M and `survivors` monomials
-    outside it.  (M : t) is generated by the m / gcd(m, t) over the minimal
-    generators m, and an intersection of monomial ideals by the minimal
-    lcms, so the colon's minimal generators need no Groebner basis.  They
-    are its reduced basis, so the witness is the grevlex-least of them
-    outside M, with coefficient 1.
+    outside it.  The colon is the intersection of the (M : t), and its
+    minimal generators (:mod:`cmtensor.monomial`) are its reduced basis, so
+    the witness is the grevlex-least of them outside M, with coefficient 1.
     """
-    colon = None
-    for t in survivors:
-        part = _minimal_monomials([tuple(map(sub, m, map(min, m, t))) for m in leads])
-        if colon is not None:
-            part = _minimal_monomials([tuple(map(max, a, b)) for a in colon for b in part])
-        colon = part
+    colon = functools.reduce(monomial.intersection, (monomial.colon(leads, t) for t in survivors))
     outside = [q for q in colon if not any(mono_divides(l, q) for l in leads)]
     if not outside:
         return None
@@ -436,25 +342,23 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     caller, so its basis is computed once per scope.  Before that, when the
     stage is a monomial ideal (its reduced basis is single terms) and NF(f)
     is one term, f is a nonzerodivisor exactly when that term is coprime to
-    every basis monomial: (M : u) is generated by the m / gcd(m, u), and
-    one of them lies outside M when some minimal generator m meets u.
-    Otherwise the colon (stage : f) is compared with the stage.
+    every basis monomial (:func:`cmtensor.monomial.coprime`).  Otherwise
+    the colon (stage : f) is compared with the stage.
     """
     if not f.terms:
         # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
         return stage.contains_one()
     basis = stage.reduced_basis()
     if len(f.terms) == 1 and all(len(g.terms) == 1 for g in basis):
-        # a monomial modulo a monomial ideal: coprime to every minimal generator
         (m,) = f.terms
-        return not any(any(map(min, m, lm)) for g in basis for lm in g.terms)
+        return monomial.coprime(m, (lm for g in basis for lm in g.terms))
     if f.is_homogeneous() and all(g.is_homogeneous() for g in stage.generators):
         d = f.total_degree()
         if d == 0:
             return True  # a nonzero constant is a unit
         extended = IdealPresentation(stage.ring, stage.generators + (f,), stage.order)
         numerator = _hilbert_numerator_of(stage)
-        expected = _plus_shifted(numerator, numerator, d, -1)
+        expected = monomial._plus_shifted(numerator, numerator, d, -1)
         return _hilbert_numerator_of(extended) == tuple(expected)
     Q = _colon(stage, (f,))
     return _extension_witness(stage, Q) is None
@@ -549,7 +453,7 @@ def _monomial_grade(relations: IdealPresentation, I: AlgebraIdeal) -> tuple:
     be drawn.
     """
     ring = relations.ring
-    leads = _minimal_monomials([m for g in relations.generators for m in g.terms])
+    leads = monomial.minimal(m for g in relations.generators for m in g.terms)
     covered = {i for m in leads for i, e in enumerate(m) if e}
     terms = [(g, m) for g in I.gens for m in g.terms]
     sequence = []

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-import math
 import random
 
 import pytest
@@ -41,7 +39,6 @@ from cmtensor.errors import KernelError
 from cmtensor.invariants import (
     _colon_witness,
     _extension_witness,
-    _hilbert_numerator,
     _is_nzd_mod,
 )
 from cmtensor.polyring import DEGLEX, block_order
@@ -49,7 +46,6 @@ from conftest import random_poly
 from test_basis_memo import computed  # noqa: F401  (fixture)
 from oracles import (
     dim_subset_oracle,
-    monomials_up_to,
     reference_grade,
     reference_is_nzd,
     reference_quotient,
@@ -759,72 +755,6 @@ class TestMonomialGrade:
         I = AlgebraIdeal(A, gens)
         stage = IdealPresentation(ring, rels + _random_terms(rng, ring, rng.randint(0, 3)), order)
         assert _colon_witness(stage, I) == _colon_route(stage, I)
-
-
-def _series(numerator, nvars, degree):
-    """Coefficients of t^0..t^degree of numerator / (1 - t)^nvars."""
-    return [
-        sum(c * math.comb(d - k + nvars - 1, nvars - 1) for k, c in enumerate(numerator[: d + 1]))
-        for d in range(degree + 1)
-    ]
-
-
-def _order_at_one(numerator):
-    """The multiplicity of t = 1 as a root of the numerator."""
-    order, coeffs = 0, list(numerator)
-    while coeffs and not sum(coeffs):
-        # divide by (1 - t): the quotient's coefficients are partial sums
-        coeffs = list(itertools.accumulate(coeffs))[:-1]
-        order += 1
-    return order
-
-
-class TestHilbertNumerator:
-    """Bigatti's pivot recursion against standard monomials counted one by
-    one, and its pole order at t = 1 against the dimension oracles."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2**32))
-    def test_counts_standard_monomials(self, data_seed):
-        rng = random.Random(data_seed)
-        nvars = rng.randint(1, 4)
-        gens = [
-            tuple(rng.randint(0, 3) for _ in range(nvars))
-            for _ in range(rng.randint(0, 5))
-        ]
-        numerator = _hilbert_numerator(gens)
-        # deg N <= deg lcm(gens), so agreement up to one past it decides N
-        top = sum(max((m[i] for m in gens), default=0) for i in range(nvars)) + 1
-        counts = [0] * (top + 1)
-        for m in monomials_up_to(nvars, top):
-            if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
-                counts[sum(m)] += 1
-        assert _series(numerator, nvars, top) == counts
-        assert not numerator or numerator[-1]
-
-    def test_unit_and_zero_ideals(self):
-        assert _hilbert_numerator([(0, 0), (1, 2)]) == []
-        assert _hilbert_numerator([]) == [1]
-        assert _hilbert_numerator([(2, 0), (0, 3)]) == [1, 0, -1, -1, 0, 1]
-
-    def test_pole_order_is_the_dimension(self):
-        rng = random.Random(23)
-        checked = 0
-        for nvars in (1, 2, 3, 4, 5):
-            ring = PolyRing(tuple("abcde"[:nvars]), F)
-            for order in (GREVLEX, LEX):
-                for _ in range(4):
-                    gens = [
-                        random_poly(rng, ring, max_deg=2, max_terms=2, constant_free=True)
-                        for _ in range(rng.randint(0, 3))
-                    ]
-                    A = make_algebra(ring, gens, order)
-                    lms = [g.leading_monomial(order) for g in A.relations.reduced_basis()]
-                    pole = nvars - _order_at_one(_hilbert_numerator(lms))
-                    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
-                    assert pole == krull_dim(A) == dim_subset_oracle(nvars, supports)
-                    checked += 1
-        assert checked == 40
 
 
 class TestNonzerodivisorAgainstReference:
