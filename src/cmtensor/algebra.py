@@ -12,20 +12,22 @@ renaming is kept for reports.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import AmbientMismatchError, ImproperIdealError, KernelError, ZeroRingError
 from .groebner import IdealPresentation, eliminate, normal_form
 from .polyring import GREVLEX, MonomialOrder, Polynomial, PolyRing, map_variables, restrict_variables
 
 
-@dataclass(eq=False)
 class AlgebraPresentation:
-    """A nonzero algebra F_p[vars]/J; build through :func:`make_algebra`."""
+    """A nonzero algebra F_p[vars]/J; build through :func:`make_algebra`.
 
-    ring: PolyRing
-    relations: IdealPresentation
-    homogeneous: bool
+    Presentations compare by identity: an ideal belongs to one of them.
+    """
+
+    def __init__(self, ring: PolyRing, relations: IdealPresentation, homogeneous: bool):
+        self.ring = ring
+        self.relations = relations
+        self.homogeneous = homogeneous
 
     def describe(self) -> str:
         base = self.ring.describe()
@@ -50,13 +52,15 @@ def make_algebra(
     return AlgebraPresentation(ring, rels, homogeneous)
 
 
-@dataclass(eq=False)
 class TensorAlgebra(AlgebraPresentation):
     """A tensor presentation; remembers its factors and the renaming table."""
 
-    left: AlgebraPresentation = None
-    right: AlgebraPresentation = None
-    renaming: dict = field(default_factory=dict)
+    def __init__(self, ring: PolyRing, relations: IdealPresentation, homogeneous: bool,
+                 left: AlgebraPresentation, right: AlgebraPresentation, renaming: dict):
+        super().__init__(ring, relations, homogeneous)
+        self.left = left
+        self.right = right
+        self.renaming = renaming
 
     @property
     def left_positions(self) -> range:

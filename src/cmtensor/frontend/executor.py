@@ -12,7 +12,7 @@ enclosing limits.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..algebra import AlgebraIdeal, make_algebra, tensor
 from ..errors import KernelError, SessionError
@@ -52,8 +52,7 @@ def _in_ring(lit: Polynomial, ring: PolyRing) -> Polynomial:
     return map_variables(lit, ring, [ring.names.index(nm) for nm in lit.ring.names])
 
 
-@dataclass(frozen=True)
-class ExecConfig:
+class ExecConfig(NamedTuple):
     prime: int = DEFAULT_PRIME
     seed: int = 0
     step_budget: int | None = None

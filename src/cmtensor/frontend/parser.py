@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import ParseError
 from ..polyring import (
@@ -89,8 +89,7 @@ CHECK_SIGNATURES = {
 COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | op | eof
     text: str
     line: int
@@ -156,24 +155,21 @@ def tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
 
     def render(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(NamedTuple):
     value: bool
 
     def render(self) -> str:
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
-class CallExpr:
+class CallExpr(NamedTuple):
     fn: str
     args: tuple
 
@@ -181,30 +177,42 @@ class CallExpr:
         return f"{self.fn}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class NameArg:
+class NameArg(NamedTuple):
     name: str
 
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class PolysArg:
+class PolysArg(NamedTuple):
     polys: tuple
 
     def render(self) -> str:
         return "(" + ", ".join(p.render(DEGLEX) for p in self.polys) + ")"
 
 
-@dataclass
-class RingDecl:
-    name: str
-    kind: str  # poly | tensor
-    vars: tuple = ()
-    relations: tuple = ()
-    factors: tuple = ()
-    pos: tuple = field(default=(0, 0), compare=False)
+class _Statement:
+    """Statements of one class are equal when every field but `pos`, the
+    source position, is equal.  Expressions are compared with their class,
+    since as tuples ``IntLit(1) == BoolLit(True)``."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+
+class RingDecl(_Statement):
+    def __init__(self, name, kind, vars=(), relations=(), factors=(), pos=(0, 0)):
+        self.name = name
+        self.kind = kind  # poly | tensor
+        self.vars = vars
+        self.relations = relations
+        self.factors = factors
+        self.pos = pos
+
+    def _compared(self) -> tuple:
+        return (self.name, self.kind, self.vars, self.relations, self.factors)
 
     def render(self) -> str:
         if self.kind == "tensor":
@@ -215,49 +223,60 @@ class RingDecl:
         return body
 
 
-@dataclass
-class IdealDecl:
-    name: str
-    owner: str
-    gens: tuple = ()
-    pos: tuple = field(default=(0, 0), compare=False)
+class IdealDecl(_Statement):
+    def __init__(self, name, owner, gens=(), pos=(0, 0)):
+        self.name = name
+        self.owner = owner
+        self.gens = gens
+        self.pos = pos
+
+    def _compared(self) -> tuple:
+        return (self.name, self.owner, self.gens)
 
     def render(self) -> str:
         return f"ideal {self.name} = {self.owner}:{PolysArg(self.gens).render()}"
 
 
-@dataclass
-class AssertStmt:
-    lhs: object
-    op: str
-    rhs: object
-    pos: tuple = field(default=(0, 0), compare=False)
+class AssertStmt(_Statement):
+    def __init__(self, lhs, op, rhs, pos=(0, 0)):
+        self.lhs = lhs
+        self.op = op
+        self.rhs = rhs
+        self.pos = pos
+
+    def _compared(self) -> tuple:
+        return (type(self.lhs), self.lhs, self.op, type(self.rhs), self.rhs)
 
     def render(self) -> str:
         return f"assert {self.lhs.render()} {self.op} {self.rhs.render()}"
 
 
-@dataclass
-class CheckStmt:
-    check_id: str
-    args: tuple = ()
-    pos: tuple = field(default=(0, 0), compare=False)
+class CheckStmt(_Statement):
+    def __init__(self, check_id, args=(), pos=(0, 0)):
+        self.check_id = check_id
+        self.args = args
+        self.pos = pos
+
+    def _compared(self) -> tuple:
+        return (self.check_id, self.args)
 
     def render(self) -> str:
         return f"check {self.check_id}(" + ", ".join(a.render() for a in self.args) + ")"
 
 
-@dataclass
-class ComputeStmt:
-    expr: object
-    pos: tuple = field(default=(0, 0), compare=False)
+class ComputeStmt(_Statement):
+    def __init__(self, expr, pos=(0, 0)):
+        self.expr = expr
+        self.pos = pos
+
+    def _compared(self) -> tuple:
+        return (type(self.expr), self.expr)
 
     def render(self) -> str:
         return f"compute {self.expr.render()}"
 
 
-@dataclass
-class Session:
+class Session(NamedTuple):
     prime: int
     statements: tuple = ()
 

@@ -8,22 +8,34 @@ timing fields are the one exclusion and can be dropped for comparisons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 VERSION = "0.1.0"
 
 
-@dataclass
 class CommandResult:
-    command: str
-    status: str  # ok | pass | fail | skipped | error
-    lhs: object = None
-    rhs: object = None
-    certificates: tuple = ()
-    assumptions: tuple = ()
-    error: str | None = None
-    detail: str = ""
-    ms: float = field(default=0.0, compare=False)
+    """One statement's result; `ms`, its run time, is left out of ``==``."""
+
+    def __init__(self, command: str, status: str, lhs=None, rhs=None, certificates: tuple = (),
+                 assumptions: tuple = (), error: str | None = None, detail: str = "", ms: float = 0.0):
+        self.command = command
+        self.status = status  # ok | pass | fail | skipped | error
+        self.lhs = lhs
+        self.rhs = rhs
+        self.certificates = certificates
+        self.assumptions = assumptions
+        self.error = error
+        self.detail = detail
+        self.ms = ms
+
+    def _compared(self) -> tuple:
+        return (self.command, self.status, self.lhs, self.rhs, self.certificates,
+                self.assumptions, self.error, self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -55,8 +67,7 @@ class CommandResult:
         )
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     prime: int
     seed: int
     results: tuple = ()

@@ -56,7 +56,7 @@ import functools
 import itertools
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import monomial
 from .algebra import AlgebraIdeal, AlgebraPresentation, require_proper
@@ -394,8 +394,7 @@ def is_permutable_regular_sequence(
 # ---------------------------------------------------------------------------
 # Grade
 
-@dataclass(frozen=True)
-class GradeCertificate:
+class GradeCertificate(NamedTuple):
     """A maximal regular sequence in the ideal plus the annihilator witness.
 
     `stage_ideals` is the generator chain: relations, then relations plus
@@ -594,8 +593,7 @@ def validate_grade_certificate(
 # ---------------------------------------------------------------------------
 # Cohen-Macaulay
 
-@dataclass(frozen=True)
-class CmVerdict:
+class CmVerdict(NamedTuple):
     """Dimension versus depth at the irrelevant maximal ideal."""
 
     algebra: AlgebraPresentation

@@ -6,7 +6,9 @@ reduced into ``[0, p)``.  Monomial orders are total, multiplicative, and
 have 1 as minimum; the block order puts every monomial containing a front
 variable above every monomial without one, which is what elimination
 needs.  All values are immutable after construction and safe to share
-between threads.
+between threads: `PrimeField`, `MonomialOrder` and `PolyRing` set their
+slots once, in ``__init__``, and refuse assignment; no code writes a
+`Polynomial`'s ring or terms after construction.
 
 A polynomial remembers its leading term for the order it was last asked
 about, so repeated ``leading_term``/``leading_monomial``/``monic`` calls
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from operator import add, le, neg
 
 from .errors import AmbientMismatchError, ZeroPolynomialError
@@ -59,20 +60,62 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value, equal to and hashed as the tuple of its fields.
+
+    Each subclass sets its fields in ``__init__``, then calls `_freeze` with
+    them in the order of its ``__slots__``, which is that of its parameters
+    (``__repr__`` and ``__reduce__`` rely on it).  The types are dict and
+    ``lru_cache`` keys, so their hash is computed once and assignment raises.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def _freeze(self, *key) -> None:
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self.__class__, self._key
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class PrimeField(_Value):
     """The coefficient field F_p, for a prime p below ``MODULUS_BOUND``."""
 
-    p: int = DEFAULT_PRIME
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p >= MODULUS_BOUND:
+    def __init__(self, p: int = DEFAULT_PRIME):
+        if p >= MODULUS_BOUND:
             raise ValueError(
-                f"modulus {self.p} is too large: primality is checked exactly "
+                f"modulus {p} is too large: primality is checked exactly "
                 f"only below {MODULUS_BOUND}"
             )
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        if not _is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        _set(self, "p", p)
+        self._freeze(p)
 
     def normalize(self, a: int) -> int:
         return a % self.p
@@ -101,8 +144,7 @@ def _rest_indices(front: tuple, n: int) -> tuple:
     return tuple(i for i in range(n) if i not in fs)
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_Value):
     """A global monomial order: ``lex``, ``grevlex``, ``deglex``, or a block order.
 
     ``deglex`` compares total degree first and breaks ties by ``lex``.  The
@@ -111,14 +153,16 @@ class MonomialOrder:
     monomial touching a front variable exceeds any monomial that does not.
     """
 
-    kind: str
-    front: tuple = ()
+    __slots__ = ("kind", "front")
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "deglex", "block"):
-            raise ValueError(f"unknown monomial order kind {self.kind!r}")
-        if self.kind == "block" and not self.front:
+    def __init__(self, kind: str, front: tuple = ()):
+        if kind not in ("lex", "grevlex", "deglex", "block"):
+            raise ValueError(f"unknown monomial order kind {kind!r}")
+        if kind == "block" and not front:
             raise ValueError("block order needs at least one front position")
+        _set(self, "kind", kind)
+        _set(self, "front", front)
+        self._freeze(kind, front)
 
     def key(self, m: Monomial):
         """Sort key: larger key means larger monomial."""
@@ -157,25 +201,25 @@ def block_order(front: Iterable[int]) -> MonomialOrder:
     return MonomialOrder("block", tuple(sorted(set(front))))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(_Value):
     """An ambient variable set over a prime field.
 
     Polynomial values never migrate between ambients implicitly; use
     :func:`map_variables` / :func:`restrict_variables` for explicit moves.
     """
 
-    names: tuple
-    field: PrimeField = PrimeField()
+    __slots__ = ("names", "field")
 
-    def __post_init__(self):
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str], field: PrimeField = PrimeField()):
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
         for nm in names:
             if not isinstance(nm, str) or not nm:
                 raise ValueError(f"bad variable name {nm!r}")
+        _set(self, "names", names)
+        _set(self, "field", field)
+        self._freeze(names, field)
 
     @property
     def nvars(self) -> int:

@@ -19,7 +19,7 @@ Each check, and ``run_all_checks``, runs in one basis memo scope (see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraIdeal,
@@ -47,8 +47,7 @@ from .invariants import (
 )
 from .polyring import PolyRing, PrimeField
 
-@dataclass
-class GradeEvidence:
+class GradeEvidence(NamedTuple):
     """One grade certificate together with what it certifies."""
 
     label: str
@@ -63,8 +62,7 @@ class GradeEvidence:
         return {"label": self.label, **self.certificate.to_dict()}
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """One identity instantiated on concrete inputs."""
 
     check_id: str
@@ -351,8 +349,7 @@ LEFT_POOL = ("x", "y", "z", "w")
 RIGHT_POOL = ("u", "v", "s", "t")
 
 
-@dataclass
-class CorpusInstance:
+class CorpusInstance(NamedTuple):
     """One test pair with its ideals, optional prime, and optional sequences."""
 
     tag: str

@@ -2,11 +2,16 @@
 
 The kernel uses the standard library alone, and :mod:`cmtensor.monomial`
 is a leaf that depends on no part of the package but ``polyring``.
+
+No module imports :mod:`dataclasses`: it loads ``inspect``, ``ast`` and
+``dis`` and builds each class's methods with ``exec``, which made up about
+half of the time ``cmtensor run`` took to start.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +45,26 @@ def test_absolute_imports_are_standard_library(path):
             assert name.split(".")[0] in sys.stdlib_module_names, (
                 f"{path.name}:{node.lineno} imports {name}"
             )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_dataclasses(path):
+    for node in _imports(path):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_the_cli_loads_no_introspection_modules():
+    # -S keeps the modules that the host's site imports out of the result.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cmtensor.frontend.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_monomial_depends_only_on_polyring():
