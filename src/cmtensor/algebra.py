@@ -183,11 +183,12 @@ def quotient_algebra(A: AlgebraPresentation, I: AlgebraIdeal) -> AlgebraPresenta
     return AlgebraPresentation(A.ring, rels, homogeneous)
 
 
-def _side_positions(T: TensorAlgebra, side: str) -> range:
+def _side(T: TensorAlgebra, side: str) -> tuple:
+    """The factor on `side` of T and the positions of its variables in T."""
     if side == "left":
-        return T.left_positions
+        return T.left, T.left_positions
     if side == "right":
-        return T.right_positions
+        return T.right, T.right_positions
     raise KernelError(f"side must be 'left' or 'right', not {side!r}")
 
 
@@ -195,12 +196,9 @@ def embed_ideal(I: AlgebraIdeal, T: TensorAlgebra, side: str) -> AlgebraIdeal:
     """The extension of I along the factor inclusion into the tensor."""
     if not isinstance(T, TensorAlgebra):
         raise KernelError("embedding target is not a tensor presentation")
-    factor = T.left if side == "left" else T.right if side == "right" else None
-    if factor is None:
-        raise KernelError(f"side must be 'left' or 'right', not {side!r}")
+    factor, pos = _side(T, side)
     if I.owner is not factor:
         raise KernelError(f"ideal of {I.owner.describe()} is not a {side} ideal of this tensor")
-    pos = _side_positions(T, side)
     gens = [map_variables(g, T.ring, pos) for g in I.gens]
     return AlgebraIdeal(T, gens)
 
@@ -232,13 +230,9 @@ def contract(P: AlgebraIdeal, side: str) -> AlgebraIdeal:
     T = P.owner
     if not isinstance(T, TensorAlgebra):
         raise KernelError("contraction needs an ideal of a tensor presentation")
-    factor = T.left if side == "left" else T.right if side == "right" else None
-    if factor is None:
-        raise KernelError(f"side must be 'left' or 'right', not {side!r}")
-    other = _side_positions(T, "right" if side == "left" else "left")
-    front = [T.ring.names[i] for i in other]
-    elim = eliminate(P.lift, front)
-    pos = list(_side_positions(T, side))
+    factor, pos = _side(T, side)
+    others = [name for i, name in enumerate(T.ring.names) if i not in pos]
+    elim = eliminate(P.lift, others)
     restricted = [restrict_variables(g, factor.ring, pos) for g in elim.generators]
     rel_basis = factor.relations.reduced_basis()
     order = factor.relations.order

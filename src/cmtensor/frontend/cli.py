@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from ..errors import KernelError, ParseError
 from ..groebner import NZD_RETRY_CAP, limits
@@ -49,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(args.file, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cmtensor: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -60,7 +60,6 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     config = ExecConfig(
-        prime=args.prime,
         seed=args.seed,
         step_budget=args.gb_step_budget,
         nzd_retries=args.nzd_retries,

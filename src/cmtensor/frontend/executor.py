@@ -2,8 +2,9 @@
 
 Statements run in source order; assert failures mark the report failed
 but never abort the run, and kernel errors are captured per statement.
-Seeds for the randomized searches are derived as the configured seed plus
-the statement index, so a fixed (session, prime, seed) is reproducible.
+Statements run over the prime the session was parsed with.  Seeds for the
+randomized searches are derived as the configured seed plus the statement
+index, so a fixed (session, prime, seed) is reproducible.
 The configured limits bound every statement through one
 :func:`cmtensor.groebner.limits` scope around the run; ``None`` keeps the
 enclosing limits.
@@ -18,7 +19,7 @@ from ..algebra import AlgebraIdeal, make_algebra, tensor
 from ..errors import KernelError, SessionError
 from ..groebner import limits
 from ..invariants import dim_quotient, grade, height, is_cohen_macaulay, krull_dim
-from ..polyring import DEFAULT_PRIME, Polynomial, PolyRing, PrimeField, map_variables
+from ..polyring import Polynomial, PolyRing, PrimeField, map_variables
 from .. import theorems
 from .parser import (
     CHECK_SIGNATURES,
@@ -53,16 +54,15 @@ def _in_ring(lit: Polynomial, ring: PolyRing) -> Polynomial:
 
 
 class ExecConfig(NamedTuple):
-    prime: int = DEFAULT_PRIME
     seed: int = 0
     step_budget: int | None = None
     nzd_retries: int | None = None
 
 
 class _Runner:
-    def __init__(self, config: ExecConfig):
+    def __init__(self, config: ExecConfig, prime: int):
         self.config = config
-        self.field = PrimeField(config.prime)
+        self.field = PrimeField(prime)
         self.rings = {}
         self.ideals = {}
 
@@ -180,12 +180,8 @@ class _Runner:
 
 def execute(session: Session, config: ExecConfig | None = None) -> RunReport:
     """Run a parsed session and collect per-statement results."""
-    config = config or ExecConfig(prime=session.prime)
-    if config.prime != session.prime:
-        raise SessionError(
-            f"session parsed with prime {session.prime} but executed with {config.prime}"
-        )
-    runner = _Runner(config)
+    config = config or ExecConfig()
+    runner = _Runner(config, session.prime)
     results = []
     with limits(config.step_budget, config.nzd_retries):
         for index, stmt in enumerate(session.statements):
@@ -196,4 +192,4 @@ def execute(session: Session, config: ExecConfig | None = None) -> RunReport:
                 res = CommandResult(command=stmt.render(), status="error", error=str(exc))
             res.ms = (time.perf_counter() - started) * 1000.0
             results.append(res)
-    return RunReport(prime=config.prime, seed=config.seed, results=tuple(results))
+    return RunReport(prime=session.prime, seed=config.seed, results=tuple(results))

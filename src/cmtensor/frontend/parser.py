@@ -124,9 +124,9 @@ def tokenize(text: str) -> list:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             if j < n and (text[j].isalpha() or text[j] == "_"):
                 raise ParseError(

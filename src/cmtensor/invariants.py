@@ -358,7 +358,7 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
             return True  # a nonzero constant is a unit
         extended = IdealPresentation(stage.ring, stage.generators + (f,), stage.order)
         numerator = _hilbert_numerator_of(stage)
-        expected = monomial._plus_shifted(numerator, numerator, d, -1)
+        expected = monomial.plus_shifted(numerator, numerator, d, -1)
         return _hilbert_numerator_of(extended) == tuple(expected)
     Q = _colon(stage, (f,))
     return _extension_witness(stage, Q) is None
@@ -378,15 +378,11 @@ def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bo
 
 
 @memo_scoped
-def is_permutable_regular_sequence(
-    A: AlgebraPresentation,
-    seq: Sequence[Polynomial],
-    bound: int = PERMUTATION_BOUND,
-) -> bool:
-    """Regularity under every permutation; lengths past `bound` are refused."""
-    if len(seq) > bound:
+def is_permutable_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bool:
+    """Regularity under every permutation; lengths past PERMUTATION_BOUND are refused."""
+    if len(seq) > PERMUTATION_BOUND:
         raise PermutationBoundExceeded(
-            f"sequence of length {len(seq)} exceeds the permutation bound {bound}"
+            f"sequence of length {len(seq)} exceeds the permutation bound {PERMUTATION_BOUND}"
         )
     return all(is_regular_sequence(A, perm) for perm in itertools.permutations(seq))
 

@@ -13,6 +13,9 @@ basis under every order, each with coefficient 1.  The identities used
   but not in M);
 - HS(R/M) = N(t) / (1 - t)^n, with N from Bigatti's pivot recursion;
 - dim R/M is n minus the fewest variables meeting every generator's support.
+
+Coefficient lists in t, such as Hilbert numerators, combine by
+:func:`plus_shifted`: a + sign * t^d * b.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def coprime(u, gens) -> bool:
     return not any(any(map(min, u, m)) for m in gens)
 
 
-def _plus_shifted(a, b, d: int, sign: int = 1) -> list:
+def plus_shifted(a, b, d: int, sign: int = 1) -> list:
     """The coefficients of a + sign * t^d * b, trailing zeros dropped."""
     out = list(a) + [0] * (d + len(b) - len(a))
     for k, c in enumerate(b):
@@ -85,7 +88,7 @@ def hilbert_numerator(monos) -> list:
     if counts[i] <= 1:
         out = [1]
         for m in gens:
-            out = _plus_shifted(out, out, sum(m), -1)
+            out = plus_shifted(out, out, sum(m), -1)
         return out
     # Two minimal generators share x_i and cannot both be pure powers of it,
     # so a mixed one exists; its x_i exponent is below any pure power's.
@@ -93,7 +96,7 @@ def hilbert_numerator(monos) -> list:
     e = exps[len(exps) // 2]
     pivot = tuple(e if j == i else 0 for j in range(len(counts)))
     quotient = [m[:i] + (max(m[i] - e, 0),) + m[i + 1:] for m in gens]
-    return _plus_shifted(hilbert_numerator(gens + [pivot]), hilbert_numerator(quotient), e)
+    return plus_shifted(hilbert_numerator(gens + [pivot]), hilbert_numerator(quotient), e)
 
 
 def codimension(monos) -> int:

@@ -119,6 +119,46 @@ def _own_ideal(I: AlgebraIdeal, A: AlgebraPresentation, name: str):
         raise KernelError(f"{name} is not an ideal of the given algebra")
 
 
+def _tensor_grade_check(check_id, A, B, ideals, seed, label, ideal_of, combine, nonzero=False):
+    """Theorem 1.1: the grade of `ideal_of(*ideals, T)` in T = A ⊗ B against
+    `combine` of the grades of I in A (and of J in B).
+
+    `ideals` is (I,) or (I, J).  Every ideal must be proper and, when
+    `nonzero`, also nonzero; I's clause is tested before J's.
+    """
+    named = tuple(zip(("I", "J"), ideals, (A, B)))
+    inputs = {"A": A.describe(), "B": B.describe()}
+    for name, ideal, owner in named:
+        _own_ideal(ideal, owner, name)
+        inputs[name] = ideal.describe()
+    for name, ideal, _ in named:
+        if not ideal.is_proper():
+            return _skipped(check_id, inputs, f"{name} must be proper")
+    if nonzero:
+        for name, ideal, _ in named:
+            if ideal.is_zero():
+                return _skipped(check_id, inputs, f"{name} must be nonzero")
+    T = tensor(A, B)
+    inputs["T"] = T.describe()
+    lhs_ideal = ideal_of(*ideals, T)
+    lhs = grade(T, lhs_ideal, seed)
+    rhs = [grade(owner, ideal, seed) for _, ideal, owner in named]
+    sides = ("ideal in the factor",) if len(ideals) == 1 else ("left factor", "right factor")
+    return _verdict(
+        check_id,
+        inputs,
+        lhs.grade,
+        combine([r.grade for r in rhs]),
+        certificates=(
+            GradeEvidence(f"lhs: {label}", T, lhs_ideal, lhs),
+            *(
+                GradeEvidence(f"rhs: {side}", owner, ideal, r)
+                for side, (_, ideal, owner), r in zip(sides, named, rhs)
+            ),
+        ),
+    )
+
+
 @memo_scoped
 def check_thm_1_1_a(
     A: AlgebraPresentation,
@@ -127,24 +167,10 @@ def check_thm_1_1_a(
     seed: int = 0,
 ) -> TheoremReport:
     """Grade of the left-extended ideal equals the grade of the ideal."""
-    _own_ideal(I, A, "I")
-    inputs = {"A": A.describe(), "B": B.describe(), "I": I.describe()}
-    if not I.is_proper():
-        return _skipped("thm_1_1_a", inputs, "I must be proper")
-    T = tensor(A, B)
-    inputs["T"] = T.describe()
-    lhs_ideal = embed_ideal(I, T, "left")
-    lhs = grade(T, lhs_ideal, seed)
-    rhs = grade(A, I, seed)
-    return _verdict(
-        "thm_1_1_a",
-        inputs,
-        lhs.grade,
-        rhs.grade,
-        certificates=(
-            GradeEvidence("lhs: extended ideal", T, lhs_ideal, lhs),
-            GradeEvidence("rhs: ideal in the factor", A, I, rhs),
-        ),
+    return _tensor_grade_check(
+        "thm_1_1_a", A, B, (I,), seed, "extended ideal",
+        ideal_of=lambda I, T: embed_ideal(I, T, "left"),
+        combine=lambda grades: grades[0],
     )
 
 
@@ -153,29 +179,8 @@ def check_thm_1_1_b(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
 ) -> TheoremReport:
     """Grade of the joined ideal equals the sum of the factor grades."""
-    _own_ideal(I, A, "I")
-    _own_ideal(J, B, "J")
-    inputs = {"A": A.describe(), "B": B.describe(), "I": I.describe(), "J": J.describe()}
-    if not I.is_proper():
-        return _skipped("thm_1_1_b", inputs, "I must be proper")
-    if not J.is_proper():
-        return _skipped("thm_1_1_b", inputs, "J must be proper")
-    T = tensor(A, B)
-    inputs["T"] = T.describe()
-    joined = joined_ideal(I, J, T)
-    lhs = grade(T, joined, seed)
-    ra = grade(A, I, seed)
-    rb = grade(B, J, seed)
-    return _verdict(
-        "thm_1_1_b",
-        inputs,
-        lhs.grade,
-        ra.grade + rb.grade,
-        certificates=(
-            GradeEvidence("lhs: joined ideal", T, joined, lhs),
-            GradeEvidence("rhs: left factor", A, I, ra),
-            GradeEvidence("rhs: right factor", B, J, rb),
-        ),
+    return _tensor_grade_check(
+        "thm_1_1_b", A, B, (I, J), seed, "joined ideal", ideal_of=joined_ideal, combine=sum,
     )
 
 
@@ -184,33 +189,9 @@ def check_thm_1_1_c(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
 ) -> TheoremReport:
     """Grade of the product ideal equals the minimum of the factor grades."""
-    _own_ideal(I, A, "I")
-    _own_ideal(J, B, "J")
-    inputs = {"A": A.describe(), "B": B.describe(), "I": I.describe(), "J": J.describe()}
-    if not I.is_proper():
-        return _skipped("thm_1_1_c", inputs, "I must be proper")
-    if not J.is_proper():
-        return _skipped("thm_1_1_c", inputs, "J must be proper")
-    if I.is_zero():
-        return _skipped("thm_1_1_c", inputs, "I must be nonzero")
-    if J.is_zero():
-        return _skipped("thm_1_1_c", inputs, "J must be nonzero")
-    T = tensor(A, B)
-    inputs["T"] = T.describe()
-    prod = product_ideal(I, J, T)
-    lhs = grade(T, prod, seed)
-    ra = grade(A, I, seed)
-    rb = grade(B, J, seed)
-    return _verdict(
-        "thm_1_1_c",
-        inputs,
-        lhs.grade,
-        min(ra.grade, rb.grade),
-        certificates=(
-            GradeEvidence("lhs: product ideal", T, prod, lhs),
-            GradeEvidence("rhs: left factor", A, I, ra),
-            GradeEvidence("rhs: right factor", B, J, rb),
-        ),
+    return _tensor_grade_check(
+        "thm_1_1_c", A, B, (I, J), seed, "product ideal",
+        ideal_of=product_ideal, combine=min, nonzero=True,
     )
 
 
@@ -231,28 +212,37 @@ def check_lemma_1_2(A, B, xs, ys, seed: int = 0) -> TheoremReport:
         return _skipped("lemma_1_2", inputs, "ys is not a permutable sequence of B")
     T = tensor(A, B)
     inputs["T"] = T.describe()
-    products = [
-        embed_ideal(AlgebraIdeal(A, (x,)), T, "left").gens[0]
-        * embed_ideal(AlgebraIdeal(B, (y,)), T, "right").gens[0]
-        for x, y in zip(xs, ys)
-    ]
-    lhs = is_permutable_regular_sequence(T, products)
+    # a regular sequence has no zero entry, so no generator is dropped
+    left = embed_ideal(AlgebraIdeal(A, xs), T, "left").gens
+    right = embed_ideal(AlgebraIdeal(B, ys), T, "right").gens
+    lhs = is_permutable_regular_sequence(T, [f * g for f, g in zip(left, right)])
     return _verdict("lemma_1_2", inputs, lhs, True)
+
+
+def _contractions(check_id, T, P):
+    """The prelude of the checks on a prime P of a tensor T: the inputs and
+    the contractions p = P ∩ A and q = P ∩ B, or the skip report when P is
+    improper."""
+    if not isinstance(T, TensorAlgebra):
+        raise KernelError(f"{check_id} needs a tensor presentation")
+    _own_ideal(P, T, "P")
+    inputs = {"T": T.describe(), "P": P.describe()}
+    if not P.is_proper():
+        return _skipped(check_id, inputs, "P must be proper")
+    p = contract(P, "left")
+    q = contract(P, "right")
+    inputs["p"] = p.describe()
+    inputs["q"] = q.describe()
+    return inputs, p, q
 
 
 @memo_scoped
 def check_prop_2_3_a(T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0) -> TheoremReport:
     """Height additivity across the two contractions and the quotient."""
-    if not isinstance(T, TensorAlgebra):
-        raise KernelError("prop_2_3_a needs a tensor presentation")
-    _own_ideal(P, T, "P")
-    inputs = {"T": T.describe(), "P": P.describe()}
-    if not P.is_proper():
-        return _skipped("prop_2_3_a", inputs, "P must be proper")
-    p = contract(P, "left")
-    q = contract(P, "right")
-    inputs["p"] = p.describe()
-    inputs["q"] = q.describe()
+    head = _contractions("prop_2_3_a", T, P)
+    if isinstance(head, TheoremReport):
+        return head
+    inputs, p, q = head
     U = quotient_algebra(T, joined_ideal(p, q, T))
     P_in_U = AlgebraIdeal(U, P.gens)
     lhs = height(T, P)
@@ -295,16 +285,10 @@ def check_thm_2_1(A, B, seed: int = 0) -> TheoremReport:
 @memo_scoped
 def check_remark_2_5(T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0) -> TheoremReport:
     """Grade additivity when both contractions are cut out by regular sequences."""
-    if not isinstance(T, TensorAlgebra):
-        raise KernelError("remark_2_5 needs a tensor presentation")
-    _own_ideal(P, T, "P")
-    inputs = {"T": T.describe(), "P": P.describe()}
-    if not P.is_proper():
-        return _skipped("remark_2_5", inputs, "P must be proper")
-    p = contract(P, "left")
-    q = contract(P, "right")
-    inputs["p"] = p.describe()
-    inputs["q"] = q.describe()
+    head = _contractions("remark_2_5", T, P)
+    if isinstance(head, TheoremReport):
+        return head
+    inputs, p, q = head
     if not is_regular_sequence(T.left, p.gens):
         return _skipped("remark_2_5", inputs, "p is not generated by a regular sequence")
     if not is_regular_sequence(T.right, q.gens):
@@ -421,15 +405,11 @@ def _random_ideal(rng, A: AlgebraPresentation) -> AlgebraIdeal:
     n = ring.nvars
     for _ in range(8):
         style = rng.randrange(4)
-        if style == 0:
-            size = rng.randint(1, n)
-            picks = rng.sample(range(n), size)
-            cand = AlgebraIdeal(A, tuple(gens[i] for i in sorted(picks)))
-        elif style == 1:
-            size = rng.randint(1, n)
-            picks = rng.sample(range(n), size)
+        if style < 2:
+            # some variables, in style 1 each to a random power
+            picks = sorted(rng.sample(range(n), rng.randint(1, n)))
             cand = AlgebraIdeal(
-                A, tuple(gens[i] ** rng.randint(1, 2) for i in sorted(picks))
+                A, tuple(gens[i] ** rng.randint(1, 2) if style else gens[i] for i in picks)
             )
         elif style == 2 and n >= 3:
             i, j, k = rng.sample(range(n), 3)
@@ -478,6 +458,19 @@ def _prime_in(rng, T: TensorAlgebra) -> AlgebraIdeal:
 
 def _labels_for(side: str, labels) -> tuple:
     return tuple(f"{side}:{lbl}" for lbl in labels)
+
+
+# (left factor, right factor, alternative right factor): with an
+# alternative, one fair draw picks the right factor.  The kinds cycle in
+# this order, and only the first three get permutable sequences.
+_KINDS = (
+    (_poly_factor, _poly_factor, None),
+    (_poly_factor, _poly_factor, None),
+    (_ci_factor, _poly_factor, _ci_factor),
+    (_artinian_factor, _poly_factor, _artinian_factor),
+    (_noncm_factor, _poly_factor, None),
+    (_noncm_factor, _artinian_factor, _noncm_factor),
+)
 
 
 def _fixed_instances(field) -> list:
@@ -536,35 +529,13 @@ def generate_corpus(seed: int, size_budget: int, field: PrimeField = PrimeField(
     instances = _fixed_instances(field)
     idx = 0
     while len(instances) < size_budget:
-        kind = idx % 6
+        kind = idx % len(_KINDS)
         idx += 1
-        if kind in (0, 1):
-            A, la = _poly_factor(rng, LEFT_POOL, field)
-            B, lb = _poly_factor(rng, RIGHT_POOL, field)
-        elif kind == 2:
-            A, la = _ci_factor(rng, LEFT_POOL, field)
-            B, lb = (
-                _poly_factor(rng, RIGHT_POOL, field)
-                if rng.random() < 0.5
-                else _ci_factor(rng, RIGHT_POOL, field)
-            )
-        elif kind == 3:
-            A, la = _artinian_factor(rng, LEFT_POOL, field)
-            B, lb = (
-                _poly_factor(rng, RIGHT_POOL, field)
-                if rng.random() < 0.5
-                else _artinian_factor(rng, RIGHT_POOL, field)
-            )
-        elif kind == 4:
-            A, la = _noncm_factor(rng, LEFT_POOL, field)
-            B, lb = _poly_factor(rng, RIGHT_POOL, field)
-        else:
-            A, la = _noncm_factor(rng, LEFT_POOL, field)
-            B, lb = (
-                _artinian_factor(rng, RIGHT_POOL, field)
-                if rng.random() < 0.5
-                else _noncm_factor(rng, RIGHT_POOL, field)
-            )
+        left, right, alternative = _KINDS[kind]
+        A, la = left(rng, LEFT_POOL, field)
+        if alternative is not None and rng.random() >= 0.5:
+            right = alternative
+        B, lb = right(rng, RIGHT_POOL, field)
         # label self-check: CM-labeled algebras must verify as CM, and the
         # non-CM family must not.
         for alg, labels in ((A, la), (B, lb)):

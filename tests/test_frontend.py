@@ -64,6 +64,13 @@ class TestTokenizer:
         with pytest.raises(ParseError):
             tokenize("2x")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+    def test_numbers_are_ascii_digits(self, digit):
+        with pytest.raises(ParseError) as err:
+            parse_session(f"ring A = poly(x) / (x^{digit});")
+        assert err.value.message == f"unexpected character {digit!r}"
+        assert err.value.column == 23
+
 
 class TestParser:
     def test_ring_declaration(self):
@@ -260,9 +267,8 @@ class TestParser:
 
 
 class TestExecutor:
-    def run(self, text, **cfg):
-        ast = parse_session(text, cfg.get("prime", 32003))
-        return execute(ast, ExecConfig(**cfg))
+    def run(self, text, prime=32003, **cfg):
+        return execute(parse_session(text, prime), ExecConfig(**cfg))
 
     def test_non_cm_session(self):
         rep = self.run(
@@ -350,13 +356,6 @@ class TestExecutor:
         j1 = execute(ast, ExecConfig(seed=9)).to_json(include_timing=False)
         j2 = execute(ast, ExecConfig(seed=9)).to_json(include_timing=False)
         assert j1 == j2
-
-    def test_prime_config_mismatch_rejected(self):
-        from cmtensor import SessionError
-
-        ast = parse_session("ring A = poly(x);", prime=7)
-        with pytest.raises(SessionError):
-            execute(ast, ExecConfig(prime=11))
 
     def test_dim_of_quotient_expression(self):
         rep = self.run(
@@ -530,6 +529,13 @@ class TestCli:
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/q.cmt"]) == 2
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.cmt"
+        path.write_bytes(b"ring A = poly(x);\xff\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cmtensor: cannot read {path}: ") and "utf-8" in err
 
     def test_prime_flag(self, tmp_path, capsys):
         path = self.write(tmp_path, "ring A = poly(x) / (x + 2*x);")

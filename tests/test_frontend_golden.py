@@ -73,7 +73,7 @@ CASES = [
     "name, text, prime, seed, commands", CASES, ids=[c[0] for c in CASES]
 )
 def test_golden_session(name, text, prime, seed, commands):
-    report = execute(parse_session(text, prime), ExecConfig(prime=prime, seed=seed))
+    report = execute(parse_session(text, prime), ExecConfig(seed=seed))
     assert [r.command for r in report.results] == commands
     expected = (GOLDEN / f"session_{name}.json").read_text(encoding="utf-8")
     assert report.to_json(include_timing=False) == expected

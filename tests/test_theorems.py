@@ -15,6 +15,7 @@ from cmtensor import (
     check_thm_1_1_b,
     check_thm_1_1_c,
     check_thm_2_1,
+    contract,
     embed_ideal,
     generate_corpus,
     grade,
@@ -291,3 +292,123 @@ class TestCorpus:
         for rep in run_all_checks(inst, seed=8):
             for ev in rep.certificates:
                 ev.revalidate()
+
+
+def _hypothesis_env():
+    A, B = poly_algebra("x", "y"), poly_algebra("u", "v")
+    x, y = A.ring.gens()
+    u, v = B.ring.gens()
+    non_cm_left = algebra(("x", "y"), lambda x, y: (x ** 2, x * y))
+    non_cm_right = algebra(("u", "v"), lambda u, v: (u ** 2, u * v))
+    A3, B3 = poly_algebra("x", "y", "z"), poly_algebra("u", "v", "w")
+    x3, y3, z3 = A3.ring.gens()
+    u3, v3, w3 = B3.ring.gens()
+    T = tensor(A, B)
+    tx = T.ring.var("x")
+    return {
+        "A": A, "B": B, "T": T,
+        "I": AlgebraIdeal(A, (x,)), "J": AlgebraIdeal(B, (u,)),
+        "I_improper": AlgebraIdeal(A, (x, x - 1)), "J_improper": AlgebraIdeal(B, (u, u - 1)),
+        "I_zero": AlgebraIdeal(A, ()), "J_zero": AlgebraIdeal(B, ()),
+        "P": AlgebraIdeal(T, (tx,)), "P_improper": AlgebraIdeal(T, (tx, tx - 1)),
+        "A3": A3, "B3": B3,
+        "xs": (x3, y3, z3), "ys": (u3, v3, w3),
+        "xs_bad": (x3, y3 * (1 - x3), z3 * (1 - x3)),
+        "ys_bad": (u3, v3 * (1 - u3), w3 * (1 - u3)),
+        "T_left_non_cm": tensor(non_cm_left, B),
+        "T_right_non_cm": tensor(A, non_cm_right),
+        "T_both_non_cm": tensor(non_cm_left, non_cm_right),
+    }
+
+
+def _all_vars(T):
+    return AlgebraIdeal(T, T.ring.gens())
+
+
+# (id, call on the environment, exact KernelError text)
+HYPOTHESIS_ERRORS = [
+    ("a-I-owner", lambda e: check_thm_1_1_a(e["A"], e["B"], e["J"]),
+     "I is not an ideal of the given algebra"),
+    ("b-I-owner-first", lambda e: check_thm_1_1_b(e["A"], e["B"], e["J"], e["I"]),
+     "I is not an ideal of the given algebra"),
+    ("b-J-owner", lambda e: check_thm_1_1_b(e["A"], e["B"], e["I"], e["I"]),
+     "J is not an ideal of the given algebra"),
+    ("c-I-owner-first", lambda e: check_thm_1_1_c(e["A"], e["B"], e["J"], e["I"]),
+     "I is not an ideal of the given algebra"),
+    ("c-J-owner", lambda e: check_thm_1_1_c(e["A"], e["B"], e["I"], e["I"]),
+     "J is not an ideal of the given algebra"),
+    ("prop-tensor", lambda e: check_prop_2_3_a(e["A"], e["I"]),
+     "prop_2_3_a needs a tensor presentation"),
+    ("prop-P-owner", lambda e: check_prop_2_3_a(e["T"], e["I"]),
+     "P is not an ideal of the given algebra"),
+    ("remark-tensor", lambda e: check_remark_2_5(e["A"], e["I"]),
+     "remark_2_5 needs a tensor presentation"),
+    ("remark-P-owner", lambda e: check_remark_2_5(e["T"], e["I"]),
+     "P is not an ideal of the given algebra"),
+    ("embed-side", lambda e: embed_ideal(e["I"], e["T"], "middle"),
+     "side must be 'left' or 'right', not 'middle'"),
+    ("contract-side", lambda e: contract(e["P"], "middle"),
+     "side must be 'left' or 'right', not 'middle'"),
+]
+
+# (id, call on the environment, skip clause, keys of the report's inputs)
+HYPOTHESIS_SKIPS = [
+    ("a-I-proper", lambda e: check_thm_1_1_a(e["A"], e["B"], e["I_improper"]),
+     "I must be proper", ["A", "B", "I"]),
+    ("b-I-proper-first", lambda e: check_thm_1_1_b(e["A"], e["B"], e["I_improper"], e["J_improper"]),
+     "I must be proper", ["A", "B", "I", "J"]),
+    ("b-J-proper", lambda e: check_thm_1_1_b(e["A"], e["B"], e["I"], e["J_improper"]),
+     "J must be proper", ["A", "B", "I", "J"]),
+    ("c-I-proper-before-nonzero", lambda e: check_thm_1_1_c(e["A"], e["B"], e["I_improper"], e["J_zero"]),
+     "I must be proper", ["A", "B", "I", "J"]),
+    ("c-J-proper-before-nonzero", lambda e: check_thm_1_1_c(e["A"], e["B"], e["I_zero"], e["J_improper"]),
+     "J must be proper", ["A", "B", "I", "J"]),
+    ("c-I-nonzero", lambda e: check_thm_1_1_c(e["A"], e["B"], e["I_zero"], e["J_zero"]),
+     "I must be nonzero", ["A", "B", "I", "J"]),
+    ("c-J-nonzero", lambda e: check_thm_1_1_c(e["A"], e["B"], e["I"], e["J_zero"]),
+     "J must be nonzero", ["A", "B", "I", "J"]),
+    ("lemma-length-first", lambda e: check_lemma_1_2(e["A3"], e["B3"], e["xs_bad"], e["ys_bad"][:2]),
+     "sequences must have equal length", ["A", "B", "xs", "ys"]),
+    ("lemma-xs", lambda e: check_lemma_1_2(e["A3"], e["B3"], e["xs_bad"], e["ys_bad"]),
+     "xs is not a permutable sequence of A", ["A", "B", "xs", "ys"]),
+    ("lemma-ys", lambda e: check_lemma_1_2(e["A3"], e["B3"], e["xs"], e["ys_bad"]),
+     "ys is not a permutable sequence of B", ["A", "B", "xs", "ys"]),
+    ("prop-P-proper", lambda e: check_prop_2_3_a(e["T"], e["P_improper"]),
+     "P must be proper", ["T", "P"]),
+    ("remark-P-proper", lambda e: check_remark_2_5(e["T"], e["P_improper"]),
+     "P must be proper", ["T", "P"]),
+    ("remark-p-first", lambda e: check_remark_2_5(e["T_both_non_cm"], _all_vars(e["T_both_non_cm"])),
+     "p is not generated by a regular sequence", ["T", "P", "p", "q"]),
+    ("remark-p", lambda e: check_remark_2_5(e["T_left_non_cm"], _all_vars(e["T_left_non_cm"])),
+     "p is not generated by a regular sequence", ["T", "P", "p", "q"]),
+    ("remark-q", lambda e: check_remark_2_5(e["T_right_non_cm"], _all_vars(e["T_right_non_cm"])),
+     "q is not generated by a regular sequence", ["T", "P", "p", "q"]),
+]
+
+
+class TestHypotheses:
+    """Each check's errors and skip clauses, exactly and in clause order."""
+
+    @pytest.mark.parametrize(
+        "call, message", [c[1:] for c in HYPOTHESIS_ERRORS], ids=[c[0] for c in HYPOTHESIS_ERRORS]
+    )
+    def test_error(self, call, message):
+        with pytest.raises(KernelError) as info:
+            call(_hypothesis_env())
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, clause, keys", [c[1:] for c in HYPOTHESIS_SKIPS], ids=[c[0] for c in HYPOTHESIS_SKIPS]
+    )
+    def test_skip(self, call, clause, keys):
+        rep = call(_hypothesis_env())
+        assert rep.status == "skipped"
+        assert rep.detail == f"hypothesis violated: {clause}"
+        assert (rep.lhs, rep.rhs, rep.certificates, rep.assumptions) == (None, None, (), ())
+        assert list(rep.inputs) == keys
+
+    def test_joined_check_has_no_nonzero_clause(self):
+        env = _hypothesis_env()
+        rep = check_thm_1_1_b(env["A"], env["B"], env["I_zero"], env["J_zero"])
+        assert rep.passed and rep.lhs == 0 == rep.rhs
+        assert list(rep.inputs) == ["A", "B", "I", "J", "T"]
