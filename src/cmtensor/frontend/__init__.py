@@ -1,12 +1,11 @@
 """Session DSL frontend: parser, executor, reports, and the CLI."""
 
-from .executor import ExecConfig, execute
+from .executor import execute
 from .parser import Session, parse_session
 from .report import CommandResult, RunReport
 
 __all__ = [
     "CommandResult",
-    "ExecConfig",
     "RunReport",
     "Session",
     "execute",

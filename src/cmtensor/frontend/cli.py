@@ -10,7 +10,7 @@ from ..errors import KernelError, ParseError
 from ..groebner import NZD_RETRY_CAP, limits
 from ..polyring import DEFAULT_PRIME, PrimeField
 from ..theorems import generate_corpus, run_all_checks
-from .executor import ExecConfig, execute
+from .executor import execute
 from .parser import parse_session
 from .report import VERSION, CommandResult, RunReport
 
@@ -59,12 +59,7 @@ def _cmd_run(args) -> int:
         print(f"{args.file}:{exc.line}:{exc.column}: syntax error: {exc.message}",
               file=sys.stderr)
         return 2
-    config = ExecConfig(
-        seed=args.seed,
-        step_budget=args.gb_step_budget,
-        nzd_retries=args.nzd_retries,
-    )
-    report = execute(session, config)
+    report = execute(session, args.seed)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -75,24 +70,23 @@ def _cmd_run(args) -> int:
 def _cmd_corpus(args) -> int:
     results = []
     failed = False
-    with limits(args.gb_step_budget, args.nzd_retries):
+    try:
+        instances = generate_corpus(args.seed, args.size, PrimeField(args.prime))
+    except KernelError as exc:
+        print(f"cmtensor: corpus generation failed: {exc}", file=sys.stderr)
+        return 1
+    for index, inst in enumerate(instances):
         try:
-            instances = generate_corpus(args.seed, args.size, PrimeField(args.prime))
+            reports = run_all_checks(inst, seed=args.seed + index)
         except KernelError as exc:
-            print(f"cmtensor: corpus generation failed: {exc}", file=sys.stderr)
-            return 1
-        for index, inst in enumerate(instances):
-            try:
-                reports = run_all_checks(inst, seed=args.seed + index)
-            except KernelError as exc:
-                results.append({"instance": inst.tag, "status": "error", "error": str(exc)})
+            results.append({"instance": inst.tag, "status": "error", "error": str(exc)})
+            failed = True
+            continue
+        for rep in reports:
+            entry = {"instance": inst.tag, "labels": list(inst.labels), **rep.to_dict()}
+            results.append(entry)
+            if rep.status == "fail":
                 failed = True
-                continue
-            for rep in reports:
-                entry = {"instance": inst.tag, "labels": list(inst.labels), **rep.to_dict()}
-                results.append(entry)
-                if rep.status == "fail":
-                    failed = True
     payload = {
         "version": VERSION,
         "mode": "corpus",
@@ -140,9 +134,8 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"cmtensor: {problem}", file=sys.stderr)
         return 2
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_corpus(args)
+    with limits(args.gb_step_budget, args.nzd_retries):
+        return _cmd_run(args) if args.command == "run" else _cmd_corpus(args)
 
 
 if __name__ == "__main__":

@@ -3,46 +3,33 @@
 Statements run in source order; assert failures mark the report failed
 but never abort the run, and kernel errors are captured per statement.
 Statements run over the prime the session was parsed with.  Seeds for the
-randomized searches are derived as the configured seed plus the statement
+randomized searches are derived as the given seed plus the statement
 index, so a fixed (session, prime, seed) is reproducible.
-The configured limits bound every statement through one
-:func:`cmtensor.groebner.limits` scope around the run; ``None`` keeps the
-enclosing limits.
+A run takes no limits of its own: every statement runs inside the caller's
+:func:`cmtensor.groebner.limits` scope.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 from ..algebra import AlgebraIdeal, make_algebra, tensor
 from ..errors import KernelError, SessionError
-from ..groebner import limits
 from ..invariants import dim_quotient, grade, height, is_cohen_macaulay, krull_dim
 from ..polyring import Polynomial, PolyRing, PrimeField, map_variables
 from .. import theorems
 from .parser import (
     CHECK_SIGNATURES,
+    COMPARISONS,
     AssertStmt,
-    BoolLit,
     CallExpr,
     CheckStmt,
     ComputeStmt,
     IdealDecl,
-    IntLit,
     RingDecl,
     Session,
 )
 from .report import CommandResult, RunReport
-
-_COMPARATORS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def _in_ring(lit: Polynomial, ring: PolyRing) -> Polynomial:
@@ -53,15 +40,9 @@ def _in_ring(lit: Polynomial, ring: PolyRing) -> Polynomial:
     return map_variables(lit, ring, [ring.names.index(nm) for nm in lit.ring.names])
 
 
-class ExecConfig(NamedTuple):
-    seed: int = 0
-    step_budget: int | None = None
-    nzd_retries: int | None = None
-
-
 class _Runner:
-    def __init__(self, config: ExecConfig, prime: int):
-        self.config = config
+    def __init__(self, seed: int, prime: int):
+        self.seed = seed
         self.field = PrimeField(prime)
         self.rings = {}
         self.ideals = {}
@@ -88,49 +69,42 @@ class _Runner:
     # -- statement kinds -------------------------------------------------------
 
     def declare(self, stmt):
-        if isinstance(stmt, RingDecl):
-            if stmt.kind == "tensor":
-                alg = tensor(self.ring(stmt.factors[0]), self.ring(stmt.factors[1]))
-            else:
-                ring = PolyRing(stmt.vars, self.field)
-                rels = [_in_ring(lit, ring) for lit in stmt.relations]
-                alg = make_algebra(ring, rels)
-            self.rings[stmt.name] = alg
-            return CommandResult(command=stmt.render(), status="ok")
-        owner = self.ring(stmt.owner)
-        gens = [_in_ring(lit, owner.ring) for lit in stmt.gens]
-        self.ideals[stmt.name] = AlgebraIdeal(owner, gens)
+        if isinstance(stmt, IdealDecl):
+            owner = self.ring(stmt.owner)
+            gens = [_in_ring(lit, owner.ring) for lit in stmt.gens]
+            self.ideals[stmt.name] = AlgebraIdeal(owner, gens)
+        elif stmt.kind == "tensor":
+            self.rings[stmt.name] = tensor(self.ring(stmt.factors[0]), self.ring(stmt.factors[1]))
+        else:
+            ring = PolyRing(stmt.vars, self.field)
+            rels = [_in_ring(lit, ring) for lit in stmt.relations]
+            self.rings[stmt.name] = make_algebra(ring, rels)
         return CommandResult(command=stmt.render(), status="ok")
 
     def evaluate(self, expr, seed):
-        if isinstance(expr, IntLit):
+        """An expression's value and the certificates behind it."""
+        if not isinstance(expr, CallExpr):
             return expr.value, ()
-        if isinstance(expr, BoolLit):
-            return expr.value, ()
-        assert isinstance(expr, CallExpr)
-        if expr.fn == "grade":
+        if len(expr.args) == 1:  # dim(R) or is_cm(R)
+            alg = self.ring(expr.args[0])
+            if expr.fn == "dim":
+                return krull_dim(alg), ()
+            verdict = is_cohen_macaulay(alg, seed)
+            value, cert = verdict.is_cm, verdict.certificate
+        else:
             alg, ide = self.owned_ideal(*expr.args)
+            if expr.fn == "dim":
+                return dim_quotient(alg, ide), ()
+            if expr.fn == "height":
+                return height(alg, ide), ()
             cert = grade(alg, ide, seed)
-            return cert.grade, ({"label": expr.render(), **cert.to_dict()},)
-        if expr.fn == "dim":
-            if len(expr.args) == 1:
-                return krull_dim(self.ring(expr.args[0])), ()
-            alg, ide = self.owned_ideal(*expr.args)
-            return dim_quotient(alg, ide), ()
-        if expr.fn == "height":
-            alg, ide = self.owned_ideal(*expr.args)
-            return height(alg, ide), ()
-        if expr.fn == "is_cm":
-            verdict = is_cohen_macaulay(self.ring(expr.args[0]), seed)
-            return verdict.is_cm, (
-                {"label": expr.render(), **verdict.certificate.to_dict()},
-            )
-        raise SessionError(f"unknown function {expr.fn!r}")
+            value = cert.grade
+        return value, ({"label": expr.render(), **cert.to_dict()},)
 
     def run_assert(self, stmt: AssertStmt, seed):
         lhs, lc = self.evaluate(stmt.lhs, seed)
         rhs, rc = self.evaluate(stmt.rhs, seed)
-        ok = _COMPARATORS[stmt.op](lhs, rhs)
+        ok = COMPARISONS[stmt.op](lhs, rhs)
         return CommandResult(
             command=stmt.render(),
             status="pass" if ok else "fail",
@@ -164,7 +138,7 @@ class _Runner:
         )
 
     def run(self, stmt, index):
-        seed = self.config.seed + index
+        seed = self.seed + index
         if isinstance(stmt, (RingDecl, IdealDecl)):
             return self.declare(stmt)
         if isinstance(stmt, AssertStmt):
@@ -178,18 +152,16 @@ class _Runner:
         )
 
 
-def execute(session: Session, config: ExecConfig | None = None) -> RunReport:
+def execute(session: Session, seed: int = 0) -> RunReport:
     """Run a parsed session and collect per-statement results."""
-    config = config or ExecConfig()
-    runner = _Runner(config, session.prime)
+    runner = _Runner(seed, session.prime)
     results = []
-    with limits(config.step_budget, config.nzd_retries):
-        for index, stmt in enumerate(session.statements):
-            started = time.perf_counter()
-            try:
-                res = runner.run(stmt, index)
-            except KernelError as exc:
-                res = CommandResult(command=stmt.render(), status="error", error=str(exc))
-            res.ms = (time.perf_counter() - started) * 1000.0
-            results.append(res)
-    return RunReport(prime=session.prime, seed=config.seed, results=tuple(results))
+    for index, stmt in enumerate(session.statements):
+        started = time.perf_counter()
+        try:
+            res = runner.run(stmt, index)
+        except KernelError as exc:
+            res = CommandResult(command=stmt.render(), status="error", error=str(exc))
+        res.ms = (time.perf_counter() - started) * 1000.0
+        results.append(res)
+    return RunReport(prime=session.prime, seed=seed, results=tuple(results))

@@ -13,6 +13,11 @@ Grammar (statements end with ';', '#' starts a line comment):
              | "height" "(" NAME "," NAME ")" | "is_cm" "(" NAME ")"
              | INT | "true" | "false"
     arg     := NAME | "(" polys ")"
+    NAME    := an ASCII letter or "_", then ASCII letters, digits or "_"
+
+An assert compares two integers (INT, grade, dim, height) with any CMP, or
+two booleans (true, false, is_cm) with == or != only; any other comparison
+is a parse error at its operator.
 
 Polynomial expressions use ^ over * over binary +/- with explicit *, and
 integer literals are reduced modulo the session prime at parse time.  A
@@ -33,6 +38,7 @@ declared ring, where a name the ring lacks is an error.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -66,6 +72,9 @@ MAX_LITERAL_WORK = 500_000
 # admitted 706 of them, which took 0.55 s.
 MIN_PAIR_COST = 4
 
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _NAME_START | _DIGITS
 _TWO_CHAR = ("==", "!=", "<=", ">=")
 _ONE_CHAR = "(),;=:+-*^/<>"
 
@@ -86,7 +95,14 @@ CHECK_SIGNATURES = {
     "remark_2_5": ("ring", "ideal"),
 }
 
-COMPARISONS = ("==", "!=", "<=", ">=", "<", ">")
+COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+}
 
 
 class Token(NamedTuple):
@@ -116,23 +132,18 @@ def tokenize(text: str) -> list:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_CHARS:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isascii() and ch.isdigit():
-            j = i
-            while j < n and text[j].isascii() and text[j].isdigit():
-                j += 1
-            if j < n and (text[j].isalpha() or text[j] == "_"):
-                raise ParseError(
-                    f"number runs into a name (write an explicit '*'?)", line, col
-                )
-            tokens.append(Token("int", text[i:j], line, col))
+            word = text[i:j]
+            if ch not in _DIGITS:
+                kind = "ident"
+            elif word.isdigit():
+                kind = "int"
+            else:
+                raise ParseError("number runs into a name (write an explicit '*'?)", line, col)
+            tokens.append(Token(kind, word, line, col))
             col += j - i
             i = j
             continue
@@ -163,10 +174,14 @@ class IntLit(NamedTuple):
 
 
 class BoolLit(NamedTuple):
-    value: bool
+    word: str  # true | false; as tuples, BoolLit("true") != IntLit(1)
+
+    @property
+    def value(self) -> bool:
+        return self.word == "true"
 
     def render(self) -> str:
-        return "true" if self.value else "false"
+        return self.word
 
 
 class CallExpr(NamedTuple):
@@ -175,6 +190,13 @@ class CallExpr(NamedTuple):
 
     def render(self) -> str:
         return f"{self.fn}({', '.join(self.args)})"
+
+
+def _value_kind(expr) -> str:
+    """What an expression evaluates to, as the diagnostics name it."""
+    if isinstance(expr, BoolLit) or isinstance(expr, CallExpr) and expr.fn == "is_cm":
+        return "a boolean"
+    return "an integer"
 
 
 class NameArg(NamedTuple):
@@ -191,28 +213,12 @@ class PolysArg(NamedTuple):
         return "(" + ", ".join(p.render(DEGLEX) for p in self.polys) + ")"
 
 
-class _Statement:
-    """Statements of one class are equal when every field but `pos`, the
-    source position, is equal.  Expressions are compared with their class,
-    since as tuples ``IntLit(1) == BoolLit(True)``."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-
-class RingDecl(_Statement):
-    def __init__(self, name, kind, vars=(), relations=(), factors=(), pos=(0, 0)):
-        self.name = name
-        self.kind = kind  # poly | tensor
-        self.vars = vars
-        self.relations = relations
-        self.factors = factors
-        self.pos = pos
-
-    def _compared(self) -> tuple:
-        return (self.name, self.kind, self.vars, self.relations, self.factors)
+class RingDecl(NamedTuple):
+    name: str
+    kind: str  # poly | tensor
+    vars: tuple = ()
+    relations: tuple = ()
+    factors: tuple = ()
 
     def render(self) -> str:
         if self.kind == "tensor":
@@ -223,54 +229,34 @@ class RingDecl(_Statement):
         return body
 
 
-class IdealDecl(_Statement):
-    def __init__(self, name, owner, gens=(), pos=(0, 0)):
-        self.name = name
-        self.owner = owner
-        self.gens = gens
-        self.pos = pos
-
-    def _compared(self) -> tuple:
-        return (self.name, self.owner, self.gens)
+class IdealDecl(NamedTuple):
+    name: str
+    owner: str
+    gens: tuple
 
     def render(self) -> str:
         return f"ideal {self.name} = {self.owner}:{PolysArg(self.gens).render()}"
 
 
-class AssertStmt(_Statement):
-    def __init__(self, lhs, op, rhs, pos=(0, 0)):
-        self.lhs = lhs
-        self.op = op
-        self.rhs = rhs
-        self.pos = pos
-
-    def _compared(self) -> tuple:
-        return (type(self.lhs), self.lhs, self.op, type(self.rhs), self.rhs)
+class AssertStmt(NamedTuple):
+    lhs: IntLit | BoolLit | CallExpr
+    op: str
+    rhs: IntLit | BoolLit | CallExpr
 
     def render(self) -> str:
         return f"assert {self.lhs.render()} {self.op} {self.rhs.render()}"
 
 
-class CheckStmt(_Statement):
-    def __init__(self, check_id, args=(), pos=(0, 0)):
-        self.check_id = check_id
-        self.args = args
-        self.pos = pos
-
-    def _compared(self) -> tuple:
-        return (self.check_id, self.args)
+class CheckStmt(NamedTuple):
+    check_id: str
+    args: tuple
 
     def render(self) -> str:
         return f"check {self.check_id}(" + ", ".join(a.render() for a in self.args) + ")"
 
 
-class ComputeStmt(_Statement):
-    def __init__(self, expr, pos=(0, 0)):
-        self.expr = expr
-        self.pos = pos
-
-    def _compared(self) -> tuple:
-        return (type(self.expr), self.expr)
+class ComputeStmt(NamedTuple):
+    expr: IntLit | BoolLit | CallExpr
 
     def render(self) -> str:
         return f"compute {self.expr.render()}"
@@ -279,16 +265,6 @@ class ComputeStmt(_Statement):
 class Session(NamedTuple):
     prime: int
     statements: tuple = ()
-
-    @property
-    def declarations(self) -> tuple:
-        return tuple(s for s in self.statements if isinstance(s, (RingDecl, IdealDecl)))
-
-    @property
-    def commands(self) -> tuple:
-        return tuple(
-            s for s in self.statements if isinstance(s, (AssertStmt, CheckStmt, ComputeStmt))
-        )
 
     def render(self) -> str:
         return "\n".join(s.render() + ";" for s in self.statements) + (
@@ -319,6 +295,11 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def expected(self, what):
+        """Fail at the next token, which is not `what`."""
+        found = repr(self.peek().text) if self.peek().text else "end of input"
+        self.fail(f"expected {what}, found {found}")
+
     def integer(self, tok: Token) -> int:
         try:
             return int(tok.text)
@@ -329,21 +310,31 @@ class _Parser:
                 tok,
             )
 
-    def expect_op(self, text) -> Token:
+    def at_op(self, *texts) -> bool:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}, found end of input")
-        return self.advance()
-
-    def expect_ident(self, what="a name") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input")
-        return self.advance()
+        return tok.kind == "op" and tok.text in texts
 
     def at_keyword(self, word) -> bool:
         tok = self.peek()
         return tok.kind == "ident" and tok.text == word
+
+    def expect_op(self, text) -> Token:
+        if not self.at_op(text):
+            self.expected(repr(text))
+        return self.advance()
+
+    def expect_ident(self, what="a name") -> Token:
+        if self.peek().kind != "ident":
+            self.expected(what)
+        return self.advance()
+
+    def comma_list(self, item) -> list:
+        """``item {"," item}``: what each call of `item` returned."""
+        items = [item()]
+        while self.at_op(","):
+            self.advance()
+            items.append(item())
+        return items
 
     # -- bindings ------------------------------------------------------------
 
@@ -396,7 +387,7 @@ class _Parser:
 
     def parse_sum(self, ring) -> Polynomial:
         acc = self.parse_term(ring)
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.at_op("+", "-"):
             if self.advance().text == "+":
                 acc = acc + self.parse_term(ring)
             else:
@@ -405,7 +396,7 @@ class _Parser:
 
     def parse_term(self, ring) -> Polynomial:
         acc = self.parse_factor(ring)
-        while self.peek().kind == "op" and self.peek().text == "*":
+        while self.at_op("*"):
             self.advance()
             tok = self.peek()
             acc = self.product(acc, self.parse_factor(ring), tok)
@@ -434,12 +425,11 @@ class _Parser:
         return result
 
     def parse_factor(self, ring) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.at_op("-"):
             self.advance()
             return -self.parse_factor(ring)
         base = self.parse_atom(ring)
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.at_op("^"):
             self.advance()
             etok = self.peek()
             if etok.kind != "int":
@@ -470,19 +460,18 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             return ring.var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.parse_sum(ring)
-            self.expect_op(")")
-            return inner
-        self.fail(f"expected a polynomial, found {tok.text!r}" if tok.text else "expected a polynomial, found end of input")
+        if not self.at_op("("):
+            self.expected("a polynomial")
+        self.advance()
+        inner = self.parse_sum(ring)
+        self.expect_op(")")
+        return inner
 
     def parse_poly_list(self) -> tuple:
-        polys = [self.parse_literal()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
-            polys.append(self.parse_literal())
-        return tuple(polys)
+        self.expect_op("(")
+        polys = tuple(self.comma_list(self.parse_literal))
+        self.expect_op(")")
+        return polys
 
     # -- expressions -----------------------------------------------------------
 
@@ -493,61 +482,26 @@ class _Parser:
             return IntLit(self.integer(tok))
         if tok.kind == "ident" and tok.text in ("true", "false"):
             self.advance()
-            return BoolLit(tok.text == "true")
-        if tok.kind == "ident" and tok.text in EXPR_FUNCTIONS:
-            fn = self.advance().text
-            self.expect_op("(")
-            names = [self.expect_ident()]
-            while self.peek().kind == "op" and self.peek().text == ",":
-                self.advance()
-                names.append(self.expect_ident())
-            close = self.peek()
-            self.expect_op(")")
-            for sig in EXPR_FUNCTIONS[fn]:
-                if len(sig) == len(names):
-                    args = tuple(
-                        self.bound(t, kind) for t, kind in zip(names, sig)
-                    )
-                    return CallExpr(fn, args)
-            expected = " or ".join(str(len(s)) for s in EXPR_FUNCTIONS[fn])
-            self.fail(
-                f"arity mismatch: {fn} takes {expected} argument(s), got {len(names)}",
-                close,
-            )
-        self.fail(
-            "expected grade/dim/height/is_cm, an integer, or true/false"
-            + (f", found {tok.text!r}" if tok.text else "")
-        )
+            return BoolLit(tok.text)
+        if not (tok.kind == "ident" and tok.text in EXPR_FUNCTIONS):
+            self.expected("grade/dim/height/is_cm, an integer, or true/false")
+        fn = self.advance().text
+        self.expect_op("(")
+        names = self.comma_list(self.expect_ident)
+        close = self.peek()
+        self.expect_op(")")
+        for sig in EXPR_FUNCTIONS[fn]:
+            if len(sig) == len(names):
+                return CallExpr(fn, tuple(self.bound(t, kind) for t, kind in zip(names, sig)))
+        counts = " or ".join(str(len(s)) for s in EXPR_FUNCTIONS[fn])
+        self.fail(f"arity mismatch: {fn} takes {counts} argument(s), got {len(names)}", close)
 
-    # -- statements --------------------------------------------------------------
+    # -- statements (each method starts after its keyword) ------------------------
 
     def parse_ring_decl(self) -> RingDecl:
-        start = self.advance()  # 'ring'
         name_tok = self.expect_ident("a ring name")
         self.expect_op("=")
         head = self.peek()
-        if self.at_keyword("poly"):
-            self.advance()
-            self.expect_op("(")
-            vars_ = []
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
-                vars_.append(self.expect_ident("a variable name").text)
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.advance()
-                    vars_.append(self.expect_ident("a variable name").text)
-            self.expect_op(")")
-            if len(set(vars_)) != len(vars_):
-                self.fail("duplicate variable name", head)
-            relations = ()
-            if self.peek().kind == "op" and self.peek().text == "/":
-                self.advance()
-                self.expect_op("(")
-                relations = self.parse_poly_list()
-                self.expect_op(")")
-            name = self.declare(name_tok, "ring")
-            return RingDecl(
-                name, "poly", tuple(vars_), relations, (), (start.line, start.col)
-            )
         if self.at_keyword("tensor"):
             self.advance()
             self.expect_op("(")
@@ -555,45 +509,52 @@ class _Parser:
             self.expect_op(",")
             right = self.bound(self.expect_ident("a ring name"), "ring")
             self.expect_op(")")
-            name = self.declare(name_tok, "ring")
-            return RingDecl(name, "tensor", (), (), (left, right), (start.line, start.col))
-        self.fail("expected poly(...) or tensor(...)", head)
+            return RingDecl(self.declare(name_tok, "ring"), "tensor", factors=(left, right))
+        if not self.at_keyword("poly"):
+            self.fail("expected poly(...) or tensor(...)", head)
+        self.advance()
+        self.expect_op("(")
+        vars_ = ()
+        if not self.at_op(")"):
+            vars_ = tuple(self.comma_list(lambda: self.expect_ident("a variable name").text))
+        self.expect_op(")")
+        if len(set(vars_)) != len(vars_):
+            self.fail("duplicate variable name", head)
+        relations = ()
+        if self.at_op("/"):
+            self.advance()
+            relations = self.parse_poly_list()
+        return RingDecl(self.declare(name_tok, "ring"), "poly", vars_, relations)
 
     def parse_ideal_decl(self) -> IdealDecl:
-        start = self.advance()  # 'ideal'
         name_tok = self.expect_ident("an ideal name")
         self.expect_op("=")
         owner = self.bound(self.expect_ident("a ring name"), "ring")
         self.expect_op(":")
-        self.expect_op("(")
         gens = self.parse_poly_list()
-        self.expect_op(")")
-        name = self.declare(name_tok, "ideal")
-        return IdealDecl(name, owner, gens, (start.line, start.col))
+        return IdealDecl(self.declare(name_tok, "ideal"), owner, gens)
 
     def parse_assert(self) -> AssertStmt:
-        start = self.advance()  # 'assert'
         lhs = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "op" or tok.text not in COMPARISONS:
+        op = self.peek()
+        if not self.at_op(*COMPARISONS):
             self.fail("expected a comparison (==, !=, <, <=, >, >=)")
         self.advance()
         rhs = self.parse_expr()
-        return AssertStmt(lhs, tok.text, rhs, (start.line, start.col))
+        kind = _value_kind(lhs)
+        if kind != _value_kind(rhs):
+            self.fail(f"cannot compare {kind} with {_value_kind(rhs)}", op)
+        if kind == "a boolean" and op.text not in ("==", "!="):
+            self.fail("only == and != compare booleans", op)
+        return AssertStmt(lhs, op.text, rhs)
 
     def parse_check(self) -> CheckStmt:
-        start = self.advance()  # 'check'
         id_tok = self.expect_ident("a check id")
         if id_tok.text not in CHECK_SIGNATURES:
             self.fail(f"unknown check id {id_tok.text!r}", id_tok)
         sig = CHECK_SIGNATURES[id_tok.text]
         self.expect_op("(")
-        args = []
-        if not (self.peek().kind == "op" and self.peek().text == ")"):
-            args.append(self.parse_check_arg())
-            while self.peek().kind == "op" and self.peek().text == ",":
-                self.advance()
-                args.append(self.parse_check_arg())
+        args = [] if self.at_op(")") else self.comma_list(self.parse_check_arg)
         close = self.peek()
         self.expect_op(")")
         if len(args) != len(sig):
@@ -601,53 +562,47 @@ class _Parser:
                 f"arity mismatch: {id_tok.text} takes {len(sig)} argument(s), got {len(args)}",
                 close,
             )
-        checked = []
         for (arg, tok), kind in zip(args, sig):
             if kind == "polys":
                 if not isinstance(arg, PolysArg):
                     self.fail("expected a parenthesized polynomial list", tok)
+            elif not isinstance(arg, NameArg):
+                self.fail(f"expected a {kind} name", tok)
             else:
-                if not isinstance(arg, NameArg):
-                    self.fail(f"expected a {kind} name", tok)
                 self.bound(tok, kind)
-            checked.append(arg)
-        return CheckStmt(id_tok.text, tuple(checked), (start.line, start.col))
+        return CheckStmt(id_tok.text, tuple(arg for arg, _ in args))
 
     def parse_check_arg(self):
+        """One argument of a check, with its first token."""
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
             return NameArg(tok.text), tok
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            polys = self.parse_poly_list()
-            self.expect_op(")")
-            return PolysArg(polys), tok
-        self.fail(f"expected a name or a polynomial list, found {tok.text!r}" if tok.text else "expected a name or a polynomial list")
+        if not self.at_op("("):
+            self.expected("a name or a polynomial list")
+        return PolysArg(self.parse_poly_list()), tok
+
+    def parse_compute(self) -> ComputeStmt:
+        return ComputeStmt(self.parse_expr())
+
+    STATEMENTS = {
+        "ring": parse_ring_decl,
+        "ideal": parse_ideal_decl,
+        "assert": parse_assert,
+        "check": parse_check,
+        "compute": parse_compute,
+    }
 
     def parse_session(self) -> Session:
         statements = []
         while self.peek().kind != "eof":
             tok = self.peek()
-            if self.at_keyword("ring"):
-                stmt = self.parse_ring_decl()
-            elif self.at_keyword("ideal"):
-                stmt = self.parse_ideal_decl()
-            elif self.at_keyword("assert"):
-                stmt = self.parse_assert()
-            elif self.at_keyword("check"):
-                stmt = self.parse_check()
-            elif self.at_keyword("compute"):
-                start = self.advance()
-                stmt = ComputeStmt(self.parse_expr(), (start.line, start.col))
-            else:
-                self.fail(
-                    f"expected a statement (ring/ideal/assert/check/compute), found {tok.text!r}"
-                    if tok.text
-                    else "expected a statement"
-                )
+            parse = self.STATEMENTS.get(tok.text) if tok.kind == "ident" else None
+            if parse is None:
+                self.expected("a statement (ring/ideal/assert/check/compute)")
+            self.advance()
+            statements.append(parse(self))
             self.expect_op(";")
-            statements.append(stmt)
         return Session(self.field.p, tuple(statements))
 
 

@@ -194,7 +194,7 @@ def test_criterion_7_determinism(corpus_main):
         values = {grade(inst.T, extended, seed=s).grade for s in seeds}
         assert len(values) == 1, inst.tag
 
-    from cmtensor.frontend import ExecConfig, execute, parse_session
+    from cmtensor.frontend import execute, parse_session
 
     text = (
         "ring A = poly(x, y) / (x^2, x*y);"
@@ -207,8 +207,8 @@ def test_criterion_7_determinism(corpus_main):
         "check thm_2_1(A, B);"
     )
     ast = parse_session(text)
-    one = execute(ast, ExecConfig(seed=17)).to_json(include_timing=False)
-    two = execute(ast, ExecConfig(seed=17)).to_json(include_timing=False)
+    one = execute(ast, 17).to_json(include_timing=False)
+    two = execute(ast, 17).to_json(include_timing=False)
     assert one == two
     _line(7, "determinism across seeds and reruns", True,
           f"{len(corpus_main)} instances x {len(seeds)} seeds")

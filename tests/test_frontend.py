@@ -20,7 +20,7 @@ from cmtensor import (
     tensor,
     theorems,
 )
-from cmtensor.frontend import ExecConfig, RunReport, execute, parse_session
+from cmtensor.frontend import RunReport, execute, parse_session
 from cmtensor.frontend.cli import main
 from cmtensor.frontend.parser import (
     CHECK_SIGNATURES,
@@ -44,6 +44,74 @@ def test_version_is_consistent():
     assert cmtensor.__version__ == VERSION
 
 
+# One row per ParseError site of the parser: (text, message, line, column).
+DIAGNOSTICS = {
+    # tokenize
+    "number-into-name": ("2x", "number runs into a name (write an explicit '*'?)", 1, 1),
+    "unexpected-character": ("ring @", "unexpected character '@'", 1, 6),
+    # integer
+    "integer-limit": ("ring A = poly(x) / (x^" + "9" * 5000 + ");",
+        "integer literal of 5000 digits exceeds the limit of 4300 digits", 1, 23),
+    # expect_op
+    "expected-op": ("ring A = poly(x) (x);", "expected ';', found '('", 1, 18),
+    "expected-op-eof": ("ring A = poly(x", "expected ')', found end of input", 1, 16),
+    "missing-semicolon": ("ring A = poly(x)", "expected ';', found end of input", 1, 17),
+    # expect_ident
+    "expected-ident": ("ring 1 = poly(x);", "expected a ring name, found '1'", 1, 6),
+    "expected-ident-eof": ("ring A = poly(x,",
+        "expected a variable name, found end of input", 1, 17),
+    # bound and declare
+    "unbound": ("ring T = tensor(A, B);", "unbound name 'A'", 1, 17),
+    "bound-as": ("ring A = poly(x); ideal I = A:(x); ring T = tensor(A, I);",
+        "'I' is bound as a ideal, not a ring", 1, 55),
+    "shadowing": ("ring A = poly(x); ring A = poly(y);",
+        "'A' is already declared (no shadowing)", 1, 24),
+    # product, power and atoms of a literal
+    "literal-work": ("ring A = poly(x) / (" + "*".join(["(1 + x)"] * 800) + ");",
+        "literal needs more than 500000 steps of multiplication to expand", 1, 2845),
+    "integer-exponent": ("ring A = poly(x) / (x^y);", "expected an integer exponent", 1, 23),
+    "power-terms": ("ring A = poly(x, y) / ((x + y)^500);",
+        "polynomial of 2 terms to the power 500 may have more than 500 terms", 1, 32),
+    "polynomial": ("ring A = poly(x); ideal I = A:(x, );",
+        "expected a polynomial, found ')'", 1, 35),
+    "polynomial-eof": ("ring A = poly(x); ideal I = A:(x +",
+        "expected a polynomial, found end of input", 1, 35),
+    # expressions
+    "expr-arity": ("ring A = poly(x); assert grade(A) == 0;",
+        "arity mismatch: grade takes 2 argument(s), got 1", 1, 33),
+    "expr": ("ring A = poly(x); compute ring;",
+        "expected grade/dim/height/is_cm, an integer, or true/false, found 'ring'", 1, 27),
+    "expr-eof": ("ring A = poly(x); compute",
+        "expected grade/dim/height/is_cm, an integer, or true/false, found end of input",
+        1, 26),
+    # comparisons
+    "int-with-bool": ("ring A = poly(x); assert is_cm(A) == 0;",
+        "cannot compare a boolean with an integer", 1, 35),
+    "bool-with-int": ("ring A = poly(x); assert dim(A) == true;",
+        "cannot compare an integer with a boolean", 1, 33),
+    "bool-order": ("ring A = poly(x); assert is_cm(A) < true;",
+        "only == and != compare booleans", 1, 35),
+    # statements
+    "duplicate-variable": ("ring A = poly(x, x);", "duplicate variable name", 1, 10),
+    "poly-or-tensor": ("ring A = quot(x);", "expected poly(...) or tensor(...)", 1, 10),
+    "comparison": ("ring A = poly(x); assert dim(A) = 1;",
+        "expected a comparison (==, !=, <, <=, >, >=)", 1, 33),
+    "unknown-check": ("check thm_9_9(A);", "unknown check id 'thm_9_9'", 1, 7),
+    "check-arity": ("ring A = poly(x); ring B = poly(y); check thm_1_1_a(A, B);",
+        "arity mismatch: thm_1_1_a takes 3 argument(s), got 2", 1, 57),
+    "polynomial-list": ("ring A = poly(x); ring B = poly(y); check lemma_1_2(A, B, A, (y));",
+        "expected a parenthesized polynomial list", 1, 59),
+    "check-kind": ("ring A = poly(x); ring B = poly(y); check thm_2_1(A, (x));",
+        "expected a ring name", 1, 54),
+    "check-arg": ("ring A = poly(x); check thm_2_1(A, ;",
+        "expected a name or a polynomial list, found ';'", 1, 36),
+    "check-arg-eof": ("ring A = poly(x); check thm_2_1(A,",
+        "expected a name or a polynomial list, found end of input", 1, 35),
+    "statement": ("ring A = poly(x); 1;",
+        "expected a statement (ring/ideal/assert/check/compute), found '1'", 1, 19),
+}
+
+
 class TestTokenizer:
     def test_positions(self):
         toks = tokenize("ring A =\n  poly(x);")
@@ -64,12 +132,25 @@ class TestTokenizer:
         with pytest.raises(ParseError):
             tokenize("2x")
 
-    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
-    def test_numbers_are_ascii_digits(self, digit):
+    @pytest.mark.parametrize(
+        "text, char, column",
+        [
+            ("ring A = poly(x) / (x^\u00b2);", "\u00b2", 23),
+            ("ring A = poly(x) / (x^\u0663);", "\u0663", 23),
+            ("ring A = poly(x\u00b2);", "\u00b2", 16),
+            ("ring \u03b1 = poly(x);", "\u03b1", 6),
+            ("ring A = poly(x); ideal I = A:(2\u03b1);", "\u03b1", 33),
+        ],
+        ids=["superscript-two", "arabic-indic-three", "name-superscript-two", "name-alpha",
+             "alpha-after-digit"],
+    )
+    def test_numbers_are_ascii_digits(self, text, char, column):
+        # names are ASCII too, so a non-ASCII letter or digit is never part of a token
         with pytest.raises(ParseError) as err:
-            parse_session(f"ring A = poly(x) / (x^{digit});")
-        assert err.value.message == f"unexpected character {digit!r}"
-        assert err.value.column == 23
+            parse_session(text)
+        assert (err.value.message, err.value.line, err.value.column) == (
+            f"unexpected character {char!r}", 1, column
+        )
 
 
 class TestParser:
@@ -230,12 +311,13 @@ class TestParser:
         assert isinstance(stmt, CheckStmt)
         assert stmt.render() == "check lemma_1_2(A, B, (x, y), (u, v))"
 
-    def test_declarations_and_commands_views(self):
-        ast = parse_session(
-            "ring A = poly(x); ideal I = A:(x); assert grade(A, I) == 1; compute dim(A);"
-        )
-        assert len(ast.declarations) == 2
-        assert len(ast.commands) == 2
+    @pytest.mark.parametrize(
+        "text, message, line, column", list(DIAGNOSTICS.values()), ids=list(DIAGNOSTICS)
+    )
+    def test_diagnostics(self, text, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_session(text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
 
     @settings(max_examples=150)
     @given(st.text(max_size=60))
@@ -267,8 +349,8 @@ class TestParser:
 
 
 class TestExecutor:
-    def run(self, text, prime=32003, **cfg):
-        return execute(parse_session(text, prime), ExecConfig(**cfg))
+    def run(self, text, prime=32003):
+        return execute(parse_session(text, prime))
 
     def test_non_cm_session(self):
         rep = self.run(
@@ -353,8 +435,8 @@ class TestExecutor:
             "compute dim(A);"
         )
         ast = parse_session(text)
-        j1 = execute(ast, ExecConfig(seed=9)).to_json(include_timing=False)
-        j2 = execute(ast, ExecConfig(seed=9)).to_json(include_timing=False)
+        j1 = execute(ast, 9).to_json(include_timing=False)
+        j2 = execute(ast, 9).to_json(include_timing=False)
         assert j1 == j2
 
     def test_dim_of_quotient_expression(self):
@@ -370,10 +452,8 @@ class TestExecutor:
         assert last.certificates and last.certificates[0]["grade"] == 2
 
     def test_step_budget_flag_reaches_kernel(self):
-        rep = self.run(
-            "ring A = poly(x, y, z) / (x*y - z^2, y*z - x^2, x*z - y^2);",
-            step_budget=3,
-        )
+        with groebner.limits(step_budget=3):
+            rep = self.run("ring A = poly(x, y, z) / (x*y - z^2, y*z - x^2, x*z - y^2);")
         assert rep.results[0].status == "error"
         assert "budget" in rep.results[0].error
 
@@ -478,7 +558,7 @@ class TestReportSerialization:
         ast = parse_session(
             "ring A = poly(x, y); ideal I = A:(x); assert grade(A, I) == 1;"
         )
-        rep = execute(ast, ExecConfig(seed=2))
+        rep = execute(ast, 2)
         again = RunReport.from_json(rep.to_json())
         assert again == rep
 
@@ -526,6 +606,15 @@ class TestCli:
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert "syntax error" in err and ":1:" in err
+
+    @pytest.mark.parametrize("row", ["int-with-bool", "bool-with-int", "bool-order"])
+    def test_mixed_comparison_exits_2(self, tmp_path, capsys, row):
+        text, message, line, column = DIAGNOSTICS[row]
+        path = self.write(tmp_path, text)
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:{line}:{column}: syntax error: {message}\n"
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/q.cmt"]) == 2

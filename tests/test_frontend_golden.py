@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cmtensor.frontend import ExecConfig, execute, parse_session
+from cmtensor.frontend import execute, parse_session
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,7 +73,7 @@ CASES = [
     "name, text, prime, seed, commands", CASES, ids=[c[0] for c in CASES]
 )
 def test_golden_session(name, text, prime, seed, commands):
-    report = execute(parse_session(text, prime), ExecConfig(seed=seed))
+    report = execute(parse_session(text, prime), seed)
     assert [r.command for r in report.results] == commands
     expected = (GOLDEN / f"session_{name}.json").read_text(encoding="utf-8")
     assert report.to_json(include_timing=False) == expected

@@ -439,8 +439,8 @@ class TestLimits:
 
 
 def test_no_public_callable_takes_a_limit():
-    """Limits are set only by the scope (and the front end's config)."""
-    exempt = {("cmtensor.groebner", "limits"), ("cmtensor.frontend.executor", "ExecConfig")}
+    """Limits are set only by the scope."""
+    exempt = {("cmtensor.groebner", "limits")}
     modules = [cmtensor] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(cmtensor.__path__, "cmtensor.")

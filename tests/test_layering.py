@@ -1,7 +1,8 @@
 """Import rules of the package, read from the source with :mod:`ast`.
 
-The kernel uses the standard library alone, and :mod:`cmtensor.monomial`
-is a leaf that depends on no part of the package but ``polyring``.
+The kernel uses the standard library alone, :mod:`cmtensor.monomial` is a
+leaf that depends on no part of the package but ``polyring``, and the
+session parser depends on no part but ``errors`` and ``polyring``.
 
 No module imports :mod:`dataclasses`: it loads ``inspect``, ``ast`` and
 ``dis`` and builds each class's methods with ``exec``, which made up about
@@ -69,16 +70,33 @@ def test_the_cli_loads_no_introspection_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_monomial_depends_only_on_polyring():
+def _package_imports(path):
+    """The modules of the package that `path` imports, by absolute name."""
+    package = ["cmtensor", *path.parent.relative_to(PACKAGE).parts]
     used = set()
-    for node in _imports(PACKAGE / "monomial.py"):
+    for node in _imports(path):
         if isinstance(node, ast.Import):
-            used.update(a.name for a in node.names if a.name.startswith("cmtensor"))
+            names = [a.name for a in node.names]
         elif node.level == 0:
-            if node.module.startswith("cmtensor"):
-                used.add(node.module)
-        elif node.module:
-            used.add("cmtensor." + node.module)
+            names = [node.module]
         else:
-            used.update("cmtensor." + a.name for a in node.names)
-    assert used <= {"cmtensor.polyring"}
+            base = ".".join(package[: len(package) - node.level + 1])
+            names = [f"{base}.{node.module}"] if node.module else [
+                f"{base}.{a.name}" for a in node.names
+            ]
+        used.update(name for name in names if name.split(".")[0] == "cmtensor")
+    return used
+
+
+def test_monomial_depends_only_on_polyring():
+    assert _package_imports(PACKAGE / "monomial.py") <= {"cmtensor.polyring"}
+
+
+def test_parser_depends_only_on_errors_and_polyring():
+    # the parser knows the session language and its literals, not the kernel's algorithms
+    used = _package_imports(PACKAGE / "frontend" / "parser.py")
+    assert used == {"cmtensor.errors", "cmtensor.polyring"}
+    # relative imports of either depth resolve
+    assert _package_imports(PACKAGE / "frontend" / "executor.py") >= {
+        "cmtensor.algebra", "cmtensor.frontend.parser", "cmtensor.theorems"
+    }
