@@ -7,6 +7,11 @@ relations absorbed.  The tensor product of two presentations is the
 presentation on the disjoint union of the variables with both relation
 sets; clashing right-factor names are suffixed with a fresh index and the
 renaming is kept for reports.
+
+Inside a basis memo scope (see :mod:`cmtensor.groebner`) the tensor of two
+presentation objects and each contraction of an ideal object are computed
+once, keyed by the identity of their inputs; outside every scope each call
+computes afresh.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import AmbientMismatchError, ImproperIdealError, KernelError, ZeroRingError
-from .groebner import IdealPresentation, eliminate, normal_form
+from .groebner import IdealPresentation, eliminate, normal_form, scope_cached
 from .polyring import GREVLEX, MonomialOrder, Polynomial, PolyRing, map_variables, restrict_variables
 
 
@@ -28,8 +33,15 @@ class AlgebraPresentation:
         self.ring = ring
         self.relations = relations
         self.homogeneous = homogeneous
+        self._description = None
 
     def describe(self) -> str:
+        """The presentation as text, rendered on the first call and kept."""
+        if self._description is None:
+            self._description = self._render()
+        return self._description
+
+    def _render(self) -> str:
         base = self.ring.describe()
         if self.relations.generators:
             return f"{base}/{self.relations.describe()}"
@@ -71,8 +83,8 @@ class TensorAlgebra(AlgebraPresentation):
         n = self.left.ring.nvars
         return range(n, n + self.right.ring.nvars)
 
-    def describe(self) -> str:
-        base = super().describe()
+    def _render(self) -> str:
+        base = super()._render()
         if self.renaming:
             table = ", ".join(f"{old}->{new}" for old, new in self.renaming.items())
             return f"{base} [tensor; renamed: {table}]"
@@ -80,7 +92,16 @@ class TensorAlgebra(AlgebraPresentation):
 
 
 def tensor(A: AlgebraPresentation, B: AlgebraPresentation) -> TensorAlgebra:
-    """A ⊗ B on the disjoint union of the variables with both relation sets."""
+    """A ⊗ B on the disjoint union of the variables with both relation sets.
+
+    Inside a memo scope the tensor of the same two presentation objects is
+    built once, and every later call returns that object without any work;
+    outside every scope each call builds a new presentation.
+    """
+    return scope_cached(("tensor", A, B), lambda: _tensor(A, B))
+
+
+def _tensor(A: AlgebraPresentation, B: AlgebraPresentation) -> TensorAlgebra:
     if A.ring.field != B.ring.field:
         raise AmbientMismatchError("tensor factors over different prime fields")
     taken = set(A.ring.names)
@@ -226,7 +247,16 @@ def product_ideal(I: AlgebraIdeal, J: AlgebraIdeal, T: TensorAlgebra) -> Algebra
 
 
 def contract(P: AlgebraIdeal, side: str) -> AlgebraIdeal:
-    """P ∩ A (resp. P ∩ B): eliminate the other factor's variables from the lift."""
+    """P ∩ A (resp. P ∩ B): eliminate the other factor's variables from the lift.
+
+    Inside a memo scope each ideal object is contracted to each side once,
+    and every later call returns that ideal; outside every scope each call
+    computes afresh.
+    """
+    return scope_cached(("contract", P, side), lambda: _contract(P, side))
+
+
+def _contract(P: AlgebraIdeal, side: str) -> AlgebraIdeal:
     T = P.owner
     if not isinstance(T, TensorAlgebra):
         raise KernelError("contraction needs an ideal of a tensor presentation")

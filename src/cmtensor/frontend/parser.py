@@ -95,6 +95,9 @@ CHECK_SIGNATURES = {
     "remark_2_5": ("ring", "ideal"),
 }
 
+# the two kinds a name is bound as, with their indefinite article
+_WITH_ARTICLE = {"ring": "a ring", "ideal": "an ideal"}
+
 COMPARISONS = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -343,7 +346,8 @@ class _Parser:
         if name not in self.symbols:
             self.fail(f"unbound name {name!r}", tok)
         if self.symbols[name] != kind:
-            self.fail(f"{name!r} is bound as a {self.symbols[name]}, not a {kind}", tok)
+            bound_as = _WITH_ARTICLE[self.symbols[name]]
+            self.fail(f"{name!r} is bound as {bound_as}, not {_WITH_ARTICLE[kind]}", tok)
         return name
 
     def declare(self, tok: Token, kind: str) -> str:

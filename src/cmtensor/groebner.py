@@ -45,7 +45,14 @@ every basis afresh.  Only successful results are stored: a
 Certificate validation always opens a fresh scope (``fresh=True``), so it
 never reads a basis cached by the run whose certificate it checks.  Other
 layers cache their own values in the same scope through
-:func:`scope_cached` (the Hilbert numerators of :mod:`cmtensor.invariants`).
+:func:`scope_cached`: the Hilbert numerators of :mod:`cmtensor.invariants`,
+keyed by a leading-monomial set, and four values keyed by the identity of
+their immutable inputs, which a key pins for the life of the scope: the
+tensor of two presentations and the contraction of an ideal to a side
+(:mod:`cmtensor.algebra`), and the Krull dimension of a presentation and
+the grade certificate of an ideal for a seed (:mod:`cmtensor.invariants`).
+So inside one check, or one ``run_all_checks``, each of them is computed
+once.  Like a basis memo hit, a hit spends no reduction steps.
 
 The work limits come from a second context variable, set by
 :func:`limits`: every basis and every normal form gets a fresh step
@@ -146,8 +153,9 @@ def scope_cached(key, compute):
     """The value cached under `key` in the current scope, computed on a miss.
 
     Outside every scope nothing is cached and `compute()` runs each time.
-    Only values that were computed without raising are stored; ``None`` is
-    a value like any other.
+    A hit runs nothing, so it spends no reduction steps.  Only values that
+    were computed without raising are stored; ``None`` is a value like any
+    other.
     """
     memo = _BASIS_MEMO.get()
     if memo is None:

@@ -96,9 +96,14 @@ def _dim_from_basis(nvars: int, basis, order) -> int:
 
 
 def krull_dim(A: AlgebraPresentation) -> int:
-    """Krull dimension, from the leading terms of the reduced relations basis."""
+    """Krull dimension, from the leading terms of the reduced relations basis.
+
+    Computed once per presentation object inside a memo scope.
+    """
     rels = A.relations
-    return _dim_from_basis(A.ring.nvars, rels.reduced_basis(), rels.order)
+    return scope_cached(
+        ("dim", A), lambda: _dim_from_basis(A.ring.nvars, rels.reduced_basis(), rels.order)
+    )
 
 
 def dim_quotient(A: AlgebraPresentation, I: AlgebraIdeal) -> int:
@@ -379,11 +384,21 @@ def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bo
 
 @memo_scoped
 def is_permutable_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bool:
-    """Regularity under every permutation; lengths past PERMUTATION_BOUND are refused."""
+    """Regularity under every permutation; lengths past PERMUTATION_BOUND are refused.
+
+    Over a homogeneous presentation, a sequence of homogeneous elements of
+    positive degree is regular in every order once it is regular in one
+    (the graded form of Matsumura, *Commutative Ring Theory*, Thm 16.3;
+    Bruns and Herzog, *Cohen-Macaulay Rings*, §1.5): such elements lie in
+    the irrelevant ideal of a positively graded ring.  Then only the given
+    order is tested.  Every other input is tested in all orders.
+    """
     if len(seq) > PERMUTATION_BOUND:
         raise PermutationBoundExceeded(
             f"sequence of length {len(seq)} exceeds the permutation bound {PERMUTATION_BOUND}"
         )
+    if A.homogeneous and all(f.is_homogeneous() and f.total_degree() > 0 for f in seq):
+        return is_regular_sequence(A, seq)
     return all(is_regular_sequence(A, perm) for perm in itertools.permutations(seq))
 
 
@@ -500,7 +515,15 @@ def grade(
     :func:`validate_grade_certificate` checks the witness with normal
     forms and the sequence with colons.  The integer is independent of
     the seed.
+
+    Inside a memo scope the certificate of the same algebra object, ideal
+    object and seed is computed once, and every later call returns it
+    without running the stage loop again.
     """
+    return scope_cached(("grade", A, I, seed), lambda: _grade(A, I, seed))
+
+
+def _grade(A: AlgebraPresentation, I: AlgebraIdeal, seed: int) -> GradeCertificate:
     require_proper(I, "ideal")
     stage = A.relations
     relations = stage.generators

@@ -13,7 +13,10 @@ The work limits (reduction steps per basis, nonzerodivisor draws) are
 those of the enclosing :func:`cmtensor.groebner.limits` scope.
 
 Each check, and ``run_all_checks``, runs in one basis memo scope (see
-:mod:`cmtensor.groebner`), so a basis its grades share is computed once.
+:mod:`cmtensor.groebner`), so a basis its grades share is computed once,
+and so are the values the checks of one instance repeat: the tensor of
+the factors, each grade of an ideal for the seed, the contractions of the
+prime and each Krull dimension.
 """
 
 from __future__ import annotations

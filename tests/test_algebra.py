@@ -89,6 +89,24 @@ class TestTensor:
         assert T.renaming == {"y": "y_1"}
         assert "renamed" in T.describe()
 
+    def test_description_is_rendered_once(self, monkeypatch):
+        ring = PolyRing(("x", "y"), F)
+        x, y = ring.gens()
+        A = make_algebra(ring, (x * y,))
+        T = tensor(A, poly_algebra("y"))
+        rendered = []
+        inner = IdealPresentation.describe
+
+        def counting(self):
+            rendered.append(self)
+            return inner(self)
+
+        monkeypatch.setattr(IdealPresentation, "describe", counting)
+        assert A.describe() == "GF(32003)[x, y]/(x*y)"
+        assert T.describe() == "GF(32003)[x, y, y_1]/(x*y) [tensor; renamed: y->y_1]"
+        assert A.describe() is A.describe() and T.describe() is T.describe()
+        assert rendered == [A.relations, T.relations]
+
     def test_dim_additivity(self):
         rng = random.Random(23)
         ring = PolyRing(("x", "y"), F)

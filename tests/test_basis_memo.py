@@ -1,8 +1,12 @@
-"""The scoped, content-addressed basis memo of ``buchberger``.
+"""The scoped, content-addressed basis memo of ``buchberger``, and the
+values other layers keep in the same scope.
 
 A scope is opened by the outermost check, ``grade`` or
 ``is_cohen_macaulay`` and dropped when it returns; certificate validation
-always works in a fresh scope of its own.
+always works in a fresh scope of its own.  Inside a scope the tensor of two
+presentations, the contraction of an ideal, the Krull dimension of a
+presentation and the grade certificate of an ideal for a seed are computed
+once, keyed by the identity of their inputs.
 """
 
 from __future__ import annotations
@@ -16,13 +20,19 @@ from cmtensor import (
     PrimeField,
     StepBudgetExceeded,
     buchberger,
+    contract,
+    generate_corpus,
     grade,
+    krull_dim,
     limits,
     make_algebra,
+    run_all_checks,
+    tensor,
     validate_grade_certificate,
 )
-from cmtensor import groebner
+from cmtensor import algebra, groebner, invariants
 from cmtensor.groebner import _BASIS_MEMO, memo_scope, scope_cached
+from cmtensor.theorems import CHECKS
 
 F = PrimeField()
 R3 = PolyRing(("x", "y", "z"), F)
@@ -158,3 +168,139 @@ def test_validation_runs_under_the_ambient_budget(computed):
         assert computed  # the failing basis was computed, not read from the memo
         assert _BASIS_MEMO.get() == entries
         validate_grade_certificate(A, I, cert)
+
+
+# ---------------------------------------------------------------------------
+# Values shared inside a scope: tensor, grade, contraction, dimension
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Count the bodies run by ``tensor``, ``grade``, ``contract`` and
+    ``krull_dim``, by name: memo misses and unscoped calls."""
+    counts = {"tensor": 0, "grade": 0, "contract": 0, "dim": 0}
+
+    def counting(module, attr, name):
+        inner = getattr(module, attr)
+
+        def body(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, attr, body)
+
+    counting(algebra, "_tensor", "tensor")
+    counting(invariants, "_grade", "grade")
+    counting(algebra, "_contract", "contract")
+    counting(invariants, "_dim_from_basis", "dim")
+    return counts
+
+
+def factors():
+    x, y = R3.gens()[:2]
+    A = make_algebra(R3, (x * y,))
+    B = make_algebra(PolyRing(("u", "v"), F))
+    return A, B
+
+
+def tensor_prime():
+    A, B = factors()
+    T = tensor(A, B)
+    x, u = T.ring.var("x"), T.ring.var("u")
+    return T, AlgebraIdeal(T, (x, u))
+
+
+def test_one_tensor_per_pair_in_a_scope(runs):
+    A, B = factors()
+    with memo_scope():
+        T = tensor(A, B)
+        assert tensor(A, B) is T
+        assert tensor(B, A) is not T
+    assert runs["tensor"] == 2
+
+
+def test_a_repeated_grade_returns_the_first_certificate(runs):
+    A, _ = factors()
+    x, y, z = R3.gens()
+    I = AlgebraIdeal(A, (x + y, z))
+    with memo_scope():
+        cert = grade(A, I, 3)
+        assert grade(A, I, 3) is cert
+        assert runs["grade"] == 1
+
+
+def test_another_seed_or_ideal_object_grades_afresh(runs):
+    A, _ = factors()
+    x, y, z = R3.gens()
+    I = AlgebraIdeal(A, (x + y, z))
+    with memo_scope():
+        first = grade(A, I, 3)
+        again = grade(A, I, 4)
+        twin = grade(A, AlgebraIdeal(A, (x + y, z)), 3)
+        assert runs["grade"] == 3
+        assert again is not first and twin is not first
+    assert again.grade == twin.grade == first.grade
+
+
+def test_contraction_and_dimension_run_once_in_a_scope(runs):
+    T, P = tensor_prime()
+    with memo_scope():
+        p = contract(P, "left")
+        assert contract(P, "left") is p
+        q = contract(P, "right")
+        assert q is not p and contract(P, "right") is q
+        assert krull_dim(T) == krull_dim(T)
+    assert runs["contract"] == 2
+    assert runs["dim"] == 1
+
+
+def test_every_call_computes_afresh_outside_a_scope(runs):
+    A, B = factors()
+    assert tensor(A, B) is not tensor(A, B)
+    T, P = tensor_prime()
+    assert contract(P, "left") is not contract(P, "left")
+    assert krull_dim(T) == krull_dim(T)
+    I = AlgebraIdeal(A, A.ring.gens())
+    assert grade(A, I) is not grade(A, I)
+    assert runs == {"tensor": 3, "grade": 2, "contract": 2, "dim": 2}
+    assert _BASIS_MEMO.get() is None
+
+
+@pytest.fixture(scope="module")
+def reference_instance():
+    """The reference corpus's instance with a prime and sequences, so that
+    every check runs on it."""
+    (inst,) = [i for i in generate_corpus(20260809, 2) if i.tag == "fixed-poly"]
+    return inst
+
+
+def test_run_all_checks_builds_one_tensor(reference_instance, monkeypatch):
+    built = []
+    init = algebra.TensorAlgebra.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.TensorAlgebra, "__init__", counting)
+    reports = run_all_checks(reference_instance, 5)
+    assert len(reports) == len(CHECKS)
+    assert len(built) == 1
+    assert _BASIS_MEMO.get() is None
+
+
+def test_sharing_leaves_every_report_unchanged(reference_instance):
+    inst = reference_instance
+    shared = run_all_checks(inst, 5)
+    args = {
+        "thm_1_1_a": (inst.A, inst.B, inst.I),
+        "thm_1_1_b": (inst.A, inst.B, inst.I, inst.J),
+        "thm_1_1_c": (inst.A, inst.B, inst.I, inst.J),
+        "lemma_1_2": (inst.A, inst.B, inst.xs, inst.ys),
+        "prop_2_3_a": (inst.T, inst.P),
+        "remark_2_5": (inst.T, inst.P),
+        "thm_2_1": (inst.A, inst.B),
+    }
+    # each check alone, in a scope of its own
+    alone = [CHECKS[rep.check_id](*args[rep.check_id], 5) for rep in shared]
+    assert [r.to_dict() for r in shared] == [r.to_dict() for r in alone]

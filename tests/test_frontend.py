@@ -63,7 +63,9 @@ DIAGNOSTICS = {
     # bound and declare
     "unbound": ("ring T = tensor(A, B);", "unbound name 'A'", 1, 17),
     "bound-as": ("ring A = poly(x); ideal I = A:(x); ring T = tensor(A, I);",
-        "'I' is bound as a ideal, not a ring", 1, 55),
+        "'I' is bound as an ideal, not a ring", 1, 55),
+    "bound-as-ring": ("ring A = poly(x); assert grade(A, A) == 0;",
+        "'A' is bound as a ring, not an ideal", 1, 35),
     "shadowing": ("ring A = poly(x); ring A = poly(y);",
         "'A' is already declared (no shadowing)", 1, 24),
     # product, power and atoms of a literal

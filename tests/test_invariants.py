@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -240,6 +241,100 @@ class TestRegularSequences:
         x, y = A.ring.gens()
         with pytest.raises(PermutationBoundExceeded):
             is_permutable_regular_sequence(A, (x, y, x, y, x, y))
+
+
+def _all_orders_regular(A, seq) -> bool:
+    return all(is_regular_sequence(A, q) for q in itertools.permutations(seq))
+
+
+@pytest.fixture
+def regularity_tests(monkeypatch):
+    """The sequences `is_permutable_regular_sequence` hands to
+    `is_regular_sequence`, in order."""
+    seen = []
+    inner = invariants.is_regular_sequence
+
+    def counting(A, seq):
+        seen.append(tuple(seq))
+        return inner(A, seq)
+
+    monkeypatch.setattr(invariants, "is_regular_sequence", counting)
+    return seen
+
+
+class TestGradedPermutability:
+    """Over a homogeneous presentation a homogeneous sequence of positive
+    degrees is tested in its given order alone; every other input in all
+    orders."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from((2, 3, 32003)))
+    def test_random_homogeneous_input_matches_all_orders(self, data_seed, p):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z", "w")[: rng.randint(1, 4)], PrimeField(p))
+        gens = ring.gens()
+
+        def form():
+            return random_poly(
+                rng, ring, max_deg=2, max_terms=2, homogeneous=True, constant_free=True
+            )
+
+        A = make_algebra(ring, [form() for _ in range(rng.randint(0, 2))])
+        # most elements get a power of their own variable, so that regular
+        # sequences of every length are drawn
+        order = list(range(ring.nvars))
+        rng.shuffle(order)
+        seq = []
+        for i in range(rng.randint(0, 4)):
+            f = form()
+            if rng.random() < 0.7:
+                f = f + gens[order[i % ring.nvars]] ** f.total_degree()
+            if f.terms:
+                seq.append(f)
+        assert A.homogeneous
+        assert all(f.is_homogeneous() and f.total_degree() > 0 for f in seq)
+        assert is_permutable_regular_sequence(A, seq) == _all_orders_regular(A, seq)
+
+    def test_homogeneous_sequence_is_tested_in_its_order_only(self, regularity_tests):
+        A = make_algebra(PolyRing(("x", "y", "z"), F))
+        x, y, z = A.ring.gens()
+        seq = (x * x, y * y + x * z, z ** 2)
+        assert is_permutable_regular_sequence(A, seq)
+        assert regularity_tests == [seq]
+
+    def test_inhomogeneous_element_is_tested_in_all_orders(self, regularity_tests):
+        A = poly_algebra("x", "y")
+        x, y = A.ring.gens()
+        seq = (x, y * (1 + x))
+        assert is_permutable_regular_sequence(A, seq)
+        assert regularity_tests == list(itertools.permutations(seq))
+
+    def test_nonzero_constant(self):
+        A = poly_algebra("x", "y")
+        x, y = A.ring.gens()
+        three = A.ring.const(3)
+        for seq in ((three,), (x, three), (three, y), (x, y, three)):
+            assert not is_permutable_regular_sequence(A, seq)
+            assert not _all_orders_regular(A, seq)
+
+    def test_inhomogeneous_algebra(self, regularity_tests):
+        # t = 1 - x in A, so this is x, y*(1-x), z*(1-x) of k[x,y,z] in
+        # homogeneous elements: regular in the order shown, not in all
+        ring = PolyRing(("x", "y", "z", "t"), F)
+        x, y, z, t = ring.gens()
+        A = make_algebra(ring, (t + x - 1,))
+        seq = (x, y * t, z * t)
+        assert not A.homogeneous
+        assert is_regular_sequence(A, seq)
+        assert not is_permutable_regular_sequence(A, seq)
+        assert len(regularity_tests) > 1
+
+    def test_bound_is_checked_before_the_graded_shortcut(self, regularity_tests):
+        A = poly_algebra(*"abcdef")
+        seq = A.ring.gens()
+        with pytest.raises(PermutationBoundExceeded):
+            is_permutable_regular_sequence(A, seq)
+        assert regularity_tests == []
 
 
 class TestGrade:
