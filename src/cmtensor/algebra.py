@@ -8,7 +8,7 @@ presentation on the disjoint union of the variables with both relation
 sets; clashing right-factor names are suffixed with a fresh index and the
 renaming is kept for reports.
 
-Inside a basis memo scope (see :mod:`cmtensor.groebner`) the tensor of two
+Inside a memo scope (see :mod:`cmtensor.groebner`) the tensor of two
 presentation objects and each contraction of an ideal object are computed
 once, keyed by the identity of their inputs; outside every scope each call
 computes afresh.
@@ -27,12 +27,13 @@ class AlgebraPresentation:
     """A nonzero algebra F_p[vars]/J; build through :func:`make_algebra`.
 
     Presentations compare by identity: an ideal belongs to one of them.
+    `homogeneous` says whether every relation generator is homogeneous.
     """
 
-    def __init__(self, ring: PolyRing, relations: IdealPresentation, homogeneous: bool):
+    def __init__(self, ring: PolyRing, relations: IdealPresentation):
         self.ring = ring
         self.relations = relations
-        self.homogeneous = homogeneous
+        self.homogeneous = all(g.is_homogeneous() for g in relations.generators)
         self._description = None
 
     def describe(self) -> str:
@@ -56,20 +57,19 @@ def make_algebra(
     relations: Iterable[Polynomial] = (),
     order: MonomialOrder = GREVLEX,
 ) -> AlgebraPresentation:
-    """Validated presentation: rejects the zero ring, flags homogeneity."""
+    """Validated presentation: rejects the zero ring."""
     rels = IdealPresentation(ring, relations, order)
     if rels.contains_one():
         raise ZeroRingError(f"relations {rels.describe()} present the zero ring")
-    homogeneous = all(g.is_homogeneous() for g in rels.generators)
-    return AlgebraPresentation(ring, rels, homogeneous)
+    return AlgebraPresentation(ring, rels)
 
 
 class TensorAlgebra(AlgebraPresentation):
     """A tensor presentation; remembers its factors and the renaming table."""
 
-    def __init__(self, ring: PolyRing, relations: IdealPresentation, homogeneous: bool,
+    def __init__(self, ring: PolyRing, relations: IdealPresentation,
                  left: AlgebraPresentation, right: AlgebraPresentation, renaming: dict):
-        super().__init__(ring, relations, homogeneous)
+        super().__init__(ring, relations)
         self.left = left
         self.right = right
         self.renaming = renaming
@@ -130,7 +130,6 @@ def _tensor(A: AlgebraPresentation, B: AlgebraPresentation) -> TensorAlgebra:
     return TensorAlgebra(
         ring=ring,
         relations=IdealPresentation(ring, rels, A.relations.order),
-        homogeneous=A.homogeneous and B.homogeneous,
         left=A,
         right=B,
         renaming=renaming,
@@ -200,8 +199,7 @@ def quotient_algebra(A: AlgebraPresentation, I: AlgebraIdeal) -> AlgebraPresenta
     if not I.is_proper():
         raise ZeroRingError(f"quotient by the improper ideal {I.describe()}")
     rels = IdealPresentation(A.ring, I.lift.generators, A.relations.order)
-    homogeneous = all(g.is_homogeneous() for g in rels.generators)
-    return AlgebraPresentation(A.ring, rels, homogeneous)
+    return AlgebraPresentation(A.ring, rels)
 
 
 def _side(T: TensorAlgebra, side: str) -> tuple:

@@ -31,28 +31,25 @@ overflowed.
 
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
-worst duplicate the same computation and publish identical results.
+worst duplicate the same computation and publish identical results.  That
+is the only place a basis is cached: :func:`buchberger` always computes.
 
-Bases are also memoised by content, but only inside a scope.  The memo is
-keyed on (ring, order, set of nonzero generator term maps): the reduced
-basis is unique, so the order and repetition of the generators cannot
-change it.  It lives in a context variable that :func:`memo_scope` sets
-for the outermost scoped call (a theorem check, ``grade``,
-``is_cohen_macaulay`` or a regular-sequence test) and drops when that
-call returns, so it never outlives one computation.  Outside a scope :func:`buchberger` computes
-every basis afresh.  Only successful results are stored: a
-``StepBudgetExceeded`` is never memoised, and a memo hit spends no steps.
-Certificate validation always opens a fresh scope (``fresh=True``), so it
-never reads a basis cached by the run whose certificate it checks.  Other
-layers cache their own values in the same scope through
-:func:`scope_cached`: the Hilbert numerators of :mod:`cmtensor.invariants`,
-keyed by a leading-monomial set, and four values keyed by the identity of
-their immutable inputs, which a key pins for the life of the scope: the
-tensor of two presentations and the contraction of an ideal to a side
-(:mod:`cmtensor.algebra`), and the Krull dimension of a presentation and
-the grade certificate of an ideal for a seed (:mod:`cmtensor.invariants`).
-So inside one check, or one ``run_all_checks``, each of them is computed
-once.  Like a basis memo hit, a hit spends no reduction steps.
+Other layers keep values in a scope through :func:`scope_cached`.  The
+scope lives in a context variable that :func:`memo_scope` sets for the
+outermost scoped call (a theorem check, ``grade``, ``is_cohen_macaulay``
+or a regular-sequence test) and drops when that call returns, so it never
+outlives one computation; outside a scope nothing is cached.  Its entries
+are facts about immutable objects, keyed by the objects themselves, which
+a key pins for the life of the scope: the tensor of two presentations and
+the contraction of an ideal to a side (:mod:`cmtensor.algebra`), and the
+Krull dimension of a presentation, the grade certificate of an ideal for
+a seed, the next stage of a grade chain (a stage plus one element) and a
+stage's Hilbert numerator (:mod:`cmtensor.invariants`).  So inside one
+check, or one ``run_all_checks``, each of them is computed once, and a
+stage object shared that way computes its basis once.  A hit spends no
+reduction steps, and only successful results are stored: a
+``StepBudgetExceeded`` is never kept.  Certificate validation reads no
+scope entry; it builds every presentation it uses from raw generators.
 
 The work limits come from a second context variable, set by
 :func:`limits`: every basis and every normal form gets a fresh step
@@ -126,27 +123,27 @@ def current_limits() -> _Limits:
     return _LIMITS.get()
 
 
-# The basis memo of the current scope, or None outside every scope.
-_BASIS_MEMO: ContextVar = ContextVar("cmtensor_basis_memo", default=None)
+# The values cached in the current scope, or None outside every scope.
+_MEMO: ContextVar = ContextVar("cmtensor_memo", default=None)
 # A key that :func:`scope_cached` has not stored maps to this.
 _MISSING = object()
 
 
 @contextmanager
-def memo_scope(fresh: bool = False):
-    """Open a basis memo scope, or join the one already open.
+def memo_scope():
+    """Open a memo scope, or join the one already open.
 
-    With ``fresh`` a new empty memo is used even inside another scope; the
-    enclosing memo is restored on exit.
+    The scope holds what :func:`scope_cached` stores in it and is dropped
+    when the outermost scope exits.
     """
-    if not fresh and _BASIS_MEMO.get() is not None:
+    if _MEMO.get() is not None:
         yield
         return
-    token = _BASIS_MEMO.set({})
+    token = _MEMO.set({})
     try:
         yield
     finally:
-        _BASIS_MEMO.reset(token)
+        _MEMO.reset(token)
 
 
 def scope_cached(key, compute):
@@ -155,9 +152,12 @@ def scope_cached(key, compute):
     Outside every scope nothing is cached and `compute()` runs each time.
     A hit runs nothing, so it spends no reduction steps.  Only values that
     were computed without raising are stored; ``None`` is a value like any
-    other.
+    other.  Keys hold immutable objects, pinned for the life of the scope,
+    and contents such as a polynomial; no key names a basis by its
+    generators, since a basis is cached only on its
+    :class:`IdealPresentation`.
     """
-    memo = _BASIS_MEMO.get()
+    memo = _MEMO.get()
     if memo is None:
         return compute()
     value = memo.get(key, _MISSING)
@@ -167,7 +167,7 @@ def scope_cached(key, compute):
 
 
 def memo_scoped(fn):
-    """Run `fn` inside a basis memo scope (joining an open one)."""
+    """Run `fn` inside a memo scope (joining an open one)."""
 
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
@@ -421,18 +421,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
     with coefficient 1, and no step is spent.
 
     The returned basis is monic, auto-reduced, and sorted ascending by
-    leading monomial.  Inside a memo scope a basis already computed there
-    is returned again.
+    leading monomial.  Every call computes; a basis is cached only by
+    :meth:`IdealPresentation.reduced_basis`.
     """
     nonzero = [g for g in gens if g.terms]
     if not nonzero:
         return []
     ring = nonzero[0].ring
     _check_ring(ring, nonzero)
-    if _BASIS_MEMO.get() is None:
-        return _buchberger(ring, nonzero, order)
-    key = (ring, order, frozenset(frozenset(g.terms.items()) for g in nonzero))
-    return list(scope_cached(key, lambda: tuple(_buchberger(ring, nonzero, order))))
+    return _buchberger(ring, nonzero, order)
 
 
 def _buchberger(ring, nonzero, order):

@@ -38,16 +38,26 @@ Whether f is a nonzerodivisor modulo a stage is decided by Hilbert series
 when f and every stage generator are homogeneous (Bayer and Stillman,
 "Computation of Hilbert functions", 1992): for deg f = d >= 1 it is one
 exactly when HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come
-from the leading-monomial ideals (see :mod:`cmtensor.monomial`), and a
-stage's numerator is cached in the current memo scope.  Before either, a
-stage that is a monomial ideal and an f whose normal form is one term are
-decided by coprimality.  Other inputs use the colon (stage : f).
+from the leading-monomial ideals (see :mod:`cmtensor.monomial`).  Before
+either, a stage that is a monomial ideal and an f whose normal form is one
+term are decided by coprimality.  Other inputs use the colon (stage : f).
+
+Every chain of stages (``grade``, ``is_regular_sequence`` and the Hilbert
+test between them) builds stage + (f) through ``_next_stage``, which
+inside a memo scope returns one object per stage object and content of f.
+A stage keeps its own reduced basis, and its Hilbert numerator is kept in
+the scope under the stage object, so the extended ideal the Hilbert test
+builds is the stage the loop continues with, and two grades in one scope
+that extend a stage by the same element share the next one.
+
 Certificate validation checks every sequence element with a colon and the
 witness with normal forms, so it checks the coprimality and Hilbert tests
-and the linear-algebra stop test from a separate code path.  It skips only
-what holds by construction of the raw generators: a sequence element that
-is a generator of I's lift lies in I, and the witness times a generator of
-the lift that is also a generator of the final stage lies in that stage.
+and the linear-algebra stop test from a separate code path.  It reads no
+scope entry and builds every presentation from the certificate's raw
+generators.  It skips only what holds by construction of those
+generators: a sequence element that is a generator of I's lift lies in I,
+and the witness times a generator of the lift that is also a generator of
+the final stage lies in that stage.
 """
 
 from __future__ import annotations
@@ -73,7 +83,6 @@ from .groebner import (
     buchberger,
     current_limits,
     ideal_quotient,
-    memo_scope,
     memo_scoped,
     normal_form,
     scope_cached,
@@ -124,11 +133,28 @@ def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
 def _hilbert_numerator_of(J: IdealPresentation) -> tuple:
     """The Hilbert numerator of R/J, from J's leading monomials.
 
-    Cached in the current memo scope: a stage's numerator serves every
-    candidate tested against it.
+    Cached per stage object in the current memo scope: a stage's numerator
+    serves every candidate tested against it.
     """
-    lms = frozenset(g.leading_monomial(J.order) for g in J.reduced_basis())
-    return scope_cached(("hilbert numerator", lms), lambda: tuple(monomial.hilbert_numerator(lms)))
+    return scope_cached(
+        ("hilbert numerator", J),
+        lambda: tuple(
+            monomial.hilbert_numerator(g.leading_monomial(J.order) for g in J.reduced_basis())
+        ),
+    )
+
+
+def _next_stage(stage: IdealPresentation, f: Polynomial) -> IdealPresentation:
+    """stage + (f), presented as ``stage.generators + (f,)``.
+
+    Inside a memo scope one object per stage object and content of f, so
+    the stage the nonzerodivisor test builds is the one a grade or
+    regular-sequence loop continues with, and its basis is computed once.
+    """
+    return scope_cached(
+        ("stage", stage, f),
+        lambda: IdealPresentation(stage.ring, stage.generators + (f,), stage.order),
+    )
 
 
 def _colon(base: IdealPresentation, gens):
@@ -343,12 +369,13 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     makes f a nonzerodivisor exactly when
     HS(R/(stage + f)) = (1 - t^d) HS(R/stage), compared through the Hilbert
     numerators of the leading-monomial ideals.  The extended ideal is
-    presented as ``stage.generators + (f,)``, the next stage of every
-    caller, so its basis is computed once per scope.  Before that, when the
-    stage is a monomial ideal (its reduced basis is single terms) and NF(f)
-    is one term, f is a nonzerodivisor exactly when that term is coprime to
-    every basis monomial (:func:`cmtensor.monomial.coprime`).  Otherwise
-    the colon (stage : f) is compared with the stage.
+    ``_next_stage(stage, f)``, inside a scope the object the caller's loop
+    continues with, so its basis and numerator are computed once.  Before
+    that, when the stage is a monomial ideal (its reduced basis is single
+    terms) and NF(f) is one term, f is a nonzerodivisor exactly when that
+    term is coprime to every basis monomial
+    (:func:`cmtensor.monomial.coprime`).  Otherwise the colon (stage : f)
+    is compared with the stage.
     """
     if not f.terms:
         # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
@@ -361,44 +388,48 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
         d = f.total_degree()
         if d == 0:
             return True  # a nonzero constant is a unit
-        extended = IdealPresentation(stage.ring, stage.generators + (f,), stage.order)
         numerator = _hilbert_numerator_of(stage)
         expected = monomial.plus_shifted(numerator, numerator, d, -1)
-        return _hilbert_numerator_of(extended) == tuple(expected)
+        return _hilbert_numerator_of(_next_stage(stage, f)) == tuple(expected)
     Q = _colon(stage, (f,))
     return _extension_witness(stage, Q) is None
 
 
 @memo_scoped
 def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bool:
-    """Each element a nonzerodivisor modulo its predecessors, final quotient nonzero."""
+    """Each element a nonzerodivisor modulo its predecessors, final quotient nonzero.
+
+    Each element f is tested by its normal form r modulo the stage, and the
+    next stage is ``_next_stage(stage, r)``: stage + (r) is stage + (f),
+    and it is the object the Hilbert test of r built.
+    """
     stage = A.relations
     for f in seq:
         r = normal_form(f, stage.reduced_basis(), stage.order)
         if not _is_nzd_mod(stage, r):
             return False
-        # stage + (r) is stage + (f), and the ideal the Hilbert test built
-        stage = IdealPresentation(A.ring, stage.generators + (r,), stage.order)
+        stage = _next_stage(stage, r)
     return not stage.contains_one()
 
 
 @memo_scoped
 def is_permutable_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bool:
-    """Regularity under every permutation; lengths past PERMUTATION_BOUND are refused.
+    """Regularity under every permutation.
 
     Over a homogeneous presentation, a sequence of homogeneous elements of
     positive degree is regular in every order once it is regular in one
     (the graded form of Matsumura, *Commutative Ring Theory*, Thm 16.3;
     Bruns and Herzog, *Cohen-Macaulay Rings*, §1.5): such elements lie in
     the irrelevant ideal of a positively graded ring.  Then only the given
-    order is tested.  Every other input is tested in all orders.
+    order is tested, at any length.  Every other input is tested in all
+    orders, and refused past PERMUTATION_BOUND elements.
     """
+    if A.homogeneous and all(f.is_homogeneous() and f.total_degree() > 0 for f in seq):
+        return is_regular_sequence(A, seq)
     if len(seq) > PERMUTATION_BOUND:
         raise PermutationBoundExceeded(
             f"sequence of length {len(seq)} exceeds the permutation bound {PERMUTATION_BOUND}"
         )
-    if A.homogeneous and all(f.is_homogeneous() and f.total_degree() > 0 for f in seq):
-        return is_regular_sequence(A, seq)
     return all(is_regular_sequence(A, perm) for perm in itertools.permutations(seq))
 
 
@@ -545,7 +576,7 @@ def _grade(A: AlgebraPresentation, I: AlgebraIdeal, seed: int) -> GradeCertifica
                 return _certificate(relations, sequence, w)
             f = _find_nonzerodivisor(stage, pool, rng)
         sequence.append(f)
-        stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
+        stage = _next_stage(stage, f)
 
 
 def validate_grade_certificate(
@@ -555,58 +586,58 @@ def validate_grade_certificate(
 ) -> None:
     """Independent revalidation from raw generators; raises CertificateError.
 
-    Uses only normal forms and ideal quotients over freshly built
-    presentations, never state left over from the grade run: it runs in a
-    fresh basis memo scope, even when called inside another scope.  Two
-    facts are read off the raw generators instead: a sequence element equal
-    to a generator of ``I.lift`` is a member of I (the basis of ``I.lift``
-    is built only for the first element that is not one), and for a
+    Uses only normal forms and ideal quotients over presentations built
+    here from the certificate's raw generators, never state left over from
+    the grade run: nothing it calls reads a memo scope, so it computes
+    every basis itself, even when called inside a scope.  Two facts are
+    read off the raw generators instead: a sequence element equal to a
+    generator of ``I.lift`` is a member of I (the basis of ``I.lift`` is
+    built only for the first element that is not one), and for a
     generator g of ``I.lift`` that is also a generator of the final stage,
     witness * g lies in (g), inside that stage, so its normal form is not
     taken.
     """
-    with memo_scope(fresh=True):
-        ring = A.ring
-        order = A.relations.order
-        if cert.grade != len(cert.sequence):
-            raise CertificateError("grade differs from the sequence length")
-        if len(cert.stage_ideals) != cert.grade + 1:
-            raise CertificateError("stage chain length is inconsistent")
-        if cert.stage_ideals[0] != A.relations.generators:
-            raise CertificateError("stage chain does not start at the relations")
-        for i, f in enumerate(cert.sequence):
-            if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
-                raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
+    ring = A.ring
+    order = A.relations.order
+    if cert.grade != len(cert.sequence):
+        raise CertificateError("grade differs from the sequence length")
+    if len(cert.stage_ideals) != cert.grade + 1:
+        raise CertificateError("stage chain length is inconsistent")
+    if cert.stage_ideals[0] != A.relations.generators:
+        raise CertificateError("stage chain does not start at the relations")
+    for i, f in enumerate(cert.sequence):
+        if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
+            raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
 
-        generators = I.lift.generators
-        lift_basis = None
-        for i, f in enumerate(cert.sequence):
-            if f in generators:
-                continue
-            if lift_basis is None:
-                lift_basis = buchberger(generators, order)
-            if normal_form(f, lift_basis, order).terms:
-                raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
+    generators = I.lift.generators
+    lift_basis = None
+    for i, f in enumerate(cert.sequence):
+        if f in generators:
+            continue
+        if lift_basis is None:
+            lift_basis = buchberger(generators, order)
+        if normal_form(f, lift_basis, order).terms:
+            raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
-        for i, f in enumerate(cert.sequence):
-            base = IdealPresentation(ring, cert.stage_ideals[i], order)
-            Q = ideal_quotient(base, IdealPresentation(ring, (f,), order))
-            basis = base.reduced_basis()
-            for g in Q.generators:
-                if normal_form(g, basis, order).terms:
-                    raise CertificateError(
-                        f"f_{i + 1} is a zerodivisor modulo stage {i}"
-                    )
+    for i, f in enumerate(cert.sequence):
+        base = IdealPresentation(ring, cert.stage_ideals[i], order)
+        Q = ideal_quotient(base, IdealPresentation(ring, (f,), order))
+        basis = base.reduced_basis()
+        for g in Q.generators:
+            if normal_form(g, basis, order).terms:
+                raise CertificateError(
+                    f"f_{i + 1} is a zerodivisor modulo stage {i}"
+                )
 
-        final = IdealPresentation(ring, cert.stage_ideals[-1], order)
-        final_basis = final.reduced_basis()
-        if not normal_form(cert.witness, final_basis, order).terms:
-            raise CertificateError("witness lies in the final stage")
-        for g in generators:
-            if g in final.generators:
-                continue
-            if normal_form(cert.witness * g, final_basis, order).terms:
-                raise CertificateError("witness does not annihilate the ideal")
+    final = IdealPresentation(ring, cert.stage_ideals[-1], order)
+    final_basis = final.reduced_basis()
+    if not normal_form(cert.witness, final_basis, order).terms:
+        raise CertificateError("witness lies in the final stage")
+    for g in generators:
+        if g in final.generators:
+            continue
+        if normal_form(cert.witness * g, final_basis, order).terms:
+            raise CertificateError("witness does not annihilate the ideal")
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ can drive any of them the same way.  ``check_lemma_1_2`` and
 The work limits (reduction steps per basis, nonzerodivisor draws) are
 those of the enclosing :func:`cmtensor.groebner.limits` scope.
 
-Each check, and ``run_all_checks``, runs in one basis memo scope (see
-:mod:`cmtensor.groebner`), so a basis its grades share is computed once,
-and so are the values the checks of one instance repeat: the tensor of
-the factors, each grade of an ideal for the seed, the contractions of the
-prime and each Krull dimension.
+Each check, and ``run_all_checks``, runs in one memo scope (see
+:mod:`cmtensor.groebner`), so the values the checks of one instance
+repeat are computed once: the tensor of the factors, each grade of an
+ideal for the seed, the contractions of the prime, each Krull dimension,
+and each stage of a grade or regular-sequence chain.  A stage keeps its
+own basis, so a stage two grades share computes its basis once.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""The scoped, content-addressed basis memo of ``buchberger``, and the
-values other layers keep in the same scope.
+"""The memo scope and the values kept in it.
 
 A scope is opened by the outermost check, ``grade`` or
-``is_cohen_macaulay`` and dropped when it returns; certificate validation
-always works in a fresh scope of its own.  Inside a scope the tensor of two
-presentations, the contraction of an ideal, the Krull dimension of a
-presentation and the grade certificate of an ideal for a seed are computed
-once, keyed by the identity of their inputs.
+``is_cohen_macaulay`` and dropped when it returns.  Inside a scope the
+tensor of two presentations, the contraction of an ideal, the Krull
+dimension of a presentation, the grade certificate of an ideal for a seed
+and the next stage of a grade chain are computed once, keyed by the
+identity of their inputs.  A basis is cached only on its
+``IdealPresentation``: ``buchberger`` computes on every call, so a stage
+object shared through the scope is what saves a basis.  Certificate
+validation reads no scope entry.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from cmtensor import (
     validate_grade_certificate,
 )
 from cmtensor import algebra, groebner, invariants
-from cmtensor.groebner import _BASIS_MEMO, memo_scope, scope_cached
+from cmtensor.groebner import _MEMO, IdealPresentation, memo_scope, scope_cached
 from cmtensor.theorems import CHECKS
 
 F = PrimeField()
@@ -46,7 +48,7 @@ def twisted_cubic_gens():
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Count the bases actually computed (memo misses and unscoped calls)."""
+    """Count the bases actually computed."""
     calls = []
     inner = groebner._buchberger
 
@@ -71,7 +73,7 @@ class RecordingMemo(dict):
 
 
 def test_no_memo_outside_a_scope(computed):
-    assert _BASIS_MEMO.get() is None
+    assert _MEMO.get() is None
     gens = twisted_cubic_gens()
     assert buchberger(gens) == buchberger(gens)
     assert len(computed) == 2
@@ -81,33 +83,39 @@ def test_scope_is_dropped_on_return():
     x, y = R3.gens()[:2]
     A = make_algebra(R3, (x * y,))
     grade(A, AlgebraIdeal(A, (x, y)))
-    assert _BASIS_MEMO.get() is None
+    assert _MEMO.get() is None
     with memo_scope():
-        outer = _BASIS_MEMO.get()
+        outer = _MEMO.get()
         with memo_scope():
-            assert _BASIS_MEMO.get() is outer  # nested scopes join
-    assert _BASIS_MEMO.get() is None
+            assert _MEMO.get() is outer  # nested scopes join
+    assert _MEMO.get() is None
 
 
-def test_budget_failure_is_not_memoised(computed):
+def test_budget_failure_is_not_memoised():
+    x, y, z = R3.gens()
+    A = make_algebra(R3, twisted_cubic_gens())
+    I = AlgebraIdeal(A, (x + y, z))
+    J = IdealPresentation(R3, twisted_cubic_gens())
+    with memo_scope():
+        with limits(step_budget=3):
+            with pytest.raises(StepBudgetExceeded):
+                J.reduced_basis()
+            with pytest.raises(StepBudgetExceeded):
+                grade(A, I)
+        assert J._basis is None
+        assert ("grade", A, I, 0) not in _MEMO.get()
+        basis = J.reduced_basis()
+        cert = grade(A, I)
+    assert basis == tuple(buchberger(J.generators))
+    assert cert == grade(A, I)
+
+
+def test_buchberger_computes_inside_a_scope(computed):
     gens = twisted_cubic_gens()
     with memo_scope():
-        with limits(step_budget=3), pytest.raises(StepBudgetExceeded):
-            buchberger(gens, GREVLEX)
-        assert not _BASIS_MEMO.get()
-        basis = buchberger(gens, GREVLEX)
-    assert basis == buchberger(gens, GREVLEX)
-    assert len(computed) == 3  # the failure, the scoped success, the unscoped call
-
-
-def test_permuted_and_repeated_generators_share_an_entry(computed):
-    gens = twisted_cubic_gens()
-    with memo_scope():
-        first = buchberger(gens)
-        again = buchberger(gens[::-1] + [gens[1], R3.zero])
-        assert len(_BASIS_MEMO.get()) == 1
-    assert again == first
-    assert len(computed) == 1
+        assert buchberger(gens) == buchberger(gens)
+        assert not _MEMO.get()
+    assert len(computed) == 2
 
 
 def test_a_cached_none_is_a_hit():
@@ -135,12 +143,60 @@ def test_memo_hands_out_fresh_lists():
         assert buchberger(gens)
 
 
+def test_next_stage_is_shared_in_a_scope():
+    x, y, z = R3.gens()
+    stage = IdealPresentation(R3, (x * y,))
+    with memo_scope():
+        nxt = invariants._next_stage(stage, x + y)
+        assert invariants._next_stage(stage, y + x) is nxt  # an equal f, another object
+        assert nxt.generators == (x * y, x + y)
+        assert invariants._next_stage(stage, x + z) is not nxt
+        assert invariants._next_stage(IdealPresentation(R3, (x * y,)), x + y) is not nxt
+    assert invariants._next_stage(stage, x + y) is not invariants._next_stage(stage, x + y)
+
+
+def test_grades_sharing_a_first_candidate_compute_its_stage_once(computed):
+    x, y, z = R3.gens()
+    A = make_algebra(R3, (x * y,))
+    first, second = AlgebraIdeal(A, (x + y, z)), AlgebraIdeal(A, (x + y, z ** 2))
+
+    def stage_runs():
+        # x + y is a nonzerodivisor modulo (xy), so both grades take it first
+        return sum(1 for _, gens, _ in computed if gens == [x * y, x + y])
+
+    grade(A, first)
+    grade(A, second)
+    assert stage_runs() == 2  # each grade in a scope of its own
+    computed.clear()
+    with memo_scope():
+        grade(A, first)
+        grade(A, second)
+    assert stage_runs() == 1
+
+
+def test_validation_ignores_the_scope_it_is_called_in(monkeypatch):
+    x, y, z = R3.gens()
+    A = make_algebra(R3, (x * y,))
+    I = AlgebraIdeal(A, (x + y, z))
+    with memo_scope():
+        cert = grade(A, I)
+
+        def refuse(key, compute):
+            raise AssertionError(f"validation read the scope at {key[0]!r}")
+
+        for module in (groebner, invariants, algebra):
+            monkeypatch.setattr(module, "scope_cached", refuse)
+        validate_grade_certificate(A, I, cert)
+
+
 def test_validation_reads_nothing_from_the_grade_scope(computed):
+    """Validation called in the grade's own scope neither reads nor writes
+    an entry there, and computes its bases itself."""
     x, y, z = R3.gens()
     A = make_algebra(R3, (x * y,))
     I = AlgebraIdeal(A, (x + y, z))
     memo = RecordingMemo()
-    token = _BASIS_MEMO.set(memo)
+    token = _MEMO.set(memo)
     try:
         cert = grade(A, I)  # joins the scope opened above
         assert memo and memo.lookups
@@ -150,9 +206,9 @@ def test_validation_reads_nothing_from_the_grade_scope(computed):
         assert computed  # validation computed its bases itself
         assert memo.lookups == lookups
         assert memo == entries
-        assert _BASIS_MEMO.get() is memo
+        assert _MEMO.get() is memo
     finally:
-        _BASIS_MEMO.reset(token)
+        _MEMO.reset(token)
 
 
 def test_validation_runs_under_the_ambient_budget(computed):
@@ -161,12 +217,12 @@ def test_validation_runs_under_the_ambient_budget(computed):
     I = AlgebraIdeal(A, (x + y, z))
     with memo_scope():
         cert = grade(A, I)
-        entries = dict(_BASIS_MEMO.get())
+        entries = dict(_MEMO.get())
         computed.clear()
         with limits(step_budget=0), pytest.raises(StepBudgetExceeded):
             validate_grade_certificate(A, I, cert)
-        assert computed  # the failing basis was computed, not read from the memo
-        assert _BASIS_MEMO.get() == entries
+        assert computed  # the failing basis was computed, not read from the scope
+        assert _MEMO.get() == entries
         validate_grade_certificate(A, I, cert)
 
 
@@ -263,7 +319,7 @@ def test_every_call_computes_afresh_outside_a_scope(runs):
     I = AlgebraIdeal(A, A.ring.gens())
     assert grade(A, I) is not grade(A, I)
     assert runs == {"tensor": 3, "grade": 2, "contract": 2, "dim": 2}
-    assert _BASIS_MEMO.get() is None
+    assert _MEMO.get() is None
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +342,7 @@ def test_run_all_checks_builds_one_tensor(reference_instance, monkeypatch):
     reports = run_all_checks(reference_instance, 5)
     assert len(reports) == len(CHECKS)
     assert len(built) == 1
-    assert _BASIS_MEMO.get() is None
+    assert _MEMO.get() is None
 
 
 def test_sharing_leaves_every_report_unchanged(reference_instance):

@@ -239,8 +239,10 @@ class TestRegularSequences:
     def test_factorial_bound(self):
         A = poly_algebra("x", "y")
         x, y = A.ring.gens()
+        # homogeneous of positive degree: one regularity test, at any length
+        assert not is_permutable_regular_sequence(A, (x, y, x, y, x, y))
         with pytest.raises(PermutationBoundExceeded):
-            is_permutable_regular_sequence(A, (x, y, x, y, x, y))
+            is_permutable_regular_sequence(A, (x, y, x, y, x, y + 1))
 
 
 def _all_orders_regular(A, seq) -> bool:
@@ -329,12 +331,15 @@ class TestGradedPermutability:
         assert not is_permutable_regular_sequence(A, seq)
         assert len(regularity_tests) > 1
 
-    def test_bound_is_checked_before_the_graded_shortcut(self, regularity_tests):
+    def test_bound_is_checked_after_the_graded_shortcut(self, regularity_tests):
         A = poly_algebra(*"abcdef")
         seq = A.ring.gens()
+        assert is_permutable_regular_sequence(A, seq)
+        assert regularity_tests == [seq]
+        inhomogeneous = seq[:-1] + (seq[-1] + 1,)
         with pytest.raises(PermutationBoundExceeded):
-            is_permutable_regular_sequence(A, seq)
-        assert regularity_tests == []
+            is_permutable_regular_sequence(A, inhomogeneous)
+        assert regularity_tests == [seq]
 
 
 class TestGrade:
@@ -797,7 +802,7 @@ class TestMonomialGrade:
     def test_zero_ring(self):
         ring = PolyRing(("x", "y"), F)
         x, y = ring.gens()
-        A = AlgebraPresentation(ring, IdealPresentation(ring, (x, 4 * ring.one)), True)
+        A = AlgebraPresentation(ring, IdealPresentation(ring, (x, 4 * ring.one)))
         I = AlgebraIdeal(A, (y,))
         assert _grade_outcome(grade, A, I, 0) is ImproperIdealError
         assert _grade_outcome(reference_grade, A, I, 0) is ImproperIdealError

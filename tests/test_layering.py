@@ -4,6 +4,10 @@ The kernel uses the standard library alone, :mod:`cmtensor.monomial` is a
 leaf that depends on no part of the package but ``polyring``, and the
 session parser depends on no part but ``errors`` and ``polyring``.
 
+Only :mod:`cmtensor.groebner` names ``_MEMO``, the context variable that
+holds the memo scope; every other module reaches the scope through
+``memo_scope``, ``memo_scoped`` and ``scope_cached``.
+
 No module imports :mod:`dataclasses`: it loads ``inspect``, ``ast`` and
 ``dis`` and builds each class's methods with ``exec``, which made up about
 half of the time ``cmtensor run`` took to start.  The command line does
@@ -100,3 +104,22 @@ def test_parser_depends_only_on_errors_and_polyring():
     assert _package_imports(PACKAGE / "frontend" / "executor.py") >= {
         "cmtensor.algebra", "cmtensor.frontend.parser", "cmtensor.theorems"
     }
+
+
+def _names(path):
+    """Every identifier `path` reads, assigns, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_only_groebner_names_the_scope_variable():
+    assert "_MEMO" in _names(PACKAGE / "groebner.py")
+    others = [p for p in MODULES if p != PACKAGE / "groebner.py"]
+    assert [str(p.relative_to(PACKAGE)) for p in others if "_MEMO" in _names(p)] == []
