@@ -22,12 +22,23 @@ are packed on entry to the loop and unpacked on exit, and only the
 elements of a reduced basis keep their packed form beside their terms.
 Fields start 8 bits wide; when a monomial reaches a guard bit, the whole
 computation runs again with fields twice as wide on the same step
-counter.  No choice depends on the packing (the pairs each update keeps,
-pairs by sugar or lcm degree, then lcm degree, lcm, i, j, the largest
-term first, the first basis element that divides it), so bases and step
-counts are those of the same algorithm on exponent tuples, kept in the
-tests as ``reference_buchberger``, plus the steps of any narrower run that
-overflowed.
+counter.
+
+A division keeps its pending terms in a heap from its first reduction
+step on; a term that cancels stays at zero and is skipped when it comes
+up, with no step spent and no guard bit checked.  A Buchberger run
+remembers, for each monomial its S-pair divisions meet, the first basis
+element that divides it, or how many elements were tried without one:
+the basis only grows during the run, so a found divisor stays the first,
+and a miss is retried only against the elements added since.  The memo
+is dropped when the run returns, and a widened rerun starts a new one.
+
+No choice depends on the packing, the heap or the memo (the pairs each
+update keeps, pairs by sugar or lcm degree, then lcm degree, lcm, i, j,
+the largest term first, the first basis element that divides it), so
+bases and step counts are those of the same algorithm on exponent tuples,
+kept in the tests as ``reference_buchberger``, plus the steps of any
+narrower run that overflowed.
 
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
@@ -68,6 +79,8 @@ import math
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -318,41 +331,73 @@ def _entry_of(g: Polynomial, packing: _Packing, p: int) -> tuple:
     return _entry(packing.pack_terms(g.terms), p)
 
 
-def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None) -> dict:
+def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None, first=None) -> dict:
     """Full division remainder of the packed term map `work` (consumed) by
     the entries `basis`.
 
     Deterministic: the largest term is always cancelled against the first
-    entry whose leading monomial divides it.  Each popped term is checked
-    for a guard bit.  When `quotient` is a dict and the basis has one
-    entry, the cofactor is accumulated into it.
+    entry whose leading monomial divides it, one step each.  Until the
+    first step terms only leave `work`, so the largest is found by ``max``;
+    from then on the pending monomials wait in a heap, negated.  Every term
+    a step adds is below the one it cancels, so terms come up in the same
+    order either way.  A term that cancels stays in `work` at 0 and is
+    skipped when it comes up, before its guard bit is checked and without a
+    step; every other term is checked for a guard bit.
+
+    `first`, when given, maps a monomial to its first dividing entry, or to
+    n when none of the first n entries divides it.  It stays true while
+    `basis` only grows, and a miss is retried only against the entries
+    added since.  When `quotient` is a dict and the basis has one entry,
+    the cofactor is accumulated into it.
     """
     rem = {}
     get = work.get
-    while work:
-        m = max(work)
+    heap = None
+    while True:
+        if heap is None:
+            if not work:
+                return rem
+            m = max(work)
+        elif heap:
+            m = -heappop(heap)
+        else:
+            return rem
+        c = work.pop(m)
+        if not c:
+            continue
         if m & guard:
             raise _Overflow
-        c = work.pop(m)
-        for lm, inv_lc, tail in basis:
-            shift = m - lm
-            if not shift & guard:
-                break
-        else:
-            rem[m] = c
-            continue
+        entry = None if first is None else first.get(m)
+        if entry.__class__ is not tuple:
+            # Try the entries not tried for m yet: all, or those added since
+            # a miss.
+            for entry in basis if entry is None else islice(basis, entry, None):
+                if not (m - entry[0]) & guard:
+                    break
+            else:
+                if first is not None:
+                    first[m] = len(basis)
+                rem[m] = c
+                continue
+            if first is not None:
+                first[m] = entry
+        lm, inv_lc, tail = entry
+        shift = m - lm
         counter.spend()
         factor = c * inv_lc % p
         if quotient is not None:
             quotient[shift] = factor
+        if heap is None:
+            heap = [-t for t in work]
+            heapify(heap)
         for gm, gc in tail:
             t = gm + shift
-            v = (get(t, 0) - factor * gc) % p
-            if v:
-                work[t] = v
+            v = get(t)
+            if v is None:
+                work[t] = -factor * gc % p
+                heappush(heap, -t)
             else:
-                del work[t]
-    return rem
+                work[t] = (v - factor * gc) % p
 
 
 def normal_form(
@@ -511,6 +556,9 @@ def _packed_buchberger(ring, nonzero, order, packing, counter):
     for h in range(len(basis)):
         update(h)
 
+    # The basis only grows until the loop ends, so a monomial's first
+    # divisor, once found, stays its first divisor for the rest of the run.
+    first = {}
     while queue:
         sugar, _, L, i, j = heapq.heappop(queue)
         if pairs.pop((i, j), None) is None:
@@ -528,7 +576,7 @@ def _packed_buchberger(ring, nonzero, order, packing, counter):
                 work[t] = v
             else:
                 del work[t]
-        rem = _reduce(work, basis, guard, p, counter)
+        rem = _reduce(work, basis, guard, p, counter, first=first)
         if rem:
             basis.append(_entry(rem, p, monic=True))
             lms.append(basis[-1][0])

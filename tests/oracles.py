@@ -412,12 +412,16 @@ def reference_buchberger_all_pairs(gens, order):
     return _reference_interreduced(ring, entries, range(len(entries)), key, ring.field.p, [0])
 
 
-def reference_normal_form(f, basis, order):
-    """Remainder of f under full division by `basis`, on exponent tuples."""
+def reference_normal_form(f, basis, order, steps=None):
+    """Remainder of f under full division by `basis`, on exponent tuples.
+
+    `steps`, when given, is a one-item list that the division's reduction
+    steps are added to."""
     inv = f.ring.field.inv
     entries = [
         (g.leading_monomial(order), inv(g.leading_coefficient(order)), g.terms)
         for g in basis
         if g.terms
     ]
-    return Polynomial(f.ring, _reference_reduce(f.terms, entries, order.key, f.ring.field.p, [0]))
+    rem = _reference_reduce(f.terms, entries, order.key, f.ring.field.p, steps or [0])
+    return Polynomial(f.ring, rem)

@@ -847,6 +847,79 @@ class TestMonomialRoutes:
                 normal_form(x ** 2, [x])
 
 
+def _cancelling_division(data_seed):
+    """(rng, divisors, f): up to four random divisors, and f a random
+    polynomial plus a random multiple of each of them, so that dividing f
+    by them cancels many terms."""
+    rng = random.Random(data_seed)
+    divisors = [random_poly(rng, R3, 3, 4) for _ in range(rng.randint(1, 4))]
+    f = random_poly(rng, R3, 3, 4)
+    for g in divisors:
+        f = f + random_poly(rng, R3, 3, 6) * g
+    return rng, divisors, f
+
+
+class TestDivisionKernel:
+    """The reducer's heap of pending terms and the first-divisor memo of a
+    Buchberger run change no choice of plain division: the largest term
+    comes up first and is cancelled against the first element dividing it,
+    one step each, and a term that cancelled is skipped for free."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32), st.sampled_from(ORDERS))
+    def test_normal_forms_and_steps_against_plain_division(self, step_counters, data_seed, order):
+        _, divisors, f = _cancelling_division(data_seed)
+        step_counters.clear()
+        nf = normal_form(f, divisors, order)
+        steps = [0]
+        expected = reference_normal_form(f, divisors, order, steps)
+        assert nf.terms == expected.terms
+        assert sum(c.used for c in step_counters) == steps[0]
+        # the reducer's remainder keeps its terms in the order they came up
+        terms, used = _packed_normal_form(f, divisors, order)
+        assert list(terms.items()) == list(expected.terms.items())
+        assert used == steps[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(ORDERS))
+    def test_exact_quotients(self, data_seed, order):
+        rng, (g, *_), _ = _cancelling_division(data_seed)
+        q = random_poly(rng, R3, 4, 8)
+        assert groebner._exact_quotient(q * g, g, order) == q
+
+    def test_a_monomial_reduced_only_by_a_later_element(self, step_counters, monkeypatch):
+        # yz, xz and z^2 divide no leading monomial of the input when they
+        # first come up; each becomes the leading monomial of a new element
+        # and comes up again in a later division, which must find it.
+        found_later = []
+        reduce = groebner._reduce
+
+        def watched(work, basis, guard, p, counter, quotient=None, first=None):
+            memo = first or {}
+            missed = [m for m, known in memo.items() if isinstance(known, int)]
+            rem = reduce(work, basis, guard, p, counter, quotient, first)
+            found_later.extend(m for m in missed if not isinstance(memo[m], int))
+            return rem
+
+        monkeypatch.setattr(groebner, "_reduce", watched)
+        gens = [x3 ** 2 + y3, x3 * y3 + z3, y3 ** 2 + x3]
+        basis = buchberger(gens, GREVLEX)
+        expected, steps = reference_buchberger(gens, GREVLEX)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+        assert sum(c.used for c in step_counters) == steps
+        unpack = groebner._packing(3, GREVLEX, 8).unpack
+        assert sorted(map(unpack, found_later)) == [(0, 0, 2), (0, 1, 1), (1, 0, 1)]
+
+    def test_a_term_that_overflows_and_cancels_widens_nothing(self, step_counters, widths):
+        # Both divisions make z^128, which reaches the guard bit of an 8-bit
+        # lex field; the second cancels it before it comes up.
+        f = x3 * z3 ** 28 - y3 * z3 ** 28
+        assert normal_form(f, [x3 - z3 ** 100, y3 - z3 ** 100], LEX) == R3.zero
+        assert widths == [8]
+        assert sum(c.used for c in step_counters) == 2
+
+
 @pytest.fixture
 def sympy():
     return pytest.importorskip("sympy")
