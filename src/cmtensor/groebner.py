@@ -30,15 +30,26 @@ up, with no step spent and no guard bit checked.  A Buchberger run
 remembers, for each monomial its S-pair divisions meet, the first basis
 element that divides it, or how many elements were tried without one:
 the basis only grows during the run, so a found divisor stays the first,
-and a miss is retried only against the elements added since.  The memo
+and a miss is retried only against the elements added since.  That memo
 is dropped when the run returns, and a widened rerun starts a new one.
 
-No choice depends on the packing, the heap or the memo (the pairs each
+A reduced basis, as the run returns it, gets a memo of its own for the
+normal forms taken against it: the packing it was built under, its
+entries, and each monomial's first dividing entry, where a miss is final,
+since the basis never grows.  Its entries are facts about the basis, so divisions that
+share it, in any order or thread, store the same values.
+:func:`normal_form` reads it only when the nonzero divisors it is given
+are that basis, the same objects in the same order, and only in an
+attempt at the memo's packing; any other list, order or width takes the
+entries packed anew and no memo.
+
+No choice depends on the packing, the heap or the memos (the pairs each
 update keeps, pairs by sugar or lcm degree, then lcm degree, lcm, i, j,
 the largest term first, the first basis element that divides it), so
-bases and step counts are those of the same algorithm on exponent tuples,
-kept in the tests as ``reference_buchberger``, plus the steps of any
-narrower run that overflowed.
+bases, remainders and step counts are those of the same algorithm on
+exponent tuples, kept in the tests as ``reference_buchberger`` and
+``reference_normal_form``, plus the steps of any narrower run that
+overflowed.
 
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
@@ -323,11 +334,41 @@ def _entry(terms: dict, p: int, monic: bool = False) -> tuple:
     return lm, inv, tuple((m, c) for m, c in terms.items() if m != lm)
 
 
+class _BasisMemo:
+    """What one reduced basis keeps for the normal forms taken against it:
+    the packing it was built under, its entries in basis order, and
+    `first`, the memo of :func:`_reduce` from each monomial divided by it
+    to its first dividing entry.  The basis never grows, so a miss (the
+    number of entries) is final.  Each element reaches the memo through
+    its ``_packed`` slot, as ``(memo, position)``."""
+
+    __slots__ = ("packing", "entries", "first")
+
+    def __init__(self, packing: _Packing, entries: list):
+        self.packing = packing
+        self.entries = entries
+        self.first = {}
+
+
+def _memo_of(nz: list):
+    """The memo of the reduced basis `nz` is, the same objects in the same
+    order, or None."""
+    known = getattr(nz[0], "_packed", None)
+    if known is None or len(known[0].entries) != len(nz):
+        return None
+    memo = known[0]
+    for i, g in enumerate(nz):
+        known = getattr(g, "_packed", None)
+        if known is None or known[0] is not memo or known[1] != i:
+            return None
+    return memo
+
+
 def _entry_of(g: Polynomial, packing: _Packing, p: int) -> tuple:
     """g's entry: the one its reduced basis made with it, or packed anew."""
     known = getattr(g, "_packed", None)
-    if known is not None and known[0] is packing:
-        return known[1]
+    if known is not None and known[0].packing is packing:
+        return known[0].entries[known[1]]
     return _entry(packing.pack_terms(g.terms), p)
 
 
@@ -408,7 +449,13 @@ def normal_form(
     """Remainder of f under full division by `basis`.
 
     No term of the result is divisible by a basis leading monomial, and
-    f minus the result lies in the ideal the basis generates.
+    f minus the result lies in the ideal the basis generates.  The largest
+    term is cancelled against the first element whose leading monomial
+    divides it, one step each.  When the nonzero elements of `basis` are a
+    reduced basis as :func:`buchberger` returned it, the same objects in
+    the same order, the division reads and fills the first-divisor memo
+    kept with that basis, while it runs at the packing the basis was built
+    under; the remainder and the steps are the same.
     """
     ring = f.ring
     leads = []
@@ -426,13 +473,18 @@ def normal_form(
         counter.spend(len(f.terms) - len(rem))
         return Polynomial(ring, rem, _trusted=True)
     nz = [g for g in basis if g.terms]
-    _check_ring(ring, nz)
+    memo = _memo_of(nz)
+    # a reduced basis lies in one ring
+    _check_ring(ring, nz if memo is None else nz[:1])
     counter = _StepCounter()
     p = ring.field.p
 
     def run(packing):
-        entries = [_entry_of(g, packing, p) for g in nz]
-        rem = _reduce(packing.pack_terms(f.terms), entries, packing.guard, p, counter)
+        if memo is not None and memo.packing is packing:
+            entries, first = memo.entries, memo.first
+        else:
+            entries, first = [_entry_of(g, packing, p) for g in nz], None
+        rem = _reduce(packing.pack_terms(f.terms), entries, packing.guard, p, counter, first=first)
         return Polynomial(ring, packing.unpack_terms(rem), _trusted=True)
 
     return _widening(ring.nvars, order, run)
@@ -593,14 +645,18 @@ def _packed_buchberger(ring, nonzero, order, packing, counter):
         if not any(not (entry[0] - k[0]) & guard for k in kept):
             kept.append(entry)
     out = []
+    entries = []
     for idx, (lm, _, tail) in enumerate(kept):
         work = dict(tail)
         work[lm] = 1
         rem = _reduce(work, kept[:idx] + kept[idx + 1:], guard, p, counter)
         g = Polynomial(ring, packing.unpack_terms(rem), _trusted=True)
         g._known_lead(order, packing.unpack(lm))
-        g._packed = (packing, _entry(rem, p))
+        entries.append(_entry(rem, p))
         out.append(g)
+    memo = _BasisMemo(packing, entries)
+    for i, g in enumerate(out):
+        g._packed = (memo, i)
     return out
 
 
@@ -632,6 +688,8 @@ class IdealPresentation:
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
+        if f.ring is not self.ring and f.ring != self.ring:
+            raise AmbientMismatchError("membership across different ambients")
         return not normal_form(f, self.reduced_basis(), self.order).terms
 
     def contains_one(self) -> bool:
@@ -659,8 +717,6 @@ def _common_ring(I1: IdealPresentation, I2: IdealPresentation) -> PolyRing:
 
 
 def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
-    if f.ring is not I.ring and f.ring != I.ring:
-        raise AmbientMismatchError("membership across different ambients")
     return I.contains(f)
 
 

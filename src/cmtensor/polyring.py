@@ -281,7 +281,9 @@ class Polynomial:
     # `_lead` is (order, leading monomial) once known; one slot, so that
     # threads racing to fill it never pair an order with another's monomial.
     # `_packed` is set only on the elements of a reduced basis from Buchberger's
-    # general path, as they are made: the packing and entry `groebner` reduces by.
+    # general path, as they are made: (memo, position), the memo `groebner`
+    # keeps with that basis for its normal forms, holding its packing, entries
+    # and first divisors.
     __slots__ = ("ring", "terms", "_lead", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict, *, _trusted: bool = False):

@@ -37,7 +37,7 @@ from cmtensor import (
 from cmtensor import groebner, invariants
 from cmtensor.groebner import NZD_RETRY_CAP, current_limits
 from cmtensor.invariants import _is_nzd_mod
-from cmtensor.polyring import DEGLEX, block_order, mono_divides, mono_mul
+from cmtensor.polyring import DEGLEX, block_order, map_variables, mono_divides, mono_mul
 from conftest import random_poly
 from oracles import (
     membership_oracle,
@@ -860,10 +860,11 @@ def _cancelling_division(data_seed):
 
 
 class TestDivisionKernel:
-    """The reducer's heap of pending terms and the first-divisor memo of a
-    Buchberger run change no choice of plain division: the largest term
-    comes up first and is cancelled against the first element dividing it,
-    one step each, and a term that cancelled is skipped for free."""
+    """The reducer's heap of pending terms and the first-divisor memos, a
+    Buchberger run's and a reduced basis's, change no choice of plain
+    division: the largest term comes up first and is cancelled against the
+    first element dividing it, one step each, and a term that cancelled is
+    skipped for free."""
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -918,6 +919,125 @@ class TestDivisionKernel:
         assert normal_form(f, [x3 - z3 ** 100, y3 - z3 ** 100], LEX) == R3.zero
         assert widths == [8]
         assert sum(c.used for c in step_counters) == 2
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32), st.sampled_from(ORDERS), st.booleans())
+    def test_normal_forms_against_a_reduced_basis_and_its_variants(
+            self, step_counters, data_seed, order, wide):
+        """Many normal forms against one reduced basis, whose memo is warm
+        after the first: the basis as built, permuted, a subset, plus an
+        element, under another order; the basis is built with 16-bit
+        fields when `wide`."""
+        rng, gens, _ = _cancelling_division(data_seed)
+        if wide:
+            # z^130 - z^129 pairs with nothing in x and y
+            gens = [map_variables(random_poly(rng, R2, 3, 4), R3, (0, 1)) for _ in gens]
+            gens.append(z3 ** 130 - z3 ** 129)
+        basis = buchberger(gens, order)
+        fs = [random_poly(rng, R3, 3, 4) + random_poly(rng, R3, 2, 3) * g
+              for g in basis * 2 + [R3.one]]
+        other = ORDERS[(ORDERS.index(order) + 1) % len(ORDERS)]
+        permuted = rng.sample(basis, len(basis))
+        variants = [(basis, order), (basis, order), (permuted, order),
+                    (basis[:-1], order), (basis[1:], order),
+                    (basis + [random_poly(rng, R3, 2, 3)], order), (basis, other)]
+        for divisors, by in variants:
+            for f in fs:
+                used, expected_steps = self._same_division(step_counters, f, divisors, by)
+                assert used == expected_steps
+        if any(len(g.terms) > 1 for g in basis):
+            memo = basis[0]._packed[0]
+            assert memo.first
+            assert memo.packing.limit == (1 << 15 if wide else 1 << 7)
+
+    @staticmethod
+    def _same_division(step_counters, f, divisors, order):
+        """Check normal_form(f, divisors, order) against plain division and
+        the reducer without a memo; (steps used, plain division's steps).
+        Division by single terms keeps f's term order, the reducer the
+        order in which terms came up."""
+        step_counters.clear()
+        nf = normal_form(f, divisors, order)
+        used = sum(c.used for c in step_counters)
+        steps = [0]
+        expected = reference_normal_form(f, divisors, order, steps)
+        terms, unmemoized = _packed_normal_form(f, divisors, order)
+        assert nf.terms == terms == expected.terms
+        if any(len(g.terms) > 1 for g in divisors):
+            assert list(nf.terms.items()) == list(expected.terms.items())
+            assert list(terms.items()) == list(expected.terms.items())
+        assert used == unmemoized
+        return used, steps[0]
+
+    @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "deglex", "block0", "block12"])
+    def test_an_f_that_overflows_an_8_bit_basis(self, step_counters, order):
+        """The 16-bit run of such an f reduces without the basis's 8-bit
+        memo, before and after the memo is warm.  Under lex and block((0,))
+        x^65 overflows only after some steps; those steps count too."""
+        x, y, z = x3, y3, z3
+        basis = buchberger([x ** 2 - y + 3, x * y - 2 * y ** 2 + x], order)
+        assert basis[0]._packed[0].packing.limit == 1 << 7
+        # the leading monomials lie in x and y, so z^130 only rides along
+        wide = z ** 130 * (x ** 3 + x * y ** 2 + 1) + x ** 2 * y + 7
+        for f in (x ** 3 * y + y ** 2, wide, x ** 4 - 1, wide + x * y):
+            used, steps = self._same_division(step_counters, f, basis, order)
+            assert used == steps
+        chain = buchberger([x - y ** 2, z ** 2 + y], order)
+        for f in (x ** 65 + z ** 3, x * y * z, x ** 65 + z ** 3):
+            used, steps = self._same_division(step_counters, f, chain, order)
+            if order in (LEX, block_order((0,))) and f != x * y * z:
+                assert used > steps
+            else:
+                assert used == steps
+
+    def test_the_kept_part_of_an_elimination_basis_divides_without_a_memo(self, step_counters):
+        """Its elements keep their entries in the whole basis's memo, but
+        they are a part of that basis, so no division by them reads it."""
+        gens = [x3 ** 2 - y3 * z3 + x3, y3 ** 2 - x3 * z3, z3 ** 3 - x3 * y3 + y3]
+        I = IdealPresentation(R3, gens)
+        kept = list(eliminate(I, ["x"]).generators)
+        full = buchberger(gens, block_order((0,)))
+        assert 0 < len(kept) < len(full)
+        memo = kept[0]._packed[0]
+        for g in full:
+            for f in (g * y3 + z3 ** 4, x3 * z3 ** 3 + y3 ** 5, gens[0] * gens[1] + z3):
+                for divisors in (kept, kept[::-1]):
+                    used, steps = self._same_division(step_counters, f, divisors, block_order((0,)))
+                    assert used == steps
+        assert not memo.first
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(ORDERS))
+    def test_the_budget_binds_at_the_same_step_with_a_cold_and_a_warm_memo(self, data_seed, order):
+        rng, gens, _ = _cancelling_division(data_seed)
+        basis = buchberger(gens, order)
+        f = random_poly(rng, R3, 3, 4) + random_poly(rng, R3, 2, 3) * basis[-1]
+        steps = [0]
+        expected = reference_normal_form(f, basis, order, steps)
+        for _ in range(2):  # the memo is cold, then warm
+            if steps[0]:
+                with limits(step_budget=steps[0] - 1), pytest.raises(StepBudgetExceeded):
+                    normal_form(f, basis, order)
+            with limits(step_budget=steps[0]):
+                assert normal_form(f, basis, order) == expected
+            for g in basis:
+                normal_form(g * f + x3, basis, order)
+
+    def test_a_foreign_polynomial_is_refused_on_every_path(self):
+        S3 = PolyRing(("u", "v", "w"), F)
+        u = S3.var(0)
+        assert IdealPresentation(R3, ()).reduced_basis() == ()
+        for I in (IdealPresentation(R3, ()), IdealPresentation(R3, [x3 ** 2 + y3, y3 * z3 - x3])):
+            with pytest.raises(AmbientMismatchError):
+                I.contains(u)
+            with pytest.raises(AmbientMismatchError):
+                ideal_membership(u, I)
+        basis = buchberger([x3 ** 2 + y3, y3 * z3 - x3])
+        assert basis[0]._packed is not None
+        normal_form(x3 ** 3, basis)  # warm the memo
+        with pytest.raises(AmbientMismatchError):
+            normal_form(u ** 3 + u, basis)
 
 
 @pytest.fixture
