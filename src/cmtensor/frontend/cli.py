@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..errors import KernelError, ParseError
@@ -12,7 +11,7 @@ from ..polyring import DEFAULT_PRIME, PrimeField
 from ..theorems import generate_corpus, run_all_checks
 from .executor import execute
 from .parser import parse_session
-from .report import VERSION, CommandResult, RunReport
+from .report import VERSION, CommandResult, RunReport, _canonical_json
 
 
 def _add_common(sub):
@@ -96,7 +95,7 @@ def _cmd_corpus(args) -> int:
         "results": results,
     }
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_canonical_json(payload))
     else:
         rows = tuple(
             CommandResult(

@@ -15,6 +15,15 @@ generators by :mod:`cmtensor.monomial` and spend no reduction step.
 Division by single terms drops each divisible term, one step each, as the
 reducer does.
 
+Buchberger's last phase turns the Groebner basis it found into the
+reduced one (:func:`_reduced_basis`): it minimalizes the basis, then
+divides each kept element, in ascending order, by the reduced elements
+below it only, since a larger leading monomial divides no term below an
+element's own.  A presentation its maker knows to be presented by a
+minimal Groebner basis under its order, as a grevlex colon (I : g) is,
+takes that phase alone when its reduced basis is asked for: the same
+basis, with no S-pair reduced (see :meth:`IdealPresentation.reduced_basis`).
+
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
 guard-bit mask tests divisibility.  Polynomials keep exponent tuples; terms
@@ -105,7 +114,6 @@ from .polyring import (
     block_order,
     map_variables,
     mono_divides,
-    restrict_variables,
 )
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -529,13 +537,26 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
     return _buchberger(ring, nonzero, order)
 
 
-def _buchberger(ring, nonzero, order):
+def _buchberger(ring, nonzero, order, minimal=False):
+    """The reduced basis of the nonzero generators; with `minimal` they are
+    known to be a minimal Groebner basis under `order`, and only
+    interreduced."""
     if all(len(g.terms) == 1 for g in nonzero):
         return _monomial_basis(ring, monomial.minimal(m for g in nonzero for m in g.terms), order)
     counter = _StepCounter()
-    return _widening(
-        ring.nvars, order, lambda packing: _packed_buchberger(ring, nonzero, order, packing, counter)
-    )
+    if minimal:
+        p = ring.field.p
+
+        def run(packing):
+            gb = [_entry(packing.pack_terms(g.terms), p, monic=True) for g in nonzero]
+            return _reduced_basis(ring, gb, order, packing, counter)
+
+    else:
+
+        def run(packing):
+            return _packed_buchberger(ring, nonzero, order, packing, counter)
+
+    return _widening(ring.nvars, order, run)
 
 
 def _monomial_basis(ring, gens, order, coeff=1):
@@ -637,19 +658,35 @@ def _packed_buchberger(ring, nonzero, order, packing, counter):
                 excess.append(sugar - sum(exps[-1]))
             update(len(basis) - 1)
 
-    # Minimalize and interreduce.  Each kept element keeps its leading term
-    # under interreduction, so the output stays in the ascending order of
-    # the kept leading monomials.
+    return _reduced_basis(ring, map(basis.__getitem__, live), order, packing, counter)
+
+
+def _reduced_basis(ring, gb, order, packing, counter):
+    """The reduced basis from the monic entries `gb` of a Groebner basis,
+    packed under `packing`.
+
+    The entries are minimalized, then each kept one, in ascending order of
+    leading monomials, is divided by the reduced elements below it only:
+    a leading monomial above an element's own divides no term below it,
+    and the element's own lead is minimal, so no larger element can
+    reduce it, and the remainder is the one division by the whole basis
+    gives.  Each element keeps its leading term, so the output is ascending.
+    Each element carries its leading monomial under `order` and its entry
+    in the basis's :class:`_BasisMemo`, made once and used as a divisor of
+    the elements above it.
+    """
+    p = ring.field.p
+    guard = packing.guard
     kept = []
-    for entry in sorted(map(basis.__getitem__, live), key=itemgetter(0)):
+    for entry in sorted(gb, key=itemgetter(0)):
         if not any(not (entry[0] - k[0]) & guard for k in kept):
             kept.append(entry)
     out = []
     entries = []
-    for idx, (lm, _, tail) in enumerate(kept):
+    for lm, _, tail in kept:
         work = dict(tail)
         work[lm] = 1
-        rem = _reduce(work, kept[:idx] + kept[idx + 1:], guard, p, counter)
+        rem = _reduce(work, entries, guard, p, counter)
         g = Polynomial(ring, packing.unpack_terms(rem), _trusted=True)
         g._known_lead(order, packing.unpack(lm))
         entries.append(_entry(rem, p))
@@ -667,7 +704,7 @@ class IdealPresentation:
     presentation with no generators.  The cache is write-once.
     """
 
-    __slots__ = ("ring", "generators", "order", "_basis")
+    __slots__ = ("ring", "generators", "order", "_basis", "_minimal")
 
     def __init__(
         self,
@@ -681,10 +718,19 @@ class IdealPresentation:
         self.generators = gens
         self.order = order
         self._basis = None
+        self._minimal = False
 
     def reduced_basis(self) -> tuple:
+        """The reduced Groebner basis under the presentation's order,
+        computed on the first call.  When its maker knows the generators
+        to be a minimal Groebner basis under the order (``_minimal``, set
+        by ``_principal_quotient``), they are only interreduced: the same
+        basis, with no S-pair reduced."""
         if self._basis is None:
-            self._basis = tuple(buchberger(self.generators, self.order))
+            if self._minimal:
+                self._basis = tuple(_buchberger(self.ring, self.generators, self.order, True))
+            else:
+                self._basis = tuple(buchberger(self.generators, self.order))
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
@@ -758,6 +804,11 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     part of the reduced basis, ascending in grevlex (the block order on
     tag-free monomials).  Ideals of single terms take the same path; their
     intersection is the one of :func:`cmtensor.monomial.intersection`.
+
+    Under the block order a term with the tag exceeds every term without
+    it, so an element is tag-free exactly when its leading monomial is,
+    and the basis carries its leading monomials.  A tag-free element is
+    moved back by dropping the last exponent of each term.
     """
     ring = _common_ring(I1, I2)
     if not I1.generators or not I2.generators:
@@ -768,11 +819,11 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     one_minus_t = ext.one - t
     gens = [t * _pad_into(ext, f) for f in I1.generators]
     gens += [one_minus_t * _pad_into(ext, g) for g in I2.generators]
-    basis = buchberger(gens, block_order((ti,)))
+    order = block_order((ti,))
     back = [
-        restrict_variables(g, ring, range(ring.nvars))
-        for g in basis
-        if ti not in g.support()
+        Polynomial(ring, {m[:-1]: c for m, c in g.terms.items()}, _trusted=True)
+        for g in buchberger(gens, order)
+        if not g.leading_monomial(order)[-1]
     ]
     return IdealPresentation(ring, back, I1.order)
 
@@ -796,8 +847,17 @@ def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polyn
 def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
     """(I : g) for one nonzero g: (I ∩ (g)) divided by g.
 
-    When g = c*n and every generator of I is a single term, that is the
-    reduced grevlex basis of the colon (I : n) of
+    Those quotients are a minimal grevlex Groebner basis of (I : g),
+    ascending: the generators of I ∩ (g) are its reduced grevlex basis,
+    and in(h/g) * in(g) = in(h).  So under a grevlex I the result is
+    marked as such, and its reduced basis, when asked for, is only
+    interreduced (see :meth:`IdealPresentation.reduced_basis`); under any
+    other order it comes from Buchberger.  Nothing is computed until it
+    is asked for: certificate validation and the stop test read only the
+    generators.
+
+    When g = c*n and every generator of I is a single term, the quotients
+    are the reduced grevlex basis of the colon (I : n) of
     :func:`cmtensor.monomial.colon`, each element with coefficient 1/c.
     """
     ring = I.ring
@@ -806,12 +866,10 @@ def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentatio
         quotients = monomial.colon([m for h in I.generators for m in h.terms], n)
         basis = _monomial_basis(ring, quotients, GREVLEX, ring.field.inv(c))
         return IdealPresentation(ring, basis, I.order)
-    Ig = ideal_intersection(I, IdealPresentation(I.ring, (g,), I.order))
-    return IdealPresentation(
-        I.ring,
-        tuple(_exact_quotient(h, g, I.order) for h in Ig.generators),
-        I.order,
-    )
+    Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
+    Q = IdealPresentation(ring, (_exact_quotient(h, g, I.order) for h in Ig.generators), I.order)
+    Q._minimal = I.order == GREVLEX
+    return Q
 
 
 def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentation:
@@ -826,10 +884,14 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
     a generator of I is skipped before its normal form is taken.  The
     result is then always the reduced grevlex basis of (I : J) in
     ascending order, whatever I's order: an intersection returns the
-    tag-free part of a reduced block order basis, a single remaining colon
-    is reduced under grevlex, and with none left the basis is (1).  Each
-    (I : g) of single-term I and g is read off the generators by
-    :mod:`cmtensor.monomial` (see ``_principal_quotient``).
+    tag-free part of a reduced block order basis, a single remaining
+    colon's generators, a minimal grevlex basis, are interreduced under
+    grevlex with no S-pair, and with none left the basis is (1).  For a
+    principal J the generators are the quotients by g, a minimal grevlex
+    basis; under a grevlex I its reduced basis is interreduced from them
+    when first asked for.  Each (I : g) of single-term I and g is read off
+    the generators by :mod:`cmtensor.monomial` (see
+    ``_principal_quotient``).
     """
     ring = _common_ring(I, J)
     if not J.generators:
@@ -843,7 +905,8 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
         return IdealPresentation(ring, (ring.one,), I.order)
     parts = [_principal_quotient(I, r) for r in left]
     if len(parts) == 1:
-        return IdealPresentation(ring, buchberger(parts[0].generators, GREVLEX), I.order)
+        # (I : r)'s generators are a minimal grevlex basis: interreduce them
+        return IdealPresentation(ring, _buchberger(ring, parts[0].generators, GREVLEX, True), I.order)
     acc = parts[0]
     for nxt in parts[1:]:
         acc = ideal_intersection(acc, nxt)
@@ -854,12 +917,16 @@ def eliminate(I: IdealPresentation, front: Iterable[str]) -> IdealPresentation:
     """Generators of I ∩ k[remaining variables], presented in the same ambient.
 
     Recomputes a basis under block(front, grevlex) and keeps the elements
-    free of the front variables.
+    free of the front variables: those whose leading monomial is, since
+    under the block order a term with a front variable exceeds every term
+    without one.
     """
     idxs = sorted({I.ring.index(nm) for nm in front})
     if not idxs:
         return I
-    basis = buchberger(I.generators, block_order(idxs))
-    fs = set(idxs)
-    keep = tuple(g for g in basis if not (g.support() & fs))
+    order = block_order(idxs)
+    keep = tuple(
+        g for g in buchberger(I.generators, order)
+        if not any(map(g.leading_monomial(order).__getitem__, idxs))
+    )
     return IdealPresentation(I.ring, keep, I.order)

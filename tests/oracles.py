@@ -11,7 +11,9 @@ The exceptions are reference implementations rather than oracles, the
 straightforward versions built from the kernel's primitives and kept to
 pin the optimised ones to them: :func:`reference_buchberger` (Buchberger
 on exponent tuples), :func:`reference_intersection` (the tag variable for
-every input), :func:`reference_quotient` (a colon by every generator),
+every input, tag-freeness read off every term), :func:`reference_eliminate`
+(the same for elimination), :func:`reference_quotient` (a colon by every
+generator),
 :func:`reference_is_nzd` (the colon test for every element) and
 :func:`reference_grade` (the full colon at every stage).
 """
@@ -169,6 +171,18 @@ def reference_intersection(I1, I2):
     return IdealPresentation(ring, back, I1.order)
 
 
+def reference_eliminate(I, front):
+    """Generators of I ∩ k[remaining variables]: the elements of the basis
+    under block(front, grevlex) that no front variable occurs in."""
+    idxs = sorted({I.ring.index(nm) for nm in front})
+    if not idxs:
+        return I
+    basis = buchberger(I.generators, block_order(idxs))
+    fs = set(idxs)
+    keep = tuple(g for g in basis if not (g.support() & fs))
+    return IdealPresentation(I.ring, keep, I.order)
+
+
 def reference_quotient(I, J):
     """(I : J) as the intersection of (I : g) over every generator g of J.
 
@@ -279,15 +293,17 @@ def _reference_reduce(terms, entries, key, p, steps):
 
 def _reference_interreduced(ring, entries, live, key, p, steps):
     """The reduced basis from the Groebner basis entries[k] for k in live:
-    minimalize in ascending leading monomial order, then interreduce."""
+    minimalize in ascending leading monomial order, then divide each kept
+    element, in that order, by the reduced elements below it (no larger
+    leading monomial divides a term below its own)."""
     kept = []
     for entry in sorted((entries[k] for k in live), key=lambda e: key(e[0])):
         if not any(mono_divides(k[0], entry[0]) for k in kept):
             kept.append(entry)
-    return [
-        Polynomial(ring, _reference_reduce(e[2], kept[:i] + kept[i + 1:], key, p, steps))
-        for i, e in enumerate(kept)
-    ]
+    reduced = []
+    for lm, _, terms in kept:
+        reduced.append((lm, 1, _reference_reduce(terms, reduced, key, p, steps)))
+    return [Polynomial(ring, e[2]) for e in reduced]
 
 
 def _reference_spoly(f, g, L, p):
