@@ -336,7 +336,7 @@ def _entry(terms: dict, p: int, monic: bool = False) -> tuple:
     """(leading monomial, inverse leading coefficient, other terms) of packed
     `terms`; with `monic` the terms are divided by the leading coefficient."""
     lm = max(terms)
-    inv = pow(terms[lm], p - 2, p)
+    inv = pow(terms[lm], -1, p)
     if monic:
         return lm, 1, tuple((m, c * inv % p) for m, c in terms.items() if m != lm)
     return lm, inv, tuple((m, c) for m, c in terms.items() if m != lm)

@@ -51,13 +51,19 @@ builds is the stage the loop continues with, and two grades in one scope
 that extend a stage by the same element share the next one.
 
 Certificate validation checks every sequence element with a colon and the
-witness with normal forms, so it checks the coprimality and Hilbert tests
-and the linear-algebra stop test from a separate code path.  It reads no
-scope entry and builds every presentation from the certificate's raw
-generators.  It skips only what holds by construction of those
-generators: a sequence element that is a generator of I's lift lies in I,
-and the witness times a generator of the lift that is also a generator of
-the final stage lies in that stage.
+witness with membership tests, so it checks the coprimality and Hilbert
+tests and the linear-algebra stop test from a separate code path.  It
+reads no scope entry and builds every presentation from the certificate's
+raw generators.  A stage whose generators are single terms is kept as its
+minimal monomials and decided by divisibility (Miller and Sturmfels,
+*Combinatorial Commutative Algebra*, ch. 1): it contains a polynomial
+exactly when it contains each term, and its colon by a term c*n is
+:func:`cmtensor.monomial.colon` of n.  Such a stage builds no basis, takes
+no normal form and spends no reduction step; every other stage or colon
+takes a reduced basis, ``ideal_quotient`` and normal forms.  It skips only
+what holds by construction of those generators: a sequence element that
+is a generator of I's lift lies in I, and the witness times a generator of
+the lift that is also a generator of the final stage lies in that stage.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from typing import NamedTuple
 from . import monomial
 from .algebra import AlgebraIdeal, AlgebraPresentation, require_proper
 from .errors import (
+    AmbientMismatchError,
     CertificateError,
     GradedOnlyError,
     ImproperIdealError,
@@ -80,7 +87,6 @@ from .errors import (
 )
 from .groebner import (
     IdealPresentation,
-    buchberger,
     current_limits,
     ideal_quotient,
     memo_scoped,
@@ -218,7 +224,7 @@ def _least_kernel_element(ring, standard, rs, nf_of, order):
             terms = sorted(combo.items(), key=lambda t: order.key(t[0]), reverse=True)
             return Polynomial(ring, dict(terms), _trusted=True)
         pivot = next(iter(image))
-        inv = pow(image[pivot], p - 2, p)
+        inv = pow(image[pivot], -1, p)
         rows.append(
             (
                 pivot,
@@ -543,9 +549,9 @@ def grade(
     relations and the generators of I are all single terms, the stages
     run on exponent tuples until a random draw is needed, with the same
     sequence and witness (see ``_monomial_grade``).
-    :func:`validate_grade_certificate` checks the witness with normal
-    forms and the sequence with colons.  The integer is independent of
-    the seed.
+    :func:`validate_grade_certificate` checks the witness with membership
+    tests and the sequence with colons, reading monomial stages by
+    divisibility.  The integer is independent of the seed.
 
     Inside a memo scope the certificate of the same algebra object, ideal
     object and seed is computed once, and every later call returns it
@@ -579,6 +585,31 @@ def _grade(A: AlgebraPresentation, I: AlgebraIdeal, seed: int) -> GradeCertifica
         stage = _next_stage(stage, f)
 
 
+def _membership(J: IdealPresentation):
+    """(leads, contains) for one ideal of a certificate: `contains(f)` is
+    whether J holds f.
+
+    When every generator of J is a single term, `leads` are the minimal
+    monomials of J, and J holds f exactly when one of them divides each
+    term of f (Miller and Sturmfels, ch. 1): no basis is built, no normal
+    form taken and no reduction step spent.  A polynomial over another
+    ring is refused as :func:`normal_form` refuses it against J's basis.
+    Otherwise `leads` is None, and `contains` takes the normal form by J's
+    reduced basis, built on the first call.
+    """
+    ring = J.ring
+    if all(len(g.terms) == 1 for g in J.generators):
+        leads = monomial.minimal(m for g in J.generators for m in g.terms)
+
+        def contains(f):
+            if leads and f.ring is not ring and f.ring != ring:
+                raise AmbientMismatchError(f"polynomial over {ring.names} used in {f.ring.names}")
+            return all(any(mono_divides(l, m) for l in leads) for m in f.terms)
+
+        return leads, contains
+    return None, lambda f: not normal_form(f, J.reduced_basis(), J.order).terms
+
+
 def validate_grade_certificate(
     A: AlgebraPresentation,
     I: AlgebraIdeal,
@@ -586,16 +617,22 @@ def validate_grade_certificate(
 ) -> None:
     """Independent revalidation from raw generators; raises CertificateError.
 
-    Uses only normal forms and ideal quotients over presentations built
-    here from the certificate's raw generators, never state left over from
-    the grade run: nothing it calls reads a memo scope, so it computes
-    every basis itself, even when called inside a scope.  Two facts are
-    read off the raw generators instead: a sequence element equal to a
-    generator of ``I.lift`` is a member of I (the basis of ``I.lift`` is
-    built only for the first element that is not one), and for a
-    generator g of ``I.lift`` that is also a generator of the final stage,
-    witness * g lies in (g), inside that stage, so its normal form is not
-    taken.
+    Uses only divisibility, normal forms and ideal quotients over
+    presentations built here from the certificate's raw generators, never
+    state left over from the grade run: nothing it calls reads a memo
+    scope, so it computes every basis itself, even when called inside a
+    scope.  A stage, or ``I.lift``, whose generators are single terms is
+    kept as its minimal monomials, and membership in it is read off by
+    divisibility; for such a stage and an element c*n of one term the
+    colon is :func:`cmtensor.monomial.colon` of n, so the stage's basis is
+    never built (see ``_membership``).  Every other colon is
+    ``ideal_quotient``'s and every other membership a normal form.  Two
+    facts are read off the raw generators instead: a sequence element
+    equal to a generator of ``I.lift`` is a member of I (the membership
+    test of ``I.lift`` is made only for the first element that is not
+    one), and for a generator g of ``I.lift`` that is also a generator of
+    the final stage, witness * g lies in (g), inside that stage, so it is
+    not tested.
     """
     ring = A.ring
     order = A.relations.order
@@ -610,33 +647,35 @@ def validate_grade_certificate(
             raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
 
     generators = I.lift.generators
-    lift_basis = None
+    in_lift = None
     for i, f in enumerate(cert.sequence):
         if f in generators:
             continue
-        if lift_basis is None:
-            lift_basis = buchberger(generators, order)
-        if normal_form(f, lift_basis, order).terms:
+        if in_lift is None:
+            _, in_lift = _membership(IdealPresentation(I.lift.ring, generators, order))
+        if not in_lift(f):
             raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
     for i, f in enumerate(cert.sequence):
         base = IdealPresentation(ring, cert.stage_ideals[i], order)
-        Q = ideal_quotient(base, IdealPresentation(ring, (f,), order))
-        basis = base.reduced_basis()
-        for g in Q.generators:
-            if normal_form(g, basis, order).terms:
-                raise CertificateError(
-                    f"f_{i + 1} is a zerodivisor modulo stage {i}"
-                )
+        J = IdealPresentation(ring, (f,), order)  # checks f's ring on either route
+        leads, contains = _membership(base)
+        if leads is not None and len(f.terms) == 1:
+            (n,) = f.terms
+            colon = [Polynomial(ring, {q: 1}, _trusted=True) for q in monomial.colon(leads, n)]
+        else:
+            colon = ideal_quotient(base, J).generators
+        if not all(map(contains, colon)):
+            raise CertificateError(f"f_{i + 1} is a zerodivisor modulo stage {i}")
 
     final = IdealPresentation(ring, cert.stage_ideals[-1], order)
-    final_basis = final.reduced_basis()
-    if not normal_form(cert.witness, final_basis, order).terms:
+    _, contains = _membership(final)
+    if contains(cert.witness):
         raise CertificateError("witness lies in the final stage")
     for g in generators:
         if g in final.generators:
             continue
-        if normal_form(cert.witness * g, final_basis, order).terms:
+        if not contains(cert.witness * g):
             raise CertificateError("witness does not annihilate the ideal")
 
 

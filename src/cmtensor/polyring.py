@@ -124,7 +124,7 @@ class PrimeField(_Value):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in the prime field")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ on exponent tuples), :func:`reference_intersection` (the tag variable for
 every input, tag-freeness read off every term), :func:`reference_eliminate`
 (the same for elimination), :func:`reference_quotient` (a colon by every
 generator),
-:func:`reference_is_nzd` (the colon test for every element) and
-:func:`reference_grade` (the full colon at every stage).
+:func:`reference_is_nzd` (the colon test for every element),
+:func:`reference_grade` (the full colon at every stage) and
+:func:`reference_validate_grade_certificate` (a basis and normal forms for
+every stage, monomial or not).
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import random
 
 import numpy as np
 
-from cmtensor.errors import ImproperIdealError
+from cmtensor.errors import CertificateError, ImproperIdealError
 from cmtensor.groebner import (
     IdealPresentation,
     _common_ring,
     _exact_quotient,
     _pad_into,
     buchberger,
+    ideal_quotient,
     normal_form,
 )
 from cmtensor.invariants import (
@@ -253,6 +256,54 @@ def reference_grade(A, I, seed=0):
         sequence.append(f)
         stage = IdealPresentation(A.ring, stage.generators + (f,), stage.order)
         stages.append(stage.generators)
+
+
+def reference_validate_grade_certificate(A, I, cert):
+    """Certificate validation with a reduced basis and normal forms for
+    every stage: colons by ``ideal_quotient``, membership by normal forms.
+    ``validate_grade_certificate`` must pass exactly when this passes, and
+    otherwise raise the same exception with the same message."""
+    ring = A.ring
+    order = A.relations.order
+    if cert.grade != len(cert.sequence):
+        raise CertificateError("grade differs from the sequence length")
+    if len(cert.stage_ideals) != cert.grade + 1:
+        raise CertificateError("stage chain length is inconsistent")
+    if cert.stage_ideals[0] != A.relations.generators:
+        raise CertificateError("stage chain does not start at the relations")
+    for i, f in enumerate(cert.sequence):
+        if cert.stage_ideals[i + 1] != cert.stage_ideals[i] + (f,):
+            raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
+
+    generators = I.lift.generators
+    lift_basis = None
+    for i, f in enumerate(cert.sequence):
+        if f in generators:
+            continue
+        if lift_basis is None:
+            lift_basis = buchberger(generators, order)
+        if normal_form(f, lift_basis, order).terms:
+            raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
+
+    for i, f in enumerate(cert.sequence):
+        base = IdealPresentation(ring, cert.stage_ideals[i], order)
+        Q = ideal_quotient(base, IdealPresentation(ring, (f,), order))
+        basis = base.reduced_basis()
+        for g in Q.generators:
+            if normal_form(g, basis, order).terms:
+                raise CertificateError(
+                    f"f_{i + 1} is a zerodivisor modulo stage {i}"
+                )
+
+    final = IdealPresentation(ring, cert.stage_ideals[-1], order)
+    final_basis = final.reduced_basis()
+    if not normal_form(cert.witness, final_basis, order).terms:
+        raise CertificateError("witness lies in the final stage")
+    for g in generators:
+        if g in final.generators:
+            continue
+        if normal_form(cert.witness * g, final_basis, order).terms:
+            raise CertificateError("witness does not annihilate the ideal")
 
 
 def _mono_div(m1, m2):

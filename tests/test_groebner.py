@@ -96,6 +96,17 @@ class TestNormalForm:
         assert ideal_membership(f - r1, I) and ideal_membership(f - r2, I)
 
 
+    def test_entry_inverse_equals_the_fermat_inverse(self):
+        # the inverse leading coefficient of a division entry, up to the
+        # largest prime below MODULUS_BOUND
+        rng = random.Random(5)
+        for p in (2, 3, 32003, 3_317_044_064_679_887_385_961_813):
+            for _ in range(50):
+                c = rng.randrange(1, p)
+                lm, inv, tail = groebner._entry({7: c, 3: 1}, p)
+                assert (lm, inv, tail) == (7, pow(c, p - 2, p), ((3, 1),))
+
+
 class TestBuchberger:
     def test_hand_example(self):
         x, y = R2.gens()

@@ -18,6 +18,7 @@ from cmtensor import (
     PermutationBoundExceeded,
     PolyRing,
     PrimeField,
+    StepBudgetExceeded,
     ZeroRingError,
     dim_quotient,
     embed_ideal,
@@ -50,6 +51,7 @@ from oracles import (
     reference_grade,
     reference_is_nzd,
     reference_quotient,
+    reference_validate_grade_certificate,
 )
 
 F = PrimeField()
@@ -1013,17 +1015,161 @@ class TestCertificateValidation:
             validate_grade_certificate(A, I, bad)
 
     def test_all_generator_certificate_builds_no_lift_basis(self, computed):
+        # every sequence element is a generator of I.lift, so its basis is
+        # never built; the stages are not monomial, so theirs are
         ring = PolyRing(("x", "y"), F)
         x, y = ring.gens()
-        A = make_algebra(ring)
+        A = make_algebra(ring, (x ** 2 - y ** 2,))
         I = AlgebraIdeal(A, (x, y, x * y + y ** 2))
         cert = grade(A, I)
-        assert cert.sequence == (x, y)
+        assert cert.sequence == (x,)
         computed.clear()
         validate_grade_certificate(A, I, cert)
         assert computed  # the stages' bases are still built
         lift = frozenset(I.lift.generators)
         assert all(frozenset(args[1]) != lift for args in computed)
+
+    def test_monomial_certificate_builds_no_basis(self, computed, monkeypatch):
+        # monomial stages and a monomial I.lift are read by divisibility,
+        # also for an element that is not a generator of I.lift
+        A = algebra(("x", "y", "z"), lambda x, y, z: (x * y,))
+        x, y, z = A.ring.gens()
+        I = AlgebraIdeal(A, (x, z))
+        cert = grade(A, I)
+        assert (cert.sequence, cert.witness) == ((z,), y)
+        rels = A.relations.generators
+        scaled = GradeCertificate((3 * z,), 2 * y, (rels, rels + (3 * z,)), 1)
+
+        def refuse(*args):
+            raise AssertionError("validation took a normal form or a colon")
+
+        monkeypatch.setattr(invariants, "normal_form", refuse)
+        monkeypatch.setattr(invariants, "ideal_quotient", refuse)
+        computed.clear()
+        for c in (cert, scaled):
+            validate_grade_certificate(A, I, c)
+        with pytest.raises(CertificateError, match="lies in the final stage"):
+            validate_grade_certificate(A, I, scaled._replace(witness=2 * x * y))
+        with pytest.raises(CertificateError, match="f_2 is a zerodivisor modulo stage 1"):
+            validate_grade_certificate(A, I, GradeCertificate(
+                (z, x), y, (rels, rels + (z,), rels + (z, x)), 2
+            ))
+        assert computed == []
+
+    def test_monomial_stages_spend_no_steps(self):
+        # under a zero step budget the monomial certificate still validates
+        # (its witness products reduce to zero, which would spend steps);
+        # a certificate with a non-monomial stage still raises
+        mono = algebra(("x", "y", "z"), lambda x, y, z: (x * y,))
+        x, y, z = mono.ring.gens()
+        I = AlgebraIdeal(mono, (x, z))
+        rels = mono.relations.generators
+        cert = GradeCertificate((3 * z,), 2 * y, (rels, rels + (3 * z,)), 1)
+        curve = algebra(("x", "y", "z"), lambda x, y, z: (x * y - z ** 2,))
+        J = AlgebraIdeal(curve, curve.ring.gens())
+        other = grade(curve, J)
+        with limits(step_budget=0):
+            validate_grade_certificate(mono, I, cert)
+            with pytest.raises(StepBudgetExceeded):
+                reference_validate_grade_certificate(mono, I, cert)
+            with pytest.raises(StepBudgetExceeded):
+                validate_grade_certificate(curve, J, other)
+        validate_grade_certificate(curve, J, other)
+
+
+def _validation_outcome(validate, A, I, cert):
+    """None when `validate` passes, else the type and message it raised."""
+    try:
+        validate(A, I, cert)
+    except Exception as exc:  # noqa: BLE001  (compared, never swallowed)
+        return type(exc), str(exc)
+    return None
+
+
+def _tampered(rng, A, I, cert):
+    """`cert` and its tamperings, as (name, ideal, certificate)."""
+    ring = A.ring
+    rels = A.relations.generators
+    other = PolyRing(tuple(n.upper() for n in ring.names), ring.field)
+    seq = cert.sequence
+
+    def chain(sequence, relations=rels):
+        stages = tuple(relations + sequence[:k] for k in range(len(sequence) + 1))
+        return GradeCertificate(sequence, cert.witness, stages, len(sequence))
+
+    def foreign(f):
+        return Polynomial(other, f.terms)
+
+    c = rng.randrange(2, ring.field.p)
+    outside = [
+        Polynomial(ring, {m: c})
+        for m in itertools.product(range(3), repeat=ring.nvars)
+        if not I.lift.contains(Polynomial(ring, {m: 1}))
+    ]
+    out = [
+        ("valid", I, cert),
+        ("foreign witness", I, cert._replace(witness=foreign(cert.witness))),
+        ("empty relations", I, chain(seq, ())),
+        ("constant appended", I, chain(seq + (ring.const(c),))),
+        ("constant in I", AlgebraIdeal(A, I.gens + (ring.const(c),)), chain(seq + (ring.const(c),))),
+    ]
+    if cert.stage_ideals[-1]:
+        g = rng.choice(cert.stage_ideals[-1])
+        out += [
+            ("final generator", I, cert._replace(witness=g)),
+            # a valid witness whose first terms lie in the final stage
+            ("witness plus a generator", I, cert._replace(witness=g + cert.witness)),
+        ]
+    if outside:
+        out.append(("outside appended", I, chain(seq + (rng.choice(outside),))))
+    if seq:
+        k = rng.randrange(len(seq))
+
+        def swap(f):
+            return chain(seq[:k] + (f,) + seq[k + 1:])
+
+        out += [
+            ("dropped", I, chain(seq[:-1])),
+            ("repeated", I, chain(seq + seq[-1:])),
+            ("zero", I, swap(ring.zero)),
+            ("constant", I, swap(ring.const(c))),
+            ("foreign element", I, swap(foreign(seq[k]))),
+            ("foreign zero", I, swap(Polynomial(other, {}))),
+            ("foreign stage", I, cert._replace(
+                stage_ideals=cert.stage_ideals[:k + 1]
+                + tuple(s[:-1] + (foreign(s[-1]),) for s in cert.stage_ideals[k + 1:])
+            )),
+        ]
+        if outside:
+            t = rng.choice(outside)
+            out += [("outside I", I, swap(t)), ("element plus outside", I, swap(seq[k] + t))]
+    return out
+
+
+class TestValidationAgainstReference:
+    """Validation reads monomial stages by divisibility and takes normal
+    forms and colons for the rest; the reference takes them for every
+    stage.  Both pass, or raise the same exception with the same message,
+    on valid certificates of random monomial input and on tampered ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(MONOMIAL_ORDERS))
+    def test_random_monomial_certificates(self, data_seed, seed, order):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z", "w")[: rng.randint(1, 4)], F)
+        rels = _random_terms(rng, ring, rng.randint(0, 3), max_exp=2)
+        if any(not any(m) for g in rels for m in g.terms):
+            return  # make_algebra refuses the zero ring
+        A = make_algebra(ring, rels, order)
+        I = AlgebraIdeal(A, _random_terms(rng, ring, rng.randint(1, 4), max_exp=2))
+        cert = _grade_outcome(grade, A, I, seed)
+        if not isinstance(cert, GradeCertificate):
+            return
+        for name, J, c in _tampered(rng, A, I, cert):
+            outcome = _validation_outcome(validate_grade_certificate, A, J, c)
+            assert outcome == _validation_outcome(reference_validate_grade_certificate, A, J, c), name
+            if name == "valid":
+                assert outcome is None
 
 
 class TestCohenMacaulay:

@@ -54,6 +54,19 @@ class TestPrimeField:
         with pytest.raises(ZeroDivisionError):
             F.inv(0)
 
+    def test_inverse_equals_the_fermat_inverse(self):
+        top = next(n for n in range(MODULUS_BOUND - 1, 0, -1) if _is_prime(n))
+        rng = random.Random(11)
+        for p in (2, 3, 32003, top):
+            field = PrimeField(p)
+            for a in [1, p - 1] + [rng.randrange(-3 * p, 3 * p) for _ in range(200)]:
+                if a % p:
+                    assert field.inv(a) == pow(a % p, p - 2, p)
+            with pytest.raises(ZeroDivisionError):
+                field.inv(0)
+            with pytest.raises(ZeroDivisionError):
+                field.inv(5 * p)
+
     def test_primality_matches_trial_division(self):
         def trial(n):
             return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
