@@ -50,20 +50,29 @@ the scope under the stage object, so the extended ideal the Hilbert test
 builds is the stage the loop continues with, and two grades in one scope
 that extend a stage by the same element share the next one.
 
-Certificate validation checks every sequence element with a colon and the
-witness with membership tests, so it checks the coprimality and Hilbert
-tests and the linear-algebra stop test from a separate code path.  It
+Certificate validation checks the witness with membership tests, and
+each sequence element by a colon or, for a graded certificate (every
+generator of its final stage homogeneous), by Hilbert numerators.  It
 reads no scope entry and builds every presentation from the certificate's
-raw generators.  A stage whose generators are single terms is kept as its
-minimal monomials and decided by divisibility (Miller and Sturmfels,
-*Combinatorial Commutative Algebra*, ch. 1): it contains a polynomial
-exactly when it contains each term, and its colon by a term c*n is
-:func:`cmtensor.monomial.colon` of n.  Such a stage builds no basis, takes
-no normal form and spends no reduction step; every other stage or colon
-takes a reduced basis, ``ideal_quotient`` and normal forms.  It skips only
-what holds by construction of those generators: a sequence element that
-is a generator of I's lift lies in I, and the witness times a generator of
-the lift that is also a generator of the final stage lies in that stage.
+raw generators, one per stage.  A stage whose generators are single terms
+is kept as its minimal monomials and decided by divisibility (Miller and
+Sturmfels, *Combinatorial Commutative Algebra*, ch. 1): it contains a
+polynomial exactly when it contains each term, and its colon by a term
+c*n is :func:`cmtensor.monomial.colon` of n.  Such a stage builds no
+basis, takes no normal form and spends no reduction step.  Any other
+nonzero element of a graded certificate passes exactly when the Hilbert
+numerators of stage i and stage i + 1, computed afresh from their minimal
+monomials or the leading monomials of their reduced bases, satisfy the
+exact-sequence identity of the nonzerodivisor test above: no colon and no
+tag-variable intersection.  A zero element and every element of a
+certificate that is not graded take ``ideal_quotient`` and normal forms.
+So validation checks the stop test and, for a certificate that is not
+graded, the coprimality and Hilbert tests from a separate code path; a
+graded one shares only the identity with ``_is_nzd_mod``, and the
+numerators and bases are its own.  It skips only what holds by
+construction of those generators: a sequence element that is a generator
+of I's lift lies in I, and the witness times a generator of the lift that
+is also a generator of the final stage lies in that stage.
 """
 
 from __future__ import annotations
@@ -136,18 +145,35 @@ def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
 # ---------------------------------------------------------------------------
 # Zerodivisors and regular sequences
 
+def _numerator(J: IdealPresentation, leads=None) -> list:
+    """The Hilbert numerator of R/J, computed afresh: off `leads`, J's
+    minimal monomials when they are known, else off the leading monomials
+    of J's reduced basis."""
+    if leads is None:
+        leads = [g.leading_monomial(J.order) for g in J.reduced_basis()]
+    return monomial.hilbert_numerator(leads)
+
+
 def _hilbert_numerator_of(J: IdealPresentation) -> tuple:
     """The Hilbert numerator of R/J, from J's leading monomials.
 
     Cached per stage object in the current memo scope: a stage's numerator
     serves every candidate tested against it.
     """
-    return scope_cached(
-        ("hilbert numerator", J),
-        lambda: tuple(
-            monomial.hilbert_numerator(g.leading_monomial(J.order) for g in J.reduced_basis())
-        ),
-    )
+    return scope_cached(("hilbert numerator", J), lambda: tuple(_numerator(J)))
+
+
+def _hilbert_regular(numerator, next_numerator, d: int) -> bool:
+    """Whether a nonzero form f of degree d is a nonzerodivisor modulo a
+    homogeneous ideal J, from the Hilbert numerators of R/J and R/(J + f).
+
+    The exact sequence 0 -> (R/(J : f))(-d) -> R/J -> R/(J + f) -> 0 gives
+    HS(R/(J + f)) = HS(R/J) - t^d HS(R/(J : f)), and J ⊆ J : f are equal
+    exactly when their Hilbert series are, so f is one exactly when
+    HS(R/(J + f)) = (1 - t^d) HS(R/J) (Bruns and Herzog, *Cohen-Macaulay
+    Rings*, ch. 4).
+    """
+    return tuple(next_numerator) == tuple(monomial.plus_shifted(numerator, numerator, d, -1))
 
 
 def _next_stage(stage: IdealPresentation, f: Polynomial) -> IdealPresentation:
@@ -394,9 +420,9 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
         d = f.total_degree()
         if d == 0:
             return True  # a nonzero constant is a unit
-        numerator = _hilbert_numerator_of(stage)
-        expected = monomial.plus_shifted(numerator, numerator, d, -1)
-        return _hilbert_numerator_of(_next_stage(stage, f)) == tuple(expected)
+        return _hilbert_regular(
+            _hilbert_numerator_of(stage), _hilbert_numerator_of(_next_stage(stage, f)), d
+        )
     Q = _colon(stage, (f,))
     return _extension_witness(stage, Q) is None
 
@@ -550,8 +576,9 @@ def grade(
     run on exponent tuples until a random draw is needed, with the same
     sequence and witness (see ``_monomial_grade``).
     :func:`validate_grade_certificate` checks the witness with membership
-    tests and the sequence with colons, reading monomial stages by
-    divisibility.  The integer is independent of the seed.
+    tests and the sequence with colons, or with Hilbert numerators for a
+    graded certificate, reading monomial stages by divisibility.  The
+    integer is independent of the seed.
 
     Inside a memo scope the certificate of the same algebra object, ideal
     object and seed is computed once, and every later call returns it
@@ -617,22 +644,27 @@ def validate_grade_certificate(
 ) -> None:
     """Independent revalidation from raw generators; raises CertificateError.
 
-    Uses only divisibility, normal forms and ideal quotients over
-    presentations built here from the certificate's raw generators, never
-    state left over from the grade run: nothing it calls reads a memo
-    scope, so it computes every basis itself, even when called inside a
-    scope.  A stage, or ``I.lift``, whose generators are single terms is
-    kept as its minimal monomials, and membership in it is read off by
-    divisibility; for such a stage and an element c*n of one term the
-    colon is :func:`cmtensor.monomial.colon` of n, so the stage's basis is
-    never built (see ``_membership``).  Every other colon is
-    ``ideal_quotient``'s and every other membership a normal form.  Two
-    facts are read off the raw generators instead: a sequence element
-    equal to a generator of ``I.lift`` is a member of I (the membership
-    test of ``I.lift`` is made only for the first element that is not
-    one), and for a generator g of ``I.lift`` that is also a generator of
-    the final stage, witness * g lies in (g), inside that stage, so it is
-    not tested.
+    Uses only divisibility, Hilbert numerators, normal forms and ideal
+    quotients over presentations built here from the certificate's raw
+    generators, one per stage, never state left over from the grade run:
+    nothing it calls reads a memo scope, so it computes every basis and
+    numerator itself, even when called inside a scope.  A stage, or
+    ``I.lift``, whose generators are single terms is kept as its minimal
+    monomials, and membership in it is read off by divisibility; for such
+    a stage and an element c*n of one term the colon is
+    :func:`cmtensor.monomial.colon` of n, so the stage's basis is never
+    built (see ``_membership``).  When every generator of the final stage
+    is homogeneous, every other nonzero f_{i+1} of degree d passes exactly
+    when N_{i+1} = (1 - t^d) N_i for the Hilbert numerators N_i of stage i
+    (see ``_hilbert_regular``), read off its minimal monomials or the
+    leading monomials of its reduced basis: no colon is taken.  Every
+    other colon is ``ideal_quotient``'s and every other membership a
+    normal form.  Two facts are read off the raw generators instead: a
+    sequence element equal to a generator of ``I.lift`` is a member of I
+    (the membership test of ``I.lift`` is made only for the first element
+    that is not one), and for a generator g of ``I.lift`` that is also a
+    generator of the final stage, witness * g lies in (g), inside that
+    stage, so it is not tested.
     """
     ring = A.ring
     order = A.relations.order
@@ -656,24 +688,36 @@ def validate_grade_certificate(
         if not in_lift(f):
             raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
+    # one presentation per stage, built in loop order; stage i + 1's serves
+    # the Hilbert test of f_{i + 1}, the next step and the witness checks
+    graded = all(g.is_homogeneous() for g in cert.stage_ideals[-1])
+    base = IdealPresentation(ring, cert.stage_ideals[0], order)
+    leads, contains = _membership(base)
+    numerator = None
     for i, f in enumerate(cert.sequence):
-        base = IdealPresentation(ring, cert.stage_ideals[i], order)
-        J = IdealPresentation(ring, (f,), order)  # checks f's ring on either route
-        leads, contains = _membership(base)
+        J = IdealPresentation(ring, (f,), order)  # checks f's ring on every route
+        stage = IdealPresentation(ring, cert.stage_ideals[i + 1], order)
+        next_leads, next_contains = _membership(stage)
+        next_numerator = None
         if leads is not None and len(f.terms) == 1:
             (n,) = f.terms
             colon = [Polynomial(ring, {q: 1}, _trusted=True) for q in monomial.colon(leads, n)]
+            regular = all(map(contains, colon))
+        elif graded and f.terms:
+            if numerator is None:
+                numerator = _numerator(base, leads)
+            next_numerator = _numerator(stage, next_leads)
+            regular = _hilbert_regular(numerator, next_numerator, f.total_degree())
         else:
-            colon = ideal_quotient(base, J).generators
-        if not all(map(contains, colon)):
+            regular = all(map(contains, ideal_quotient(base, J).generators))
+        if not regular:
             raise CertificateError(f"f_{i + 1} is a zerodivisor modulo stage {i}")
+        base, leads, contains, numerator = stage, next_leads, next_contains, next_numerator
 
-    final = IdealPresentation(ring, cert.stage_ideals[-1], order)
-    _, contains = _membership(final)
     if contains(cert.witness):
         raise CertificateError("witness lies in the final stage")
     for g in generators:
-        if g in final.generators:
+        if g in base.generators:
             continue
         if not contains(cert.witness * g):
             raise CertificateError("witness does not annihilate the ideal")

@@ -495,7 +495,62 @@ class TestQuotientBasisHandover:
         assert _as_built(Q.generators) == _as_built(buchberger(colon.generators, GREVLEX))
         assert Q.generators == reference_quotient(I, J).generators
 
+    @staticmethod
+    def _validate_recording(monkeypatch, runs, cases):
+        """Validates the certificates of `cases`, recording the colons and
+        tag-variable intersections validation takes and each presentation
+        whose basis it computes; `runs` is cleared after grading."""
+        certs = []
+        for A, gens in cases:
+            I = AlgebraIdeal(A, gens)
+            certs.append((A, I, grade(A, I)))
+        runs.clear()
+        colons, intersections, computed = [], [], []
+        quotient = invariants.ideal_quotient
+        intersection = groebner.ideal_intersection
+        reduced_basis = IdealPresentation.reduced_basis
+
+        def recording(I, J):
+            Q = quotient(I, J)
+            colons.append(Q)
+            return Q
+
+        def recording_intersection(I1, I2):
+            intersections.append((I1, I2))
+            return intersection(I1, I2)
+
+        def recording_basis(self):
+            if self._basis is None:
+                computed.append(self)
+            return reduced_basis(self)
+
+        monkeypatch.setattr(invariants, "ideal_quotient", recording)
+        monkeypatch.setattr(groebner, "ideal_intersection", recording_intersection)
+        monkeypatch.setattr(IdealPresentation, "reduced_basis", recording_basis)
+        for A, I, cert in certs:
+            validate_grade_certificate(A, I, cert)
+        return certs, colons, intersections, computed
+
     def test_certificate_validation_builds_no_colon_basis(self, runs, monkeypatch):
+        # inhomogeneous stages are checked by colons, each handed over
+        # without its basis being built
+        ring = PolyRing(("x", "y", "z", "w"), F)
+        x, y, z, w = ring.gens()
+        cases = [
+            (make_algebra(ring, (x * y - z ** 3,)), (x, y, z, w)),
+            (make_algebra(ring, (x * z - y ** 2, y * w - z ** 3, x * w - y * z)), (x, y, z, w)),
+            (make_algebra(ring, (x * y - z * w - z ** 3,)), (x + y, z + w)),
+        ]
+        certs, colons, intersections, computed = self._validate_recording(monkeypatch, runs, cases)
+        assert len(colons) == len(intersections) == sum(c.grade for _, _, c in certs) > 0
+        assert any(q._minimal for q in colons)
+        assert not any(q is a for q in colons for a in computed)
+        assert not [r for r in runs if r[0] == "interreduce"]
+
+    def test_graded_certificate_validation_takes_no_colon(self, runs, monkeypatch):
+        # graded stages are checked by Hilbert numerators: no colon, and
+        # each stage's basis is computed once, for a stage that is not
+        # monomial
         ring = PolyRing(("x", "y", "z", "w"), F)
         x, y, z, w = ring.gens()
         cases = [
@@ -503,33 +558,12 @@ class TestQuotientBasisHandover:
             (make_algebra(ring, (x * z - y ** 2, y * w - z ** 2, x * w - y * z)), (x, y, z, w)),
             (make_algebra(ring, (x * y - z * w,)), (x + y, z + w)),
         ]
-        certs = []
-        for A, gens in cases:
-            I = AlgebraIdeal(A, gens)
-            certs.append((A, I, grade(A, I)))
-        colons = []
-        quotient = invariants.ideal_quotient
-
-        def recording(I, J):
-            Q = quotient(I, J)
-            colons.append(Q)
-            return Q
-
-        asked = []
-        reduced_basis = IdealPresentation.reduced_basis
-
-        def recording_basis(self):
-            asked.append(self)
-            return reduced_basis(self)
-
-        monkeypatch.setattr(invariants, "ideal_quotient", recording)
-        monkeypatch.setattr(IdealPresentation, "reduced_basis", recording_basis)
-        runs.clear()
-        for A, I, cert in certs:
-            validate_grade_certificate(A, I, cert)
-        assert len(colons) == sum(c.grade for _, _, c in certs) > 0
-        assert any(q._minimal for q in colons)
-        assert not any(q is a for q in colons for a in asked)
+        certs, colons, intersections, computed = self._validate_recording(monkeypatch, runs, cases)
+        assert sum(c.grade for _, _, c in certs) > 0
+        assert colons == [] and intersections == []
+        gens = [J.generators for J in computed]
+        assert len(gens) == len(set(gens)) > 0
+        assert all(any(len(g.terms) > 1 for g in J) for J in gens)
         assert not [r for r in runs if r[0] == "interreduce"]
 
 

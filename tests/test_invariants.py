@@ -1143,14 +1143,24 @@ def _tampered(rng, A, I, cert):
         if outside:
             t = rng.choice(outside)
             out += [("outside I", I, swap(t)), ("element plus outside", I, swap(seq[k] + t))]
+        # a certificate with an inhomogeneous element is checked by colons
+        out.append(("inhomogeneous element", I, swap(seq[k] * (ring.one + ring.var(0)))))
+    final = IdealPresentation(ring, cert.stage_ideals[-1], A.relations.order)
+    zerodivisors = [g for g in I.lift.generators if not final.contains(g)]
+    if zerodivisors:
+        # the witness annihilates it, so it is a zerodivisor modulo the
+        # final stage, homogeneous when I.lift is
+        out.append(("lift generator appended", I, chain(seq + (rng.choice(zerodivisors),))))
     return out
 
 
 class TestValidationAgainstReference:
-    """Validation reads monomial stages by divisibility and takes normal
-    forms and colons for the rest; the reference takes them for every
-    stage.  Both pass, or raise the same exception with the same message,
-    on valid certificates of random monomial input and on tampered ones."""
+    """Validation reads monomial stages by divisibility, decides the
+    elements of a graded certificate by Hilbert numerators, and takes
+    normal forms and colons for the rest; the reference takes colons and
+    normal forms for every stage.  Both pass, or raise the same exception
+    with the same message, on valid certificates of random monomial and
+    graded input and on tampered ones."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(MONOMIAL_ORDERS))
@@ -1162,6 +1172,29 @@ class TestValidationAgainstReference:
             return  # make_algebra refuses the zero ring
         A = make_algebra(ring, rels, order)
         I = AlgebraIdeal(A, _random_terms(rng, ring, rng.randint(1, 4), max_exp=2))
+        cert = _grade_outcome(grade, A, I, seed)
+        if not isinstance(cert, GradeCertificate):
+            return
+        for name, J, c in _tampered(rng, A, I, cert):
+            outcome = _validation_outcome(validate_grade_certificate, A, J, c)
+            assert outcome == _validation_outcome(reference_validate_grade_certificate, A, J, c), name
+            if name == "valid":
+                assert outcome is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.sampled_from(MONOMIAL_ORDERS))
+    def test_random_graded_certificates(self, data_seed, seed, order):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z", "w")[: rng.randint(2, 4)], F)
+        rels = [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            gens = ring.gens()
+        else:
+            gens = [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        if all(len(g.terms) == 1 for g in rels + list(gens)):
+            return  # monomial input: test_random_monomial_certificates
+        A = make_algebra(ring, rels, order)
+        I = AlgebraIdeal(A, gens)
         cert = _grade_outcome(grade, A, I, seed)
         if not isinstance(cert, GradeCertificate):
             return
