@@ -19,10 +19,10 @@ Buchberger's last phase turns the Groebner basis it found into the
 reduced one (:func:`_reduced_basis`): it minimalizes the basis, then
 divides each kept element, in ascending order, by the reduced elements
 below it only, since a larger leading monomial divides no term below an
-element's own.  A presentation its maker knows to be presented by a
-minimal Groebner basis under its order, as a grevlex colon (I : g) is,
-takes that phase alone when its reduced basis is asked for: the same
-basis, with no S-pair reduced (see :meth:`IdealPresentation.reduced_basis`).
+element's own.  A presentation whose maker knows a Groebner basis of it
+under its order, as a grevlex colon (I : g) knows its generators, takes
+that phase alone when its reduced basis is asked for: the same basis,
+with no S-pair reduced (see :meth:`IdealPresentation.reduced_basis`).
 
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
@@ -537,14 +537,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> li
     return _buchberger(ring, nonzero, order)
 
 
-def _buchberger(ring, nonzero, order, minimal=False):
-    """The reduced basis of the nonzero generators; with `minimal` they are
-    known to be a minimal Groebner basis under `order`, and only
-    interreduced."""
+def _buchberger(ring, nonzero, order, known=False):
+    """The reduced basis of the nonzero generators; with `known` they are
+    known to be a Groebner basis under `order`, and are only minimalized
+    and interreduced."""
     if all(len(g.terms) == 1 for g in nonzero):
         return _monomial_basis(ring, monomial.minimal(m for g in nonzero for m in g.terms), order)
     counter = _StepCounter()
-    if minimal:
+    if known:
         p = ring.field.p
 
         def run(packing):
@@ -702,9 +702,11 @@ class IdealPresentation:
 
     Zero generators are dropped at construction, so the zero ideal is the
     presentation with no generators.  The cache is write-once.
+    ``_known_basis`` is None or nonzero polynomials its maker knows to be
+    a Groebner basis of the ideal under its order.
     """
 
-    __slots__ = ("ring", "generators", "order", "_basis", "_minimal")
+    __slots__ = ("ring", "generators", "order", "_basis", "_known_basis")
 
     def __init__(
         self,
@@ -718,19 +720,22 @@ class IdealPresentation:
         self.generators = gens
         self.order = order
         self._basis = None
-        self._minimal = False
+        self._known_basis = None
 
     def reduced_basis(self) -> tuple:
         """The reduced Groebner basis under the presentation's order,
-        computed on the first call.  When its maker knows the generators
-        to be a minimal Groebner basis under the order (``_minimal``, set
-        by ``_principal_quotient``), they are only interreduced: the same
-        basis, with no S-pair reduced."""
+        computed on the first call.  When its maker knows a Groebner basis
+        of the ideal (``_known_basis``: the generators of a grevlex
+        ``_principal_quotient``, or a stage's reduced basis plus an element
+        with a coprime leading monomial, see
+        :func:`cmtensor.invariants._is_nzd_mod`), that basis is only
+        minimalized and interreduced: the same basis, with no S-pair
+        reduced.  A basis once computed is kept, whatever is known later."""
         if self._basis is None:
-            if self._minimal:
-                self._basis = tuple(_buchberger(self.ring, self.generators, self.order, True))
-            else:
+            if self._known_basis is None:
                 self._basis = tuple(buchberger(self.generators, self.order))
+            else:
+                self._basis = tuple(_buchberger(self.ring, self._known_basis, self.order, True))
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
@@ -828,20 +833,32 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     return IdealPresentation(ring, back, I1.order)
 
 
-def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """h / g for h a multiple of g."""
+def _divide(h: Polynomial, g: Polynomial, order: MonomialOrder, limit=None):
+    """h / g when g divides h, else None.
+
+    The division by g alone spends one step per cancelled term, on a fresh
+    counter whose limit is `limit`, or the step budget in effect.
+    """
     ring = h.ring
     p = ring.field.p
-    counter = _StepCounter(math.inf)
+    counter = _StepCounter(limit)
 
     def run(packing):
         quo = {}
         entry = [_entry_of(g, packing, p)]
         if _reduce(packing.pack_terms(h.terms), entry, packing.guard, p, counter, quo):
-            raise ArithmeticError("exact division failed; intersection is inconsistent")
+            return None
         return Polynomial(ring, packing.unpack_terms(quo), _trusted=True)
 
     return _widening(ring.nvars, order, run)
+
+
+def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """h / g for h a multiple of g, on an unbounded step counter."""
+    q = _divide(h, g, order, math.inf)
+    if q is None:
+        raise ArithmeticError("exact division failed; intersection is inconsistent")
+    return q
 
 
 def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
@@ -849,8 +866,8 @@ def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentatio
 
     Those quotients are a minimal grevlex Groebner basis of (I : g),
     ascending: the generators of I ∩ (g) are its reduced grevlex basis,
-    and in(h/g) * in(g) = in(h).  So under a grevlex I the result is
-    marked as such, and its reduced basis, when asked for, is only
+    and in(h/g) * in(g) = in(h).  So under a grevlex I they are the
+    result's known basis, and its reduced basis, when asked for, is only
     interreduced (see :meth:`IdealPresentation.reduced_basis`); under any
     other order it comes from Buchberger.  Nothing is computed until it
     is asked for: certificate validation and the stop test read only the
@@ -868,7 +885,8 @@ def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentatio
         return IdealPresentation(ring, basis, I.order)
     Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
     Q = IdealPresentation(ring, (_exact_quotient(h, g, I.order) for h in Ig.generators), I.order)
-    Q._minimal = I.order == GREVLEX
+    if I.order == GREVLEX:
+        Q._known_basis = Q.generators
     return Q
 
 

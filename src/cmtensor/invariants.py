@@ -34,13 +34,23 @@ basis, normal form or colon is computed, and the sequence and witness
 are those of the general loop, which takes over, with its random draws
 untouched, at a stage where one is needed.
 
-Whether f is a nonzerodivisor modulo a stage is decided by Hilbert series
-when f and every stage generator are homogeneous (Bayer and Stillman,
-"Computation of Hilbert functions", 1992): for deg f = d >= 1 it is one
-exactly when HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come
-from the leading-monomial ideals (see :mod:`cmtensor.monomial`).  Before
-either, a stage that is a monomial ideal and an f whose normal form is one
-term are decided by coprimality.  Other inputs use the colon (stage : f).
+Whether f is a nonzerodivisor modulo a stage is first read off the
+stage's own reduced basis G, for any order.  When lm(f) shares no variable
+with a leading monomial of G, it is one: G ∪ {f} is then a Groebner basis
+of stage + (f) (Buchberger's product criterion, "A criterion for
+detecting unnecessary reductions in the construction of Groebner bases",
+1979), so lm(f) is a nonzerodivisor modulo in(stage), and so f is one
+modulo the stage (Eisenbud, *Commutative Algebra*, ch. 15).  The next
+stage is handed G ∪ {f} as a known Groebner basis, and its reduced basis
+is interreduced from it with no S-pair.  A single-term f over a monomial
+stage that fails that test is a zerodivisor, and so is an f that
+divides a stage generator or an element of G by a cofactor outside the
+stage.  The rest is decided by Hilbert series when f and every stage
+generator are homogeneous (Bayer and Stillman, "Computation of Hilbert
+functions", 1992): for deg f = d >= 1 it is one exactly when
+HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come from the
+leading-monomial ideals (see :mod:`cmtensor.monomial`).  Other inputs use
+the colon (stage : f).
 
 Every chain of stages (``grade``, ``is_regular_sequence`` and the Hilbert
 test between them) builds stage + (f) through ``_next_stage``, which
@@ -67,9 +77,10 @@ exact-sequence identity of the nonzerodivisor test above: no colon and no
 tag-variable intersection.  A zero element and every element of a
 certificate that is not graded take ``ideal_quotient`` and normal forms.
 So validation checks the stop test and, for a certificate that is not
-graded, the coprimality and Hilbert tests from a separate code path; a
-graded one shares only the identity with ``_is_nzd_mod``, and the
-numerators and bases are its own.  It skips only what holds by
+graded, every route of the nonzerodivisor test from a separate code path;
+a graded one shares only the identity with ``_is_nzd_mod``, and the
+numerators and bases are its own, none of them handed over by the
+coprime-lead route.  It skips only what holds by
 construction of those generators: a sequence element that is a generator
 of I's lift lies in I, and the witness times a generator of the lift that
 is also a generator of the final stage lies in that stage.
@@ -96,6 +107,7 @@ from .errors import (
 )
 from .groebner import (
     IdealPresentation,
+    _divide,
     current_limits,
     ideal_quotient,
     memo_scoped,
@@ -180,8 +192,9 @@ def _next_stage(stage: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """stage + (f), presented as ``stage.generators + (f,)``.
 
     Inside a memo scope one object per stage object and content of f, so
-    the stage the nonzerodivisor test builds is the one a grade or
-    regular-sequence loop continues with, and its basis is computed once.
+    the stage the nonzerodivisor test builds, or hands a known Groebner
+    basis, is the one a grade or regular-sequence loop continues with, and
+    its basis is computed once.
     """
     return scope_cached(
         ("stage", stage, f),
@@ -390,38 +403,70 @@ def ideal_in_zerodivisors(A: AlgebraPresentation, I: AlgebraIdeal):
     return (True, w) if w is not None else (False, None)
 
 
+def _cofactor_outside(stage: IdealPresentation, basis: tuple, f: Polynomial, lead) -> bool:
+    """Whether f exactly divides a stage generator or basis element g led
+    by a multiple of lm(f) = `lead`, with g/f outside the stage: then
+    f * (g/f) = g lies in the stage, and f is a zerodivisor modulo it.
+
+    Each division is bounded by the step budget in effect, as a normal
+    form is.
+    """
+    order = stage.order
+    for g in stage.generators + basis:
+        if mono_divides(lead, g.leading_monomial(order)):
+            q = _divide(g, f, order)
+            if q is not None and normal_form(q, basis, order).terms:
+                return True
+    return False
+
+
 def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     """Whether f is a nonzerodivisor modulo `stage` (true on the zero ring).
 
-    Every caller passes f reduced modulo the stage (its normal form), which
-    is what lets a zero f and a single-term f be decided at once.
+    Every caller passes f reduced modulo the stage (its normal form), so a
+    zero f is a zerodivisor, unless the stage holds 1.  The stage's reduced
+    basis G decides the next two routes, for any order:
 
-    For homogeneous f of degree d >= 1 over a homogeneous stage, the exact
-    sequence 0 -> (R/(stage : f))(-d) -> R/stage -> R/(stage + f) -> 0
-    makes f a nonzerodivisor exactly when
+    - when lm(f) is coprime to every leading monomial of G, G ∪ {f} is a
+      Groebner basis of stage + (f) (Buchberger's product criterion), so
+      lm(f) is a nonzerodivisor modulo in(stage), and then f is one modulo
+      the stage (Eisenbud, *Commutative Algebra*, ch. 15).  G ∪ {f} is
+      handed to ``_next_stage(stage, f)`` as its known Groebner basis, so
+      that stage's reduced basis is only interreduced.  A nonzero constant
+      f is a unit, and decided here;
+    - when G is single terms (the stage is a monomial ideal, G its minimal
+      generators) and f is one term, f is a nonzerodivisor exactly when it
+      is coprime to them (:func:`cmtensor.monomial.coprime`), so here it
+      is a zerodivisor.
+
+    Then f is a zerodivisor when it divides a stage generator or an
+    element of G by a cofactor outside the stage (``_cofactor_outside``).
+    Otherwise, for homogeneous f of degree d >= 1 over a homogeneous stage,
+    the exact sequence 0 -> (R/(stage : f))(-d) -> R/stage -> R/(stage + f)
+    -> 0 makes f a nonzerodivisor exactly when
     HS(R/(stage + f)) = (1 - t^d) HS(R/stage), compared through the Hilbert
     numerators of the leading-monomial ideals.  The extended ideal is
     ``_next_stage(stage, f)``, inside a scope the object the caller's loop
-    continues with, so its basis and numerator are computed once.  Before
-    that, when the stage is a monomial ideal (its reduced basis is single
-    terms) and NF(f) is one term, f is a nonzerodivisor exactly when that
-    term is coprime to every basis monomial
-    (:func:`cmtensor.monomial.coprime`).  Otherwise the colon (stage : f)
-    is compared with the stage.
+    continues with, so its basis and numerator are computed once.  Every
+    other input compares the colon (stage : f) with the stage.
     """
     if not f.terms:
-        # f = 0 modulo stage: a zerodivisor unless the stage ring is zero.
         return stage.contains_one()
+    order = stage.order
     basis = stage.reduced_basis()
+    lead = f.leading_monomial(order)
+    if monomial.coprime(lead, [g.leading_monomial(order) for g in basis]):
+        _next_stage(stage, f)._known_basis = basis + (f,)
+        return True
     if len(f.terms) == 1 and all(len(g.terms) == 1 for g in basis):
-        (m,) = f.terms
-        return monomial.coprime(m, (lm for g in basis for lm in g.terms))
+        return False
+    if _cofactor_outside(stage, basis, f, lead):
+        return False
     if f.is_homogeneous() and all(g.is_homogeneous() for g in stage.generators):
-        d = f.total_degree()
-        if d == 0:
-            return True  # a nonzero constant is a unit
         return _hilbert_regular(
-            _hilbert_numerator_of(stage), _hilbert_numerator_of(_next_stage(stage, f)), d
+            _hilbert_numerator_of(stage),
+            _hilbert_numerator_of(_next_stage(stage, f)),
+            f.total_degree(),
         )
     Q = _colon(stage, (f,))
     return _extension_witness(stage, Q) is None

@@ -162,7 +162,7 @@ def test_grades_sharing_a_first_candidate_compute_its_stage_once(computed):
 
     def stage_runs():
         # x + y is a nonzerodivisor modulo (xy), so both grades take it first
-        return sum(1 for _, gens, _ in computed if gens == [x * y, x + y])
+        return sum(1 for args in computed if args[1] == [x * y, x + y])
 
     grade(A, first)
     grade(A, second)

@@ -543,7 +543,7 @@ class TestQuotientBasisHandover:
         ]
         certs, colons, intersections, computed = self._validate_recording(monkeypatch, runs, cases)
         assert len(colons) == len(intersections) == sum(c.grade for _, _, c in certs) > 0
-        assert any(q._minimal for q in colons)
+        assert any(q._known_basis is not None for q in colons)
         assert not any(q is a for q in colons for a in computed)
         assert not [r for r in runs if r[0] == "interreduce"]
 

@@ -20,6 +20,7 @@ from cmtensor import (
     PrimeField,
     StepBudgetExceeded,
     ZeroRingError,
+    buchberger,
     dim_quotient,
     embed_ideal,
     grade,
@@ -342,6 +343,177 @@ class TestGradedPermutability:
         with pytest.raises(PermutationBoundExceeded):
             is_permutable_regular_sequence(A, inhomogeneous)
         assert regularity_tests == [seq]
+
+
+R4 = PolyRing(("x", "y", "z", "w"), F)
+NZD_ORDERS = [GREVLEX, LEX, DEGLEX, block_order((0, 1))]
+
+
+def _coprime_lead_element(rng, stage, homogeneous):
+    """An f whose leading monomial is coprime to every leading monomial of
+    the stage's reduced basis, plus lower terms; None when every variable
+    occurs in some of those leading monomials."""
+    order = stage.order
+    taken = {i for g in stage.reduced_basis() for i, e in enumerate(g.leading_monomial(order)) if e}
+    free = [i for i in range(R4.nvars) if i not in taken]
+    if not free:
+        return None
+    lead = [0] * R4.nvars
+    for _ in range(rng.randint(1, 2)):
+        lead[rng.choice(free)] += 1
+    lead = tuple(lead)
+    terms = {lead: rng.randrange(1, F.p)}
+    for t in random_poly(rng, R4, 2, 4, homogeneous=homogeneous).terms:
+        if order.key(t) < order.key(lead) and (not homogeneous or sum(t) == sum(lead)):
+            terms[t] = rng.randrange(1, F.p)
+    return Polynomial(R4, terms)
+
+
+class TestStageBasisRoutes:
+    """The stage's own reduced basis G decides many nonzerodivisor tests:
+    a leading monomial coprime to those of G makes f a nonzerodivisor and
+    G ∪ {f} the next stage's Groebner basis, and a cofactor g/f outside
+    the stage of a stage element g makes f a zerodivisor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(NZD_ORDERS),
+        st.booleans(),
+        st.sampled_from(["coprime lead", "cofactor inside", "cofactor outside", "any"]),
+    )
+    def test_against_the_colon(self, data_seed, order, homogeneous, kind):
+        rng = random.Random(data_seed)
+        variables = rng.sample(range(R4.nvars), rng.randint(1, 3))
+
+        def draw():
+            # a random nonconstant element in the chosen variables
+            degree = rng.randint(1, 2)
+            terms = {}
+            for k in range(rng.randint(1, 3)):
+                e = [0] * R4.nvars
+                for _ in range(degree if homogeneous or not k else rng.randint(0, 2)):
+                    e[rng.choice(variables)] += 1
+                terms[tuple(e)] = rng.randrange(1, F.p)
+            return Polynomial(R4, terms)
+
+        def factor():
+            return random_poly(rng, R4, 2, 3, homogeneous=homogeneous, constant_free=True)
+
+        gens = [draw() for _ in range(rng.randint(1, 2))]
+        stage = IdealPresentation(R4, gens, order)
+        if kind == "coprime lead":
+            f = _coprime_lead_element(rng, stage, homogeneous) or factor()
+        else:
+            f = normal_form(factor(), stage.reduced_basis(), order)
+        if kind == "cofactor inside":
+            stage = IdealPresentation(R4, gens + [f * factor() * rng.choice(gens)], order)
+        elif kind == "cofactor outside":
+            stage = IdealPresentation(R4, gens + [f * factor()], order)
+        with groebner.memo_scope():
+            r = normal_form(f, stage.reduced_basis(), order)
+            regular = _is_nzd_mod(stage, r)
+            assert regular == reference_is_nzd(stage, f)
+            if regular and r.terms:
+                # the next stage's basis, seeded or not, is Buchberger's
+                basis = invariants._next_stage(stage, r).reduced_basis()
+                expected = buchberger(stage.generators + (r,), order)
+                assert [g.terms for g in basis] == [g.terms for g in expected]
+
+    @pytest.mark.parametrize("order", NZD_ORDERS)
+    @pytest.mark.parametrize("inhomogeneous", [False, True])
+    def test_seeded_stage_is_the_buchberger_basis(self, monkeypatch, order, inhomogeneous):
+        # x does not occur in the stage, and x^2 leads f under every order
+        x, y, z, w = R4.gens()
+        stage = IdealPresentation(R4, (y * w - z ** 2, y * z - w ** 2), order)
+        f = x ** 2 - 3 * x * w + y * z + (y + 1 if inhomogeneous else 0)
+        basis = stage.reduced_basis()
+        expected = buchberger(stage.generators + (f,), order)
+
+        def refuse(*args):
+            raise AssertionError("the seeded stage ran Buchberger")
+
+        monkeypatch.setattr(groebner, "_packed_buchberger", refuse)
+        with groebner.memo_scope():
+            r = normal_form(f, basis, order)
+            assert _is_nzd_mod(stage, r)
+            seeded = invariants._next_stage(stage, r).reduced_basis()
+            assert [g.terms for g in seeded] == [g.terms for g in expected]
+            assert [g.leading_monomial(order) for g in seeded] == [
+                g.leading_monomial(order) for g in expected
+            ]
+            memo = groebner._memo_of(list(seeded))
+            assert memo is not None and not memo.first
+            h = x ** 3 * w + y ** 2 * w ** 2 + z ** 3
+            assert normal_form(h, seeded, order) == normal_form(h, expected, order)
+            assert memo.first  # the division read and filled the seeded basis's memo
+
+    def test_both_routes_decide_without_hilbert_colon_or_buchberger(self, monkeypatch):
+        x, y, z, w = R4.gens()
+        coprime = IdealPresentation(R4, (x * y - z ** 2,))
+        cofactor = IdealPresentation(R4, (x * y - z ** 2, (x + w) * y))
+        trap = IdealPresentation(R4, (x * y, y))
+        for stage in (coprime, cofactor, trap):
+            stage.reduced_basis()
+
+        def refuse(*args):
+            raise AssertionError("the stage's basis should decide")
+
+        monkeypatch.setattr(invariants, "_hilbert_numerator_of", refuse)
+        monkeypatch.setattr(invariants, "_colon", refuse)
+        monkeypatch.setattr(groebner, "_packed_buchberger", refuse)
+        with groebner.memo_scope():
+            assert _is_nzd_mod(coprime, z + w)  # z shares no variable with xy
+            assert invariants._next_stage(coprime, z + w).reduced_basis()
+            # (x + w) * y lies in the stage and y does not
+            assert not _is_nzd_mod(cofactor, x + w)
+            # x divides xy, but the cofactor y lies in the stage: x is regular
+            assert _is_nzd_mod(trap, x)
+
+    def test_a_cofactor_inside_the_stage_decides_nothing(self):
+        # (x + w) divides the second generator, by the first one: no
+        # conclusion, and x + w is regular modulo the prime (xy - z^2)
+        x, y, z, w = R4.gens()
+        stage = IdealPresentation(R4, (x * y - z ** 2, (x + w) * (x * y - z ** 2)))
+        assert _is_nzd_mod(stage, x + w)
+        assert reference_is_nzd(stage, x + w)
+
+    def test_the_cofactor_division_has_the_step_budget(self):
+        x, y, z, w = R4.gens()
+        stage = IdealPresentation(R4, (x * y - z ** 2, (x + w) * y))
+        stage.reduced_basis()
+        with limits(step_budget=0), pytest.raises(StepBudgetExceeded):
+            _is_nzd_mod(stage, x + w)
+        with limits(step_budget=1):
+            assert not _is_nzd_mod(stage, x + w)
+
+    def test_a_computed_basis_is_kept(self):
+        x, y, z, w = R4.gens()
+        stage = IdealPresentation(R4, (x * y - z ** 2,))
+        with groebner.memo_scope():
+            nxt = invariants._next_stage(stage, z + w)
+            before = nxt.reduced_basis()
+            assert _is_nzd_mod(stage, z + w)
+            assert invariants._next_stage(stage, z + w) is nxt
+            assert nxt.reduced_basis() is before
+
+    @pytest.mark.parametrize("case", ["graded", "inhomogeneous"])
+    def test_validation_takes_neither_route(self, monkeypatch, case):
+        x, y, z, w = R4.gens()
+        if case == "graded":
+            A = make_algebra(R4, (x * z - y ** 2, y * w - z ** 2, x * w - y * z))
+        else:
+            A = make_algebra(R4, (x * y - z ** 3, z * w - x ** 2 + w))
+        I = AlgebraIdeal(A, R4.gens())
+        certs = [grade(A, I, seed) for seed in range(3)]
+
+        def refuse(*args):
+            raise AssertionError("validation used a route of the grade loop")
+
+        for name in ("_is_nzd_mod", "_cofactor_outside", "_divide", "_next_stage"):
+            monkeypatch.setattr(invariants, name, refuse)
+        for cert in certs:
+            validate_grade_certificate(A, I, cert)
 
 
 class TestGrade:
