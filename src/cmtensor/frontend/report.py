@@ -1,115 +1,23 @@
 """Run reports and their JSON form.
 
-Serialization is canonical (sorted keys, fixed indentation) so that a
-fixed (session, prime, seed) yields byte-identical output; the per-command
-timing fields are the one exclusion and can be dropped for comparisons.
+A document is exactly ``json.dumps(value, indent=2, sort_keys=True) +
+"\\n"``, so any reader can reproduce its bytes, and a fixed (session,
+prime, seed) yields byte-identical output once the per-command timing
+fields, the one exclusion, are dropped.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 VERSION = "0.1.0"
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
-    return float.__repr__(value)
-
-
-# The text of a scalar, by its exact class.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-# An empty container with its comma, by its exact class.
-_EMPTY = {dict: "{},", list: "[],", tuple: "[],"}
-
-
-def _scalar_text(value) -> str:
-    """The text of a scalar whose class is a subclass of a JSON one."""
-    for base in (str, int, float):
-        if isinstance(value, base):
-            return _SCALARS[base](value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` writes it, followed by the key separator."""
-    if key is None or isinstance(key, (str, int, float)):
-        text = key if isinstance(key, str) else _SCALARS.get(key.__class__, _scalar_text)(key)
-        return encode_basestring_ascii(text) + ": "
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _canonical_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    With an indent ``json`` takes its pure-Python encoder, which yields one
-    piece per token.  This writer makes each line whole: a scalar, or a
-    bracket, with its indent, key and comma.
-    """
-    out = []
-    _json_lines(value, "", "", out, {})
-    out.append("")
-    return "\n".join(out)
-
-
-def _json_lines(value, head: str, indent: str, out: list, keys: dict) -> None:
-    """Append the lines of `value` to `out`: the first starts with `head`,
-    and the items of a container are indented past `indent`.  `keys` holds
-    the text of each string key met so far."""
-    scalar = _SCALARS.get(value.__class__)
-    if scalar is not None:
-        out.append(head + scalar(value))
-        return
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        opening, closing = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        items = None
-        opening, closing = "[", "]"
-    else:
-        out.append(head + _scalar_text(value))
-        return
-    if not value:
-        out.append(head + opening + closing)
-        return
-    append = out.append
-    inner = indent + "  "
-    append(head + opening)
-    for item in value if items is None else items:
-        if items is None:
-            lead = inner
-        else:
-            key, item = item
-            text = keys.get(key) if key.__class__ is str else None
-            if text is None:
-                text = _key_text(key)
-                if key.__class__ is str:
-                    keys[key] = text
-            lead = inner + text
-        scalar = _SCALARS.get(item.__class__)
-        if scalar is not None:
-            append(lead + scalar(item) + ",")
-        elif item.__class__ in _EMPTY and not item:
-            append(lead + _EMPTY[item.__class__])
-        else:
-            _json_lines(item, lead, inner, out, keys)
-            out[-1] += ","
-    out[-1] = out[-1][:-1]
-    append(indent + closing)
+    """The canonical document of `value`: ``json.dumps`` with sorted keys
+    and an indent of two, plus a newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class CommandResult:

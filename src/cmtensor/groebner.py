@@ -105,7 +105,7 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import monomial
-from .errors import AmbientMismatchError, StepBudgetExceeded
+from .errors import AmbientMismatchError, KernelError, StepBudgetExceeded
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -134,9 +134,13 @@ def limits(step_budget: int | None = None, nzd_retries: int | None = None):
 
     `step_budget` caps the reduction steps of each Groebner basis and each
     normal form; `nzd_retries` caps the random draws of each
-    nonzerodivisor search.  ``None`` keeps the enclosing value, and the
-    enclosing limits are restored on exit.
+    nonzerodivisor search.  ``None`` keeps the enclosing value, a negative
+    one raises :class:`KernelError`, and the enclosing limits are restored
+    on exit.
     """
+    for name, value in (("step_budget", step_budget), ("nzd_retries", nzd_retries)):
+        if value is not None and value < 0:
+            raise KernelError(f"{name} must be at least 0, got {value}")
     outer = _LIMITS.get()
     token = _LIMITS.set(
         _Limits(

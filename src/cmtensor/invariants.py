@@ -101,6 +101,7 @@ from .errors import (
     CertificateError,
     GradedOnlyError,
     ImproperIdealError,
+    KernelError,
     NzdSearchExhausted,
     PermutationBoundExceeded,
     ZeroRingError,
@@ -653,6 +654,11 @@ def _grade(A: AlgebraPresentation, I: AlgebraIdeal, seed: int) -> GradeCertifica
             if w is not None:
                 return _certificate(relations, sequence, w)
             f = _find_nonzerodivisor(stage, pool, rng)
+        if len(sequence) == A.ring.nvars:
+            # a regular sequence on S/J is no longer than dim S/J <= nvars
+            raise KernelError(
+                f"regular sequence longer than {A.ring.nvars}, the number of variables"
+            )
         sequence.append(f)
         stage = _next_stage(stage, f)
 

@@ -22,7 +22,6 @@ from cmtensor import (
 )
 from cmtensor.frontend import RunReport, execute, parse_session
 from cmtensor.frontend.cli import main
-from cmtensor.frontend.report import _canonical_json
 from cmtensor.frontend.parser import (
     CHECK_SIGNATURES,
     AssertStmt,
@@ -556,92 +555,6 @@ class TestCheckTable:
         assert res.error == "unknown variable 's'; the ring has ('u', 'v')"
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-_JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**70), max_value=2**70)
-    | st.floats()
-    | st.text()
-    | st.text(st.characters(max_codepoint=0x1F))
-    | st.text(st.characters(min_codepoint=0x7F))
-)
-_JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-class TestCanonicalJson:
-    """The report writer gives ``json.dumps(..., indent=2, sort_keys=True)``'s
-    bytes."""
-
-    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
-    def test_golden_files(self, name):
-        text = (GOLDEN / name).read_text(encoding="utf-8")
-        data = json.loads(text)
-        assert _canonical_json(data) == _dumps(data)
-        if name.startswith("session_"):
-            assert _canonical_json(data) == text
-
-    @settings(max_examples=300, deadline=None)
-    @given(_JSON_VALUES)
-    def test_random_values(self, value):
-        assert _canonical_json(value) == _dumps(value)
-
-    @pytest.mark.parametrize(
-        "value",
-        [
-            "\u00e9\x00\x1f\x7f\ud800\U0001f600\"\\/\n\t",
-            [True, 1, 1.0, False, 0, 0.0, None],
-            {"a": {}, "b": [], "c": (), "d": [[], {}], "e": {"f": [{}]}},
-            {},
-            [],
-            [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**64],
-            {2: "a", 10: "b"},
-            {True: 1, False: 0},
-            {None: 1},
-            {1.5: "x", float("inf"): "y"},
-        ],
-    )
-    def test_fixed_values(self, value):
-        assert _canonical_json(value) == _dumps(value)
-
-    def test_subclasses_of_json_types(self):
-        class Text(str):
-            pass
-
-        class Number(int):
-            pass
-
-        value = {Text("k"): [Number(3), Text("v")], "m": (Number(0),)}
-        assert _canonical_json(value) == _dumps(value)
-
-    @pytest.mark.parametrize(
-        "value", [object(), {(1,): 2}, [set()], {"a": b"bytes"}, {1: 2, "a": 3}]
-    )
-    def test_refused_like_json(self, value):
-        with pytest.raises(TypeError):
-            _dumps(value)
-        with pytest.raises(TypeError):
-            _canonical_json(value)
-
-    def test_corpus_command(self, capsys):
-        assert main(["corpus", "--size", "3", "--format", "json"]) == 0
-        out = capsys.readouterr().out
-        assert out == _dumps(json.loads(out))
-
-
 class TestReportSerialization:
     def test_roundtrip(self):
         ast = parse_session(
@@ -721,6 +634,11 @@ class TestCli:
         assert main(["run", path, "--prime", "3", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["prime"] == 3
+
+    def test_corpus_command(self, capsys):
+        assert main(["corpus", "--size", "3", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     def test_corpus_json(self, capsys):
         assert main(["corpus", "--seed", "1", "--size", "3", "--format", "json"]) == 0

@@ -20,6 +20,7 @@ from cmtensor import (
     AlgebraIdeal,
     AmbientMismatchError,
     IdealPresentation,
+    KernelError,
     PolyRing,
     Polynomial,
     PrimeField,
@@ -674,6 +675,18 @@ class TestLimits:
                     assert groebner._StepCounter().limit == 20
                 assert current_limits() == (10, 3)
             assert current_limits() == (10, NZD_RETRY_CAP)
+        assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+
+    def test_negative_step_budget_refused(self):
+        with pytest.raises(KernelError, match="step_budget must be at least 0, got -3"):
+            with limits(step_budget=-3):
+                pass
+        assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+
+    def test_negative_nzd_retries_refused(self):
+        with pytest.raises(KernelError, match="nzd_retries must be at least 0, got -1"):
+            with limits(nzd_retries=-1):
+                pass
         assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
 
     def test_scope_restored_after_an_error(self):

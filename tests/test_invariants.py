@@ -610,6 +610,14 @@ class TestGrade:
         with limits(nzd_retries=8), pytest.raises(NzdSearchExhausted, match="in 8 draws"):
             grade(A, I, seed=0)
 
+    def test_sequence_is_bounded_by_the_number_of_variables(self, monkeypatch):
+        # a stage loop that never grows its stage must stop, not hang
+        monkeypatch.setattr(invariants, "_next_stage", lambda stage, f: stage)
+        A = poly_algebra("x", "y")
+        x, y = A.ring.gens()
+        with pytest.raises(KernelError, match="longer than 2, the number of variables"):
+            grade(A, AlgebraIdeal(A, (x + y, x - y)))
+
 
 def _grade_outcome(fn, A, I, seed):
     try:

@@ -13,6 +13,11 @@ No module imports :mod:`dataclasses`: it loads ``inspect``, ``ast`` and
 half of the time ``cmtensor run`` took to start.  The command line does
 not load :mod:`pathlib` either, which imports ``urllib.parse``,
 ``ipaddress``, ``fnmatch`` and ``ntpath``.
+
+JSON documents have one writer, ``json.dumps`` in
+:mod:`cmtensor.frontend.report`: no module calls ``dumps`` elsewhere or
+imports :mod:`json.encoder`, whose internals a second writer would need
+to reproduce its bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +64,18 @@ def test_no_dataclasses(path):
     for node in _imports(path):
         names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
         assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_json_encoder_internals(path):
+    for node in _imports(path):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        assert "json.encoder" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_only_the_report_module_writes_json():
+    writers = [p for p in MODULES if "dumps" in _names(p)]
+    assert [str(p.relative_to(PACKAGE)) for p in writers] == ["frontend/report.py"]
 
 
 def test_the_cli_loads_no_introspection_modules():
