@@ -34,8 +34,11 @@ computation runs again with fields twice as wide on the same step
 counter.
 
 A division keeps its pending terms in a heap from its first reduction
-step on; a term that cancels stays at zero and is skipped when it comes
-up, with no step spent and no guard bit checked.  A Buchberger run
+step on.  Their coefficients are left unreduced; each is reduced mod p
+once, when its term comes up, and a term that cancelled, now a multiple
+of p, is skipped then, with no step spent and no guard bit checked.
+Division by one polynomial, as an exact quotient tries it, stops at the
+first term that polynomial does not divide.  A Buchberger run
 remembers, for each monomial its S-pair divisions meet, the first basis
 element that divides it, or how many elements were tried without one:
 the basis only grows during the run, so a found divisor stays the first,
@@ -44,9 +47,10 @@ is dropped when the run returns, and a widened rerun starts a new one.
 
 A reduced basis, as the run returns it, gets a memo of its own for the
 normal forms taken against it: the packing it was built under, its
-entries, and each monomial's first dividing entry, where a miss is final,
-since the basis never grows.  Its entries are facts about the basis, so divisions that
-share it, in any order or thread, store the same values.
+entries, each exponent tuple packed so far, and each monomial's first
+dividing entry, where a miss is final, since the basis never grows.  Its
+entries are facts about the basis, so divisions that share it, in any
+order or thread, store the same values.
 :func:`normal_form` reads it only when the nonzero divisors it is given
 are that basis, the same objects in the same order, and only in an
 attempt at the memo's packing; any other list, order or width takes the
@@ -348,18 +352,34 @@ def _entry(terms: dict, p: int, monic: bool = False) -> tuple:
 
 class _BasisMemo:
     """What one reduced basis keeps for the normal forms taken against it:
-    the packing it was built under, its entries in basis order, and
-    `first`, the memo of :func:`_reduce` from each monomial divided by it
-    to its first dividing entry.  The basis never grows, so a miss (the
+    the packing it was built under, its entries in basis order, `first`,
+    the memo of :func:`_reduce` from each monomial divided by it to its
+    first dividing entry, and `packed`, each exponent tuple packed so far
+    (see :meth:`pack_terms`).  The basis never grows, so a miss (the
     number of entries) is final.  Each element reaches the memo through
     its ``_packed`` slot, as ``(memo, position)``."""
 
-    __slots__ = ("packing", "entries", "first")
+    __slots__ = ("packing", "entries", "first", "packed")
 
     def __init__(self, packing: _Packing, entries: list):
         self.packing = packing
         self.entries = entries
         self.first = {}
+        self.packed = {}
+
+    def pack_terms(self, terms: dict) -> dict:
+        """``packing.pack_terms(terms)``, packing each exponent tuple once
+        per basis.  A tuple that overflows raises :class:`_Overflow` and is
+        not stored."""
+        packed = self.packed
+        pack = self.packing.pack
+        out = {}
+        for m, c in terms.items():
+            x = packed.get(m)
+            if x is None:
+                x = packed[m] = pack(m)
+            out[x] = c
+        return out
 
 
 def _memo_of(nz: list):
@@ -393,15 +413,20 @@ def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None, first
     first step terms only leave `work`, so the largest is found by ``max``;
     from then on the pending monomials wait in a heap, negated.  Every term
     a step adds is below the one it cancels, so terms come up in the same
-    order either way.  A term that cancels stays in `work` at 0 and is
-    skipped when it comes up, before its guard bit is checked and without a
-    step; every other term is checked for a guard bit.
+    order either way.  A step adds ``(p - factor) * gc`` to each pending
+    coefficient, unreduced; a coefficient is reduced mod p once, when its
+    term comes up.  A term that cancels stays in `work` at a multiple of p
+    and is skipped when it comes up, before its guard bit is checked and
+    without a step; every other term is checked for a guard bit.
 
     `first`, when given, maps a monomial to its first dividing entry, or to
     n when none of the first n entries divides it.  It stays true while
     `basis` only grows, and a miss is retried only against the entries
     added since.  When `quotient` is a dict and the basis has one entry,
-    the cofactor is accumulated into it.
+    the cofactor is accumulated into it, and the division stops at the
+    first term that entry does not divide, returning that term alone: the
+    term has passed its guard-bit check, so the division fails at every
+    field width.
     """
     rem = {}
     get = work.get
@@ -415,7 +440,7 @@ def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None, first
             m = -heappop(heap)
         else:
             return rem
-        c = work.pop(m)
+        c = work.pop(m) % p
         if not c:
             continue
         if m & guard:
@@ -431,6 +456,8 @@ def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None, first
                 if first is not None:
                     first[m] = len(basis)
                 rem[m] = c
+                if quotient is not None:
+                    return rem
                 continue
             if first is not None:
                 first[m] = entry
@@ -443,14 +470,15 @@ def _reduce(work: dict, basis, guard: int, p: int, counter, quotient=None, first
         if heap is None:
             heap = [-t for t in work]
             heapify(heap)
+        negated = p - factor
         for gm, gc in tail:
             t = gm + shift
             v = get(t)
             if v is None:
-                work[t] = -factor * gc % p
+                work[t] = negated * gc
                 heappush(heap, -t)
             else:
-                work[t] = (v - factor * gc) % p
+                work[t] = v + negated * gc
 
 
 def normal_form(
@@ -465,9 +493,10 @@ def normal_form(
     term is cancelled against the first element whose leading monomial
     divides it, one step each.  When the nonzero elements of `basis` are a
     reduced basis as :func:`buchberger` returned it, the same objects in
-    the same order, the division reads and fills the first-divisor memo
-    kept with that basis, while it runs at the packing the basis was built
-    under; the remainder and the steps are the same.
+    the same order, the division reads and fills the memo kept with that
+    basis, its packed exponent tuples and its first divisors, while it
+    runs at the packing the basis was built under; the remainder and the
+    steps are the same.
     """
     ring = f.ring
     leads = []
@@ -493,10 +522,11 @@ def normal_form(
 
     def run(packing):
         if memo is not None and memo.packing is packing:
-            entries, first = memo.entries, memo.first
+            work, entries, first = memo.pack_terms(f.terms), memo.entries, memo.first
         else:
             entries, first = [_entry_of(g, packing, p) for g in nz], None
-        rem = _reduce(packing.pack_terms(f.terms), entries, packing.guard, p, counter, first=first)
+            work = packing.pack_terms(f.terms)
+        rem = _reduce(work, entries, packing.guard, p, counter, first=first)
         return Polynomial(ring, packing.unpack_terms(rem), _trusted=True)
 
     return _widening(ring.nvars, order, run)
@@ -841,7 +871,8 @@ def _divide(h: Polynomial, g: Polynomial, order: MonomialOrder, limit=None):
     """h / g when g divides h, else None.
 
     The division by g alone spends one step per cancelled term, on a fresh
-    counter whose limit is `limit`, or the step budget in effect.
+    counter whose limit is `limit`, or the step budget in effect, and
+    stops at the first term g does not divide.
     """
     ring = h.ring
     p = ring.field.p

@@ -282,8 +282,8 @@ class Polynomial:
     # threads racing to fill it never pair an order with another's monomial.
     # `_packed` is set only on the elements of a reduced basis from Buchberger's
     # general path, as they are made: (memo, position), the memo `groebner`
-    # keeps with that basis for its normal forms, holding its packing, entries
-    # and first divisors.
+    # keeps with that basis for its normal forms, holding its packing, entries,
+    # packed exponent tuples and first divisors.
     __slots__ = ("ring", "terms", "_lead", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict, *, _trusted: bool = False):
@@ -341,7 +341,16 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        # self + (-other) in one pass, with the same terms in the same order
+        p = self.ring.field.p
+        res = dict(self.terms)
+        for m, c in other.terms.items():
+            v = (res.get(m, 0) - c) % p
+            if v:
+                res[m] = v
+            else:
+                res.pop(m, None)
+        return Polynomial(self.ring, res, _trusted=True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -354,6 +363,15 @@ class Polynomial:
         if other is None:
             return NotImplemented
         p = self.ring.field.p
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # A single-term factor: each product term is distinct and, p
+            # being prime, nonzero; the order is that of the double loop.
+            ((m2, c2),) = b.items()
+            res = {tuple(map(add, m1, m2)): c1 * c2 % p for m1, c1 in a.items()}
+            return Polynomial(self.ring, res, _trusted=True)
         res = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

@@ -1128,15 +1128,15 @@ class TestMonomialRoutes:
                 normal_form(x ** 2, [x])
 
 
-def _cancelling_division(data_seed):
+def _cancelling_division(data_seed, ring=R3):
     """(rng, divisors, f): up to four random divisors, and f a random
     polynomial plus a random multiple of each of them, so that dividing f
     by them cancels many terms."""
     rng = random.Random(data_seed)
-    divisors = [random_poly(rng, R3, 3, 4) for _ in range(rng.randint(1, 4))]
-    f = random_poly(rng, R3, 3, 4)
+    divisors = [random_poly(rng, ring, 3, 4) for _ in range(rng.randint(1, 4))]
+    f = random_poly(rng, ring, 3, 4)
     for g in divisors:
-        f = f + random_poly(rng, R3, 3, 6) * g
+        f = f + random_poly(rng, ring, 3, 6) * g
     return rng, divisors, f
 
 
@@ -1319,6 +1319,107 @@ class TestDivisionKernel:
         normal_form(x3 ** 3, basis)  # warm the memo
         with pytest.raises(AmbientMismatchError):
             normal_form(u ** 3 + u, basis)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32))
+    def test_a_warm_pack_memo_changes_no_division(self, step_counters, data_seed):
+        """Under every order, each normal form is taken twice against one
+        reduced basis: the second time every exponent tuple of f is read
+        from the basis's pack memo.  Every stored tuple maps to its pack."""
+        for order in ORDERS:
+            rng, gens, _ = _cancelling_division(data_seed)
+            basis = buchberger(gens, order)
+            fs = [random_poly(rng, R3, 3, 4) + random_poly(rng, R3, 2, 3) * g
+                  for g in basis] + [R3.one]
+            for f in fs * 2:
+                used, steps = self._same_division(step_counters, f, basis, order)
+                assert used == steps
+            if any(len(g.terms) > 1 for g in basis):
+                memo = basis[0]._packed[0]
+                assert set(memo.packed) == {m for f in fs for m in f.terms}
+                assert all(memo.packing.pack(m) == v for m, v in memo.packed.items())
+
+    @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "deglex", "block0", "block12"])
+    def test_an_f_that_overflows_leaves_no_pack_memo_entry(self, step_counters, order, monkeypatch):
+        """f's 8-bit attempt raises out of the memo path before it stores
+        anything; the 16-bit run divides without the memo, and its remainder
+        and steps are plain division's."""
+        x, y, z = x3, y3, z3
+        basis = buchberger([x ** 2 - y + 3, x * y - 2 * y ** 2 + x], order)
+        memo = basis[0]._packed[0]
+        assert memo.packing.limit == 1 << 7
+        normal_form(x ** 3 * y + y ** 2, basis, order)  # warm the memo
+        before = dict(memo.packed)
+        raised = []
+        pack_terms = groebner._BasisMemo.pack_terms
+
+        def watched(self, terms):
+            try:
+                return pack_terms(self, terms)
+            except groebner._Overflow:
+                raised.append(terms)
+                raise
+
+        monkeypatch.setattr(groebner._BasisMemo, "pack_terms", watched)
+        # z^130 comes first in f's terms, so nothing of f packs at 8 bits
+        f = z ** 130 * (x ** 3 + 1) + x ** 2 * y + 7
+        used, steps = self._same_division(step_counters, f, basis, order)
+        assert used == steps
+        assert raised == [f.terms]
+        assert memo.packed == before
+        assert all(memo.packing.pack(m) == v for m, v in memo.packed.items())
+
+    def test_a_failed_division_stops_at_its_first_remainder_term(self, step_counters):
+        # grevlex: x^4 and then x^3 cancel against x + 1; y^3 is the first
+        # term x does not divide, so g does not divide h and the division
+        # stops there, before 2x^2 and -2x would spend two more steps
+        x, y = R2.gens()
+        h = x ** 4 + y ** 3 + x ** 2
+        g = x + 1
+        step_counters.clear()
+        assert groebner._divide(h, g, GREVLEX) is None
+        assert [c.used for c in step_counters] == [2]
+        steps = [0]
+        assert reference_normal_form(h, [g], GREVLEX, steps) == y ** 3 + 2
+        assert steps[0] == 4
+        # so a budget of those two steps decides it
+        assert groebner._divide(h, g, GREVLEX, 2) is None
+        with pytest.raises(StepBudgetExceeded):
+            groebner._divide(h, g, GREVLEX, 1)
+
+
+EXTREME_RINGS = [
+    PolyRing(("x", "y", "z"), PrimeField(q)) for q in (2, 3, 3_317_044_064_679_887_385_961_813)
+]
+
+
+class TestExtremeModuli:
+    """Pending coefficients are reduced mod p once, when their term comes
+    up; at p = 2, 3 and the largest admitted prime the kernel's normal
+    forms and bases, with their steps, are those on exponent tuples."""
+
+    @settings(max_examples=90, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(EXTREME_RINGS), st.integers(0, 2**32), st.sampled_from(ORDERS))
+    def test_normal_forms_and_bases_against_the_tuple_kernel(self, step_counters, ring, data_seed, order):
+        rng, gens, f = _cancelling_division(data_seed, ring)
+        step_counters.clear()
+        basis = buchberger(gens, order)
+        expected, steps = reference_buchberger(gens, order)
+        assert [g.terms for g in basis] == [g.terms for g in expected]
+        assert sum(c.used for c in step_counters) == steps
+        fs = [f] + [random_poly(rng, ring, 3, 4) + random_poly(rng, ring, 2, 3) * g for g in basis]
+        for divisors in (gens, basis, basis):  # the basis's memo is warm the second time
+            for h in fs:
+                step_counters.clear()
+                nf = normal_form(h, divisors, order)
+                steps = [0]
+                want = reference_normal_form(h, divisors, order, steps)
+                assert nf.terms == want.terms
+                if any(len(g.terms) > 1 for g in divisors if g.terms):
+                    assert list(nf.terms.items()) == list(want.terms.items())
+                assert sum(c.used for c in step_counters) == steps[0]
 
 
 @pytest.fixture

@@ -202,6 +202,68 @@ class TestArithmetic:
         assert all(1 <= c < F.p for c in f.terms.values())
 
 
+def double_loop_product(f, g):
+    """f * g by the general double loop: every pair of terms, in order."""
+    p = f.ring.field.p
+    res = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            v = (res.get(m, 0) + c1 * c2) % p
+            if v:
+                res[m] = v
+            else:
+                res.pop(m, None)
+    return res
+
+
+R3_SMALL = [PolyRing(("x", "y", "z"), PrimeField(q)) for q in (2, 3)]
+
+
+@st.composite
+def single_terms(draw, ring):
+    """A constant, the zero polynomial, or one term whose exponents may
+    reach 128 and more."""
+    kind = draw(st.sampled_from(["constant", "zero", "term"]))
+    if kind == "zero":
+        return ring.zero
+    exponent = st.one_of(st.integers(0, 3), st.integers(128, 140))
+    m = (0,) * ring.nvars if kind == "constant" else draw(st.tuples(*[exponent] * ring.nvars))
+    return Polynomial(ring, {m: draw(st.integers(1, ring.field.p - 1))})
+
+
+@st.composite
+def term_pairs(draw):
+    """(f, t) over a ring at p = 2, 3 or 32003: t a single term (or zero),
+    f any polynomial."""
+    ring = draw(st.sampled_from([R3] + R3_SMALL))
+    return draw(polys(ring, max_exp=4, max_terms=6)), draw(single_terms(ring))
+
+
+class TestSingleTermPaths:
+    """Products with a single-term factor and differences take one pass;
+    they give the terms, in the same order, of the general double loop and
+    of ``a + (-b)``."""
+
+    @settings(max_examples=150)
+    @given(term_pairs())
+    def test_products_with_a_single_term_on_either_side(self, pair):
+        f, t = pair
+        for a, b in ((f, t), (t, f), (t, t)):
+            got = (a * b).terms
+            want = double_loop_product(a, b)
+            assert list(got.items()) == list(want.items())
+            assert all(1 <= c < a.ring.field.p for c in got.values())
+
+    @settings(max_examples=150)
+    @given(term_pairs(), st.data())
+    def test_differences_are_sums_of_negations(self, pair, data):
+        f, t = pair
+        g = data.draw(polys(f.ring, max_exp=4, max_terms=6))
+        for a, b in ((f, g), (g, f), (f, t), (t, f), (f, f), (f, f + t)):
+            assert list((a - b).terms.items()) == list((a + (-b)).terms.items())
+
+
 class TestLeadingTerm:
     def test_degree_beats_position_in_grevlex(self):
         x, y = R2.gens()
