@@ -37,9 +37,7 @@ from .groebner import (
     ideal_equal,
     ideal_intersection,
     ideal_membership,
-    ideal_product,
     ideal_quotient,
-    ideal_sum,
     limits,
     normal_form,
 )
@@ -49,11 +47,9 @@ from .invariants import (
     dim_quotient,
     grade,
     height,
-    ideal_in_zerodivisors,
     is_cohen_macaulay,
     is_permutable_regular_sequence,
     is_regular_sequence,
-    is_zerodivisor,
     krull_dim,
     validate_grade_certificate,
 )

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 from .errors import AmbientMismatchError, ImproperIdealError, KernelError, ZeroRingError
 from .groebner import IdealPresentation, eliminate, normal_form, scope_cached
-from .polyring import GREVLEX, MonomialOrder, Polynomial, PolyRing, map_variables, restrict_variables
+from .polyring import Polynomial, PolyRing, map_variables, restrict_variables
 
 
 class AlgebraPresentation:
@@ -52,13 +52,9 @@ class AlgebraPresentation:
         return f"<algebra {self.describe()}>"
 
 
-def make_algebra(
-    ring: PolyRing,
-    relations: Iterable[Polynomial] = (),
-    order: MonomialOrder = GREVLEX,
-) -> AlgebraPresentation:
+def make_algebra(ring: PolyRing, relations: Iterable[Polynomial] = ()) -> AlgebraPresentation:
     """Validated presentation: rejects the zero ring."""
-    rels = IdealPresentation(ring, relations, order)
+    rels = IdealPresentation(ring, relations)
     if rels.contains_one():
         raise ZeroRingError(f"relations {rels.describe()} present the zero ring")
     return AlgebraPresentation(ring, rels)
@@ -129,7 +125,7 @@ def _tensor(A: AlgebraPresentation, B: AlgebraPresentation) -> TensorAlgebra:
     # A ⊗ B is nonzero whenever A and B are, so no zero-ring check is needed.
     return TensorAlgebra(
         ring=ring,
-        relations=IdealPresentation(ring, rels, A.relations.order),
+        relations=IdealPresentation(ring, rels),
         left=A,
         right=B,
         renaming=renaming,
@@ -154,9 +150,7 @@ class AlgebraIdeal:
                 )
         self.owner = owner
         self.gens = gens
-        self.lift = IdealPresentation(
-            owner.ring, gens + owner.relations.generators, owner.relations.order
-        )
+        self.lift = IdealPresentation(owner.ring, gens + owner.relations.generators)
 
     def is_proper(self) -> bool:
         """Whether 1 ∉ I.
@@ -172,8 +166,7 @@ class AlgebraIdeal:
 
     def is_zero(self) -> bool:
         basis = self.owner.relations.reduced_basis()
-        order = self.owner.relations.order
-        return all(not normal_form(g, basis, order).terms for g in self.gens)
+        return all(not normal_form(g, basis).terms for g in self.gens)
 
     def contains(self, f: Polynomial) -> bool:
         return self.lift.contains(f)
@@ -198,7 +191,7 @@ def quotient_algebra(A: AlgebraPresentation, I: AlgebraIdeal) -> AlgebraPresenta
         raise KernelError("quotient by an ideal of a different algebra")
     if not I.is_proper():
         raise ZeroRingError(f"quotient by the improper ideal {I.describe()}")
-    rels = IdealPresentation(A.ring, I.lift.generators, A.relations.order)
+    rels = IdealPresentation(A.ring, I.lift.generators)
     return AlgebraPresentation(A.ring, rels)
 
 
@@ -263,6 +256,5 @@ def _contract(P: AlgebraIdeal, side: str) -> AlgebraIdeal:
     elim = eliminate(P.lift, others)
     restricted = [restrict_variables(g, factor.ring, pos) for g in elim.generators]
     rel_basis = factor.relations.reduced_basis()
-    order = factor.relations.order
-    gens = [g for g in restricted if normal_form(g, rel_basis, order).terms]
+    gens = [g for g in restricted if normal_form(g, rel_basis).terms]
     return AlgebraIdeal(factor, gens)

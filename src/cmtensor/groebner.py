@@ -5,24 +5,27 @@ Moeller, "On an installation of Buchberger's algorithm", 1988), pairs
 selected by sugar under lex and block orders (Giovini et al., "'One sugar
 cube, please'", 1991) and by the normal strategy under grevlex and deglex,
 full multivariate division, and the derived operations: membership,
-equality, sum, product, intersection via a tag variable, quotient, and
-elimination.
+equality, intersection via a tag variable, quotient, and elimination.
+
+Every :class:`IdealPresentation` is grevlex: its reduced basis, its
+membership test and its colons.  The other orders serve
+:func:`buchberger` and :func:`normal_form`, and the block orders of
+:func:`eliminate` and :func:`ideal_intersection`.
 
 Monomial input takes exact routes, chosen by the shape of the input alone
 and returning exactly what the general path returns: a basis of single
-terms, and the colon of single terms by one term, are read off the
-generators by :mod:`cmtensor.monomial` and spend no reduction step.
-Division by single terms drops each divisible term, one step each, as the
-reducer does.
+terms is read off the generators by :mod:`cmtensor.monomial` and spends
+no reduction step.  Division by single terms drops each divisible term,
+one step each, as the reducer does.
 
 Buchberger's last phase turns the Groebner basis it found into the
 reduced one (:func:`_reduced_basis`): it minimalizes the basis, then
 divides each kept element, in ascending order, by the reduced elements
 below it only, since a larger leading monomial divides no term below an
-element's own.  A presentation whose maker knows a Groebner basis of it
-under its order, as a grevlex colon (I : g) knows its generators, takes
-that phase alone when its reduced basis is asked for: the same basis,
-with no S-pair reduced (see :meth:`IdealPresentation.reduced_basis`).
+element's own.  A presentation whose maker knows a Groebner basis of it,
+as a colon (I : g) knows its generators, takes that phase alone when its
+reduced basis is asked for: the same basis, with no S-pair reduced (see
+:meth:`IdealPresentation.reduced_basis`).
 
 The reduction loop works on monomials packed into one int each (see
 :class:`_Packing`): integer ``<`` is the order, ``+`` the product, and a
@@ -593,12 +596,12 @@ def _buchberger(ring, nonzero, order, known=False):
     return _widening(ring.nvars, order, run)
 
 
-def _monomial_basis(ring, gens, order, coeff=1):
-    """The minimal generators `gens` of a monomial ideal as polynomials with
-    coefficient `coeff`, ascending in the order: with coefficient 1, the
-    ideal's reduced basis, with no step spent."""
+def _monomial_basis(ring, gens, order):
+    """The minimal generators `gens` of a monomial ideal, ascending in the
+    order with coefficient 1: the ideal's reduced basis, with no step
+    spent."""
     return [
-        Polynomial(ring, {m: coeff}, _trusted=True)._known_lead(order, m)
+        Polynomial(ring, {m: 1}, _trusted=True)._known_lead(order, m)
         for m in sorted(gens, key=order.key)
     ]
 
@@ -732,57 +735,52 @@ def _reduced_basis(ring, gb, order, packing, counter):
 
 
 class IdealPresentation:
-    """Generators plus a lazily cached reduced Groebner basis.
+    """Generators plus a lazily cached reduced grevlex Groebner basis.
 
     Zero generators are dropped at construction, so the zero ideal is the
     presentation with no generators.  The cache is write-once.
     ``_known_basis`` is None or nonzero polynomials its maker knows to be
-    a Groebner basis of the ideal under its order.
+    a grevlex Groebner basis of the ideal.
     """
 
-    __slots__ = ("ring", "generators", "order", "_basis", "_known_basis")
+    __slots__ = ("ring", "generators", "_basis", "_known_basis")
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        generators: Iterable[Polynomial] = (),
-        order: MonomialOrder = GREVLEX,
-    ):
+    # Read-only, the same for every presentation; perfbench's tracer keys
+    # grade calls by it.
+    order = GREVLEX
+
+    def __init__(self, ring: PolyRing, generators: Iterable[Polynomial] = ()):
         gens = tuple(g for g in generators if g.terms)
         _check_ring(ring, gens)
         self.ring = ring
         self.generators = gens
-        self.order = order
         self._basis = None
         self._known_basis = None
 
     def reduced_basis(self) -> tuple:
-        """The reduced Groebner basis under the presentation's order,
-        computed on the first call.  When its maker knows a Groebner basis
-        of the ideal (``_known_basis``: the generators of a grevlex
-        ``_principal_quotient``, or a stage's reduced basis plus an element
-        with a coprime leading monomial, see
-        :func:`cmtensor.invariants._is_nzd_mod`), that basis is only
-        minimalized and interreduced: the same basis, with no S-pair
-        reduced.  A basis once computed is kept, whatever is known later."""
+        """The reduced grevlex Groebner basis, computed on the first call.
+        When its maker knows a Groebner basis of the ideal
+        (``_known_basis``: the generators of a ``_principal_quotient``, or
+        a stage's reduced basis plus an element with a coprime leading
+        monomial, see :func:`cmtensor.invariants._is_nzd_mod`), that basis
+        is only minimalized and interreduced: the same basis, with no
+        S-pair reduced.  A basis once computed is kept, whatever is known
+        later."""
         if self._basis is None:
             if self._known_basis is None:
-                self._basis = tuple(buchberger(self.generators, self.order))
+                self._basis = tuple(buchberger(self.generators))
             else:
-                self._basis = tuple(_buchberger(self.ring, self._known_basis, self.order, True))
+                self._basis = tuple(_buchberger(self.ring, self._known_basis, GREVLEX, True))
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
         if f.ring is not self.ring and f.ring != self.ring:
             raise AmbientMismatchError("membership across different ambients")
-        return not normal_form(f, self.reduced_basis(), self.order).terms
+        return not normal_form(f, self.reduced_basis()).terms
 
     def contains_one(self) -> bool:
         basis = self.reduced_basis()
         return bool(basis) and basis[0].total_degree() == 0
-
-    def is_zero(self) -> bool:
-        return not self.generators
 
     def describe(self) -> str:
         if not self.generators:
@@ -806,29 +804,10 @@ def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
 
 
 def ideal_equal(I1: IdealPresentation, I2: IdealPresentation) -> bool:
-    """Whether both presentations generate the same ideal.
-
-    Compares reduced bases under I1's order (recomputing I2's basis when
-    its stored order differs).
-    """
+    """Whether both presentations generate the same ideal: whether their
+    reduced bases are equal."""
     _common_ring(I1, I2)
-    b1 = list(I1.reduced_basis())
-    if I2.order == I1.order:
-        b2 = list(I2.reduced_basis())
-    else:
-        b2 = buchberger(I2.generators, I1.order)
-    return b1 == b2
-
-
-def ideal_sum(I1: IdealPresentation, I2: IdealPresentation) -> IdealPresentation:
-    ring = _common_ring(I1, I2)
-    return IdealPresentation(ring, I1.generators + I2.generators, I1.order)
-
-
-def ideal_product(I1: IdealPresentation, I2: IdealPresentation) -> IdealPresentation:
-    ring = _common_ring(I1, I2)
-    gens = [f * g for f in I1.generators for g in I2.generators]
-    return IdealPresentation(ring, gens, I1.order)
+    return I1.reduced_basis() == I2.reduced_basis()
 
 
 def _pad_into(ext: PolyRing, f: Polynomial) -> Polynomial:
@@ -851,7 +830,7 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     """
     ring = _common_ring(I1, I2)
     if not I1.generators or not I2.generators:
-        return IdealPresentation(ring, (), I1.order)
+        return IdealPresentation(ring)
     ext = ring.extended(ring.fresh_name("_t"))
     ti = ext.nvars - 1
     t = ext.var(ti)
@@ -864,7 +843,7 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
         for g in buchberger(gens, order)
         if not g.leading_monomial(order)[-1]
     ]
-    return IdealPresentation(ring, back, I1.order)
+    return IdealPresentation(ring, back)
 
 
 def _divide(h: Polynomial, g: Polynomial, order: MonomialOrder, limit=None):
@@ -901,27 +880,16 @@ def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentatio
 
     Those quotients are a minimal grevlex Groebner basis of (I : g),
     ascending: the generators of I ∩ (g) are its reduced grevlex basis,
-    and in(h/g) * in(g) = in(h).  So under a grevlex I they are the
-    result's known basis, and its reduced basis, when asked for, is only
-    interreduced (see :meth:`IdealPresentation.reduced_basis`); under any
-    other order it comes from Buchberger.  Nothing is computed until it
-    is asked for: certificate validation and the stop test read only the
-    generators.
-
-    When g = c*n and every generator of I is a single term, the quotients
-    are the reduced grevlex basis of the colon (I : n) of
-    :func:`cmtensor.monomial.colon`, each element with coefficient 1/c.
+    and in(h/g) * in(g) = in(h).  So they are the result's known basis,
+    and its reduced basis, when asked for, is only interreduced (see
+    :meth:`IdealPresentation.reduced_basis`).  Nothing is computed until
+    it is asked for: certificate validation and the stop test read only
+    the generators.
     """
     ring = I.ring
-    if len(g.terms) == 1 and all(len(h.terms) == 1 for h in I.generators):
-        ((n, c),) = g.terms.items()
-        quotients = monomial.colon([m for h in I.generators for m in h.terms], n)
-        basis = _monomial_basis(ring, quotients, GREVLEX, ring.field.inv(c))
-        return IdealPresentation(ring, basis, I.order)
-    Ig = ideal_intersection(I, IdealPresentation(ring, (g,), I.order))
-    Q = IdealPresentation(ring, (_exact_quotient(h, g, I.order) for h in Ig.generators), I.order)
-    if I.order == GREVLEX:
-        Q._known_basis = Q.generators
+    Ig = ideal_intersection(I, IdealPresentation(ring, (g,)))
+    Q = IdealPresentation(ring, (_exact_quotient(h, g, GREVLEX) for h in Ig.generators))
+    Q._known_basis = Q.generators
     return Q
 
 
@@ -936,30 +904,28 @@ def ideal_quotient(I: IdealPresentation, J: IdealPresentation) -> IdealPresentat
     ideal, which changes no intersection; a generator of J that is also
     a generator of I is skipped before its normal form is taken.  The
     result is then always the reduced grevlex basis of (I : J) in
-    ascending order, whatever I's order: an intersection returns the
-    tag-free part of a reduced block order basis, a single remaining
-    colon's generators, a minimal grevlex basis, are interreduced under
-    grevlex with no S-pair, and with none left the basis is (1).  For a
-    principal J the generators are the quotients by g, a minimal grevlex
-    basis; under a grevlex I its reduced basis is interreduced from them
-    when first asked for.  Each (I : g) of single-term I and g is read off
-    the generators by :mod:`cmtensor.monomial` (see
+    ascending order: an intersection returns the tag-free part of a
+    reduced block order basis, a single remaining colon's generators, a
+    minimal grevlex basis, are interreduced with no S-pair, and with none
+    left the basis is (1).  For a principal J the generators are the
+    quotients by g, a minimal grevlex basis, and its reduced basis is
+    interreduced from them when first asked for (see
     ``_principal_quotient``).
     """
     ring = _common_ring(I, J)
     if not J.generators:
-        return IdealPresentation(ring, (ring.one,), I.order)
+        return IdealPresentation(ring, (ring.one,))
     if len(J.generators) == 1:
         return _principal_quotient(I, J.generators[0])
     basis = I.reduced_basis()
-    reduced = (normal_form(g, basis, I.order) for g in J.generators if g not in I.generators)
-    left = dict.fromkeys(r.monic(I.order) for r in reduced if r.terms)
+    reduced = (normal_form(g, basis) for g in J.generators if g not in I.generators)
+    left = dict.fromkeys(r.monic() for r in reduced if r.terms)
     if not left:
-        return IdealPresentation(ring, (ring.one,), I.order)
+        return IdealPresentation(ring, (ring.one,))
     parts = [_principal_quotient(I, r) for r in left]
     if len(parts) == 1:
         # (I : r)'s generators are a minimal grevlex basis: interreduce them
-        return IdealPresentation(ring, _buchberger(ring, parts[0].generators, GREVLEX, True), I.order)
+        return IdealPresentation(ring, _buchberger(ring, parts[0].generators, GREVLEX, True))
     acc = parts[0]
     for nxt in parts[1:]:
         acc = ideal_intersection(acc, nxt)
@@ -982,4 +948,4 @@ def eliminate(I: IdealPresentation, front: Iterable[str]) -> IdealPresentation:
         g for g in buchberger(I.generators, order)
         if not any(map(g.leading_monomial(order).__getitem__, idxs))
     )
-    return IdealPresentation(I.ring, keep, I.order)
+    return IdealPresentation(I.ring, keep)

@@ -10,17 +10,17 @@ A generator of I that is a nonzerodivisor modulo the stage already proves
 (stage : I) = stage, so the stop test runs only at a stage where no
 generator is one.  The witness is the first element of the reduced
 grevlex basis of (stage : I) outside the stage, reduced modulo the stage
-and made monic.  For a grevlex stage whose generators, and those of I,
-are homogeneous, it is found by linear algebra one degree at a time (see
+and made monic.  For a stage whose generators, and those of I, are
+homogeneous, it is found by linear algebra one degree at a time (see
 ``_colon_witness``).  Let r_i be the distinct nonzero normal forms of I's
 generators modulo the stage, and K_e the standard forms a of degree e
 with every a * r_i in the stage.  Then (stage : I) equals the stage below
 the first degree e with K_e ≠ 0, and in that degree the first basis
 element of the colon outside the stage is the element of K_e with the
 least leading monomial.  Past a degree cap taken from the input, and for
-every other order or an inhomogeneous input, the colon ideal itself is
-computed, by those normal forms alone (see ``groebner.ideal_quotient``);
-the witness is the same polynomial either way.  When the stage is a
+an inhomogeneous input, the colon ideal itself is computed, by those
+normal forms alone (see ``groebner.ideal_quotient``); the witness is the
+same polynomial either way.  When the stage is a
 monomial ideal and the r_i are single terms, the colon is read off by
 :mod:`cmtensor.monomial`, and the witness is its grevlex-least minimal
 generator outside the stage.  The stop test is deterministic, so the
@@ -35,9 +35,9 @@ are those of the general loop, which takes over, with its random draws
 untouched, at a stage where one is needed.
 
 Whether f is a nonzerodivisor modulo a stage is first read off the
-stage's own reduced basis G, for any order.  When lm(f) shares no variable
-with a leading monomial of G, it is one: G ∪ {f} is then a Groebner basis
-of stage + (f) (Buchberger's product criterion, "A criterion for
+stage's own reduced basis G.  When lm(f) shares no variable with a
+leading monomial of G, it is one: G ∪ {f} is then a Groebner basis of
+stage + (f) (Buchberger's product criterion, "A criterion for
 detecting unnecessary reductions in the construction of Groebner bases",
 1979), so lm(f) is a nonzerodivisor modulo in(stage), and so f is one
 modulo the stage (Eisenbud, *Commutative Algebra*, ch. 15).  The next
@@ -123,12 +123,12 @@ PERMUTATION_BOUND = 5
 # ---------------------------------------------------------------------------
 # Dimension
 
-def _dim_from_basis(nvars: int, basis, order) -> int:
+def _dim_from_basis(nvars: int, basis) -> int:
     leads = []
     for g in basis:
         if g.total_degree() == 0:
             raise ZeroRingError("presentation collapsed to the zero ring")
-        leads.append(g.leading_monomial(order))
+        leads.append(g.leading_monomial())
     return nvars - monomial.codimension(leads)
 
 
@@ -137,9 +137,8 @@ def krull_dim(A: AlgebraPresentation) -> int:
 
     Computed once per presentation object inside a memo scope.
     """
-    rels = A.relations
     return scope_cached(
-        ("dim", A), lambda: _dim_from_basis(A.ring.nvars, rels.reduced_basis(), rels.order)
+        ("dim", A), lambda: _dim_from_basis(A.ring.nvars, A.relations.reduced_basis())
     )
 
 
@@ -147,7 +146,7 @@ def dim_quotient(A: AlgebraPresentation, I: AlgebraIdeal) -> int:
     """Dimension of A/I."""
     if not I.is_proper():
         raise ImproperIdealError(f"zero quotient: {I.describe()} is improper")
-    return _dim_from_basis(A.ring.nvars, I.lift.reduced_basis(), I.lift.order)
+    return _dim_from_basis(A.ring.nvars, I.lift.reduced_basis())
 
 
 def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
@@ -163,7 +162,7 @@ def _numerator(J: IdealPresentation, leads=None) -> list:
     minimal monomials when they are known, else off the leading monomials
     of J's reduced basis."""
     if leads is None:
-        leads = [g.leading_monomial(J.order) for g in J.reduced_basis()]
+        leads = [g.leading_monomial() for g in J.reduced_basis()]
     return monomial.hilbert_numerator(leads)
 
 
@@ -199,13 +198,8 @@ def _next_stage(stage: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """
     return scope_cached(
         ("stage", stage, f),
-        lambda: IdealPresentation(stage.ring, stage.generators + (f,), stage.order),
+        lambda: IdealPresentation(stage.ring, stage.generators + (f,)),
     )
-
-
-def _colon(base: IdealPresentation, gens):
-    other = IdealPresentation(base.ring, gens, base.order)
-    return ideal_quotient(base, other)
 
 
 def _extension_witness(base: IdealPresentation, Q: IdealPresentation):
@@ -216,9 +210,9 @@ def _extension_witness(base: IdealPresentation, Q: IdealPresentation):
     """
     basis = base.reduced_basis()
     for g in Q.generators:
-        r = normal_form(g, basis, base.order)
+        r = normal_form(g, basis)
         if r.terms:
-            return r.monic(base.order)
+            return r.monic()
     return None
 
 
@@ -232,7 +226,7 @@ def _add_scaled(acc: dict, terms: dict, c: int, p: int) -> None:
             del acc[k]
 
 
-def _least_kernel_element(ring, standard, rs, nf_of, order):
+def _least_kernel_element(ring, standard, rs, nf_of):
     """The monic a in the span of `standard` (ascending) with every
     NF(a * r) zero and the least leading monomial, or None.
 
@@ -261,7 +255,7 @@ def _least_kernel_element(ring, standard, rs, nf_of, order):
                 _add_scaled(image, row, p - c, p)
                 _add_scaled(combo, comb, p - c, p)
         if not image:
-            terms = sorted(combo.items(), key=lambda t: order.key(t[0]), reverse=True)
+            terms = sorted(combo.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
             return Polynomial(ring, dict(terms), _trusted=True)
         pivot = next(iter(image))
         inv = pow(image[pivot], -1, p)
@@ -302,11 +296,10 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     basis of stage ∩ (g).  When I.lift's generators all lie in the stage,
     Q is the unit ideal and the witness is 1 (None on the zero ring).
 
-    For a grevlex stage with every generator of the stage and of I.lift
-    homogeneous, it is found by linear algebra one degree at a time,
-    without the colon (the Macaulay-matrix view of Lazard, "Groebner bases,
-    Gaussian elimination and resolution of systems of algebraic
-    equations", 1983).  Let r_1..r_m be the distinct monic nonzero normal
+    When every generator of the stage and of I.lift is homogeneous, it is
+    found by linear algebra one degree at a time, without the colon (the
+    Macaulay-matrix view of Lazard, "Groebner bases, Gaussian elimination
+    and resolution of systems of algebraic equations", 1983).  Let r_1..r_m be the distinct monic nonzero normal
     forms of I.lift's generators modulo the stage, and K_e the space of
     a in the span of the stage's standard monomials of degree e with every
     NF(a * r_i) = 0; then Q_e = stage_e ⊕ K_e.  At the first degree e with
@@ -329,31 +322,26 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
 
     A degree with no standard monomial has none above it either, so then
     Q is the stage and there is no witness.  Past degree
-    max(degree of the stage's reduced basis, deg r_i) + 2, and for every
-    other order or an inhomogeneous input, the colon is computed instead.
+    max(degree of the stage's reduced basis, deg r_i) + 2, and for an
+    inhomogeneous input, the colon is computed instead.
 
-    When the stage's reduced basis and the r_i are all single terms, for
-    any order, Q is a monomial ideal and the witness comes from its
-    minimal generators (see ``_monomial_witness``).
+    When the stage's reduced basis and the r_i are all single terms, Q is
+    a monomial ideal and the witness comes from its minimal generators
+    (see ``_monomial_witness``).
     """
-    order = stage.order
     basis = stage.reduced_basis()
     # a generator of the stage itself reduces to zero: skip its normal form
-    reduced = (
-        normal_form(g, basis, order) for g in I.lift.generators if g not in stage.generators
-    )
-    rs = list(dict.fromkeys(r.monic(order) for r in reduced if r.terms))
+    reduced = (normal_form(g, basis) for g in I.lift.generators if g not in stage.generators)
+    rs = list(dict.fromkeys(r.monic() for r in reduced if r.terms))
     if not rs:
         return None if stage.contains_one() else stage.ring.one
     if all(len(g.terms) == 1 for g in basis + tuple(rs)):
         return _monomial_witness(
             stage.ring, [m for g in basis for m in g.terms], [m for r in rs for m in r.terms]
         )
-    if order.kind == "grevlex" and all(
-        g.is_homogeneous() for g in stage.generators + I.lift.generators
-    ):
+    if all(g.is_homogeneous() for g in stage.generators + I.lift.generators):
         ring = stage.ring
-        leads = [g.leading_monomial(order) for g in basis]
+        leads = [g.leading_monomial() for g in basis]
         cap = max(g.total_degree() for g in basis + tuple(rs)) + 2
         standard = [(0,) * ring.nvars]
         known = {}
@@ -363,7 +351,7 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
             if terms is None:
                 if any(mono_divides(l, m) for l in leads):
                     x = Polynomial(ring, {m: 1}, _trusted=True)
-                    terms = normal_form(x, basis, order).terms
+                    terms = normal_form(x, basis).terms
                 else:
                     terms = {m: 1}
                 known[m] = terms
@@ -372,36 +360,15 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
         for _ in range(cap + 1):
             if not standard:
                 return None
-            w = _least_kernel_element(ring, standard, rs, nf_of, order)
+            w = _least_kernel_element(ring, standard, rs, nf_of)
             if w is not None:
                 return w
             above = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in standard for i in range(ring.nvars)}
             standard = sorted(
                 (m for m in above if not any(mono_divides(l, m) for l in leads)),
-                key=order.key,
+                key=GREVLEX.key,
             )
     return _extension_witness(stage, ideal_quotient(stage, I.lift))
-
-
-def is_zerodivisor(A: AlgebraPresentation, f: Polynomial):
-    """Whether f is a zerodivisor of A; on True also a witness g with f*g = 0.
-
-    An f lying in the relations (f = 0 in A) is a zerodivisor with witness 1.
-    """
-    J = A.relations
-    Q = _colon(J, (f,))
-    w = _extension_witness(J, Q)
-    return (True, w) if w is not None else (False, None)
-
-
-def ideal_in_zerodivisors(A: AlgebraPresentation, I: AlgebraIdeal):
-    """Whether every element of I is a zerodivisor, with the annihilator witness.
-
-    True exactly when some a outside the relations satisfies I*a ⊆ relations.
-    """
-    require_proper(I, "ideal")
-    w = _colon_witness(A.relations, I)
-    return (True, w) if w is not None else (False, None)
 
 
 def _cofactor_outside(stage: IdealPresentation, basis: tuple, f: Polynomial, lead) -> bool:
@@ -412,11 +379,10 @@ def _cofactor_outside(stage: IdealPresentation, basis: tuple, f: Polynomial, lea
     Each division is bounded by the step budget in effect, as a normal
     form is.
     """
-    order = stage.order
     for g in stage.generators + basis:
-        if mono_divides(lead, g.leading_monomial(order)):
-            q = _divide(g, f, order)
-            if q is not None and normal_form(q, basis, order).terms:
+        if mono_divides(lead, g.leading_monomial()):
+            q = _divide(g, f, GREVLEX)
+            if q is not None and normal_form(q, basis).terms:
                 return True
     return False
 
@@ -426,7 +392,7 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
 
     Every caller passes f reduced modulo the stage (its normal form), so a
     zero f is a zerodivisor, unless the stage holds 1.  The stage's reduced
-    basis G decides the next two routes, for any order:
+    basis G decides the next two routes:
 
     - when lm(f) is coprime to every leading monomial of G, G ∪ {f} is a
       Groebner basis of stage + (f) (Buchberger's product criterion), so
@@ -453,10 +419,9 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     """
     if not f.terms:
         return stage.contains_one()
-    order = stage.order
     basis = stage.reduced_basis()
-    lead = f.leading_monomial(order)
-    if monomial.coprime(lead, [g.leading_monomial(order) for g in basis]):
+    lead = f.leading_monomial()
+    if monomial.coprime(lead, [g.leading_monomial() for g in basis]):
         _next_stage(stage, f)._known_basis = basis + (f,)
         return True
     if len(f.terms) == 1 and all(len(g.terms) == 1 for g in basis):
@@ -469,7 +434,7 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
             _hilbert_numerator_of(_next_stage(stage, f)),
             f.total_degree(),
         )
-    Q = _colon(stage, (f,))
+    Q = ideal_quotient(stage, IdealPresentation(stage.ring, (f,)))
     return _extension_witness(stage, Q) is None
 
 
@@ -483,7 +448,7 @@ def is_regular_sequence(A: AlgebraPresentation, seq: Sequence[Polynomial]) -> bo
     """
     stage = A.relations
     for f in seq:
-        r = normal_form(f, stage.reduced_basis(), stage.order)
+        r = normal_form(f, stage.reduced_basis())
         if not _is_nzd_mod(stage, r):
             return False
         stage = _next_stage(stage, r)
@@ -613,11 +578,10 @@ def grade(
     run: if (stage : I) is strictly above the stage, its witness proves
     every element of I is a zerodivisor modulo the stage, so the sequence
     is maximal; otherwise random combinations of the reduced generators
-    are drawn.  For a grevlex stage and homogeneous generators the stop
-    test is linear algebra in one degree at a time, up to a cap taken
-    from the input, and otherwise the colon (stage : I); both give the
-    same witness, the first element of the reduced grevlex basis of
-    (stage : I) outside the stage (see ``_colon_witness``).  When the
+    are drawn.  For homogeneous generators the stop test is linear algebra
+    in one degree at a time, up to a cap taken from the input, and
+    otherwise the colon (stage : I); both give the same witness, the first
+    element of the reduced grevlex basis of (stage : I) outside the stage (see ``_colon_witness``).  When the
     relations and the generators of I are all single terms, the stages
     run on exponent tuples until a random draw is needed, with the same
     sequence and witness (see ``_monomial_grade``).
@@ -642,11 +606,11 @@ def _grade(A: AlgebraPresentation, I: AlgebraIdeal, seed: int) -> GradeCertifica
         sequence, w = _monomial_grade(stage, I)
         if w is not None:
             return _certificate(relations, sequence, w)
-        stage = IdealPresentation(A.ring, relations + tuple(sequence), stage.order)
+        stage = IdealPresentation(A.ring, relations + tuple(sequence))
     rng = random.Random(seed)
     while True:
         basis = stage.reduced_basis()
-        reduced = [normal_form(g, basis, stage.order) for g in I.gens]
+        reduced = [normal_form(g, basis) for g in I.gens]
         pool = [r for r in reduced if r.terms]
         f = next((r for r in pool if _is_nzd_mod(stage, r)), None)
         if f is None:
@@ -685,7 +649,7 @@ def _membership(J: IdealPresentation):
             return all(any(mono_divides(l, m) for l in leads) for m in f.terms)
 
         return leads, contains
-    return None, lambda f: not normal_form(f, J.reduced_basis(), J.order).terms
+    return None, lambda f: not normal_form(f, J.reduced_basis()).terms
 
 
 def validate_grade_certificate(
@@ -718,7 +682,6 @@ def validate_grade_certificate(
     stage, so it is not tested.
     """
     ring = A.ring
-    order = A.relations.order
     if cert.grade != len(cert.sequence):
         raise CertificateError("grade differs from the sequence length")
     if len(cert.stage_ideals) != cert.grade + 1:
@@ -735,19 +698,19 @@ def validate_grade_certificate(
         if f in generators:
             continue
         if in_lift is None:
-            _, in_lift = _membership(IdealPresentation(I.lift.ring, generators, order))
+            _, in_lift = _membership(IdealPresentation(I.lift.ring, generators))
         if not in_lift(f):
             raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
     # one presentation per stage, built in loop order; stage i + 1's serves
     # the Hilbert test of f_{i + 1}, the next step and the witness checks
     graded = all(g.is_homogeneous() for g in cert.stage_ideals[-1])
-    base = IdealPresentation(ring, cert.stage_ideals[0], order)
+    base = IdealPresentation(ring, cert.stage_ideals[0])
     leads, contains = _membership(base)
     numerator = None
     for i, f in enumerate(cert.sequence):
-        J = IdealPresentation(ring, (f,), order)  # checks f's ring on every route
-        stage = IdealPresentation(ring, cert.stage_ideals[i + 1], order)
+        J = IdealPresentation(ring, (f,))  # checks f's ring on every route
+        stage = IdealPresentation(ring, cert.stage_ideals[i + 1])
         next_leads, next_contains = _membership(stage)
         next_numerator = None
         if leads is not None and len(f.terms) == 1:

@@ -8,7 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cmtensor import PolyRing, Polynomial, PrimeField, groebner
+from cmtensor import GREVLEX, PolyRing, Polynomial, PrimeField, buchberger, groebner
+from cmtensor.polyring import map_variables
 
 FIELD = PrimeField()
 
@@ -57,3 +58,19 @@ def random_poly(rng: random.Random, ring: PolyRing, max_deg=3, max_terms=3,
             exps[rng.randrange(n)] += 1
         terms[tuple(exps)] = rng.randrange(1, ring.field.p)
     return Polynomial(ring, terms)
+
+
+def basis_under(gens, order) -> list:
+    """Generators that present the ideal of `gens` "under" `order`: `gens`
+    themselves under grevlex, their reduced basis under any other order.
+    Every presentation is read under grevlex, so another order shows only
+    in the generators it gives."""
+    return list(gens) if order == GREVLEX else buchberger(gens, order)
+
+
+def permuted(polys, perm):
+    """Each polynomial with its variables permuted: variable i goes to the
+    i-th entry of `perm` below the ring's variable count.  `perm` is a
+    permutation of range(n) for an n at least that count, so the entries
+    kept permute the ring's variables."""
+    return [map_variables(g, g.ring, [i for i in perm if i < g.ring.nvars]) for g in polys]

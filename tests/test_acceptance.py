@@ -176,7 +176,7 @@ def test_criterion_6_oracle_equivalence():
             continue
         rels = A.relations
         supports = [
-            frozenset(i for i, e in enumerate(g.leading_monomial(rels.order)) if e)
+            frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
             for g in rels.reduced_basis()
         ]
         assert krull_dim(A) == dim_subset_oracle(nvars, supports)

@@ -4,6 +4,10 @@ The kernel uses the standard library alone, :mod:`cmtensor.monomial` is a
 leaf that depends on no part of the package but ``polyring``, and the
 session parser depends on no part but ``errors`` and ``polyring``.
 
+Every ideal and algebra presentation is grevlex: their constructors take
+no monomial order, and the layers above :mod:`cmtensor.groebner` import
+none.
+
 Only :mod:`cmtensor.groebner` names ``_MEMO``, the context variable that
 holds the memo scope; every other module reaches the scope through
 ``memo_scope``, ``memo_scoped`` and ``scope_cached``.
@@ -28,6 +32,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cmtensor import LEX, IdealPresentation, PolyRing, PrimeField, make_algebra
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cmtensor"
 MODULES = sorted(PACKAGE.rglob("*.py"))
@@ -121,6 +127,30 @@ def test_parser_depends_only_on_errors_and_polyring():
     assert _package_imports(PACKAGE / "frontend" / "executor.py") >= {
         "cmtensor.algebra", "cmtensor.frontend.parser", "cmtensor.theorems"
     }
+
+
+ORDER_NAMES = {"GREVLEX", "LEX", "DEGLEX", "MonomialOrder", "block_order"}
+
+
+@pytest.mark.parametrize(
+    "module", ["algebra.py", "theorems.py", "frontend/executor.py", "frontend/cli.py"]
+)
+def test_no_monomial_order_above_groebner(module):
+    imported = {
+        alias.name
+        for node in _imports(PACKAGE / module) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint(ORDER_NAMES)
+
+
+def test_presentations_take_no_order():
+    ring = PolyRing(("x", "y"), PrimeField())
+    x, y = ring.gens()
+    with pytest.raises(TypeError):
+        make_algebra(ring, (x * y,), LEX)
+    with pytest.raises(TypeError):
+        IdealPresentation(ring, (x * y,), LEX)
 
 
 def _names(path):
