@@ -15,6 +15,7 @@ from .algebra import (
     quotient_algebra,
     tensor,
 )
+from .context import DEFAULT_STEP_BUDGET, limits
 from .errors import (
     AmbientMismatchError,
     CertificateError,
@@ -30,7 +31,6 @@ from .errors import (
     ZeroRingError,
 )
 from .groebner import (
-    DEFAULT_STEP_BUDGET,
     IdealPresentation,
     buchberger,
     eliminate,
@@ -38,7 +38,6 @@ from .groebner import (
     ideal_intersection,
     ideal_membership,
     ideal_quotient,
-    limits,
     normal_form,
 )
 from .invariants import (

@@ -8,7 +8,7 @@ presentation on the disjoint union of the variables with both relation
 sets; clashing right-factor names are suffixed with a fresh index and the
 renaming is kept for reports.
 
-Inside a memo scope (see :mod:`cmtensor.groebner`) the tensor of two
+Inside a memo scope (see :mod:`cmtensor.context`) the tensor of two
 presentation objects and each contraction of an ideal object are computed
 once, keyed by the identity of their inputs; outside every scope each call
 computes afresh.
@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .errors import AmbientMismatchError, ImproperIdealError, KernelError, ZeroRingError
-from .groebner import IdealPresentation, eliminate, normal_form, scope_cached
+from .context import scope_cached
+from .groebner import IdealPresentation, eliminate, normal_form
 from .polyring import Polynomial, PolyRing, map_variables, restrict_variables
 
 

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from ..errors import KernelError, ParseError
-from ..groebner import NZD_RETRY_CAP, limits
+from ..context import NZD_RETRY_CAP, limits
 from ..polyring import DEFAULT_PRIME, PrimeField
 from ..theorems import generate_corpus, run_all_checks
 from .executor import execute

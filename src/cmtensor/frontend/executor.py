@@ -6,7 +6,7 @@ Statements run over the prime the session was parsed with.  Seeds for the
 randomized searches are derived as the given seed plus the statement
 index, so a fixed (session, prime, seed) is reproducible.
 A run takes no limits of its own: every statement runs inside the caller's
-:func:`cmtensor.groebner.limits` scope.
+:func:`cmtensor.context.limits` scope.
 """
 
 from __future__ import annotations

@@ -71,31 +71,8 @@ Every operation is pure given its inputs.  An :class:`IdealPresentation`
 caches its reduced basis write-once, so concurrent readers of one ideal at
 worst duplicate the same computation and publish identical results.  That
 is the only place a basis is cached: :func:`buchberger` always computes.
-
-Other layers keep values in a scope through :func:`scope_cached`.  The
-scope lives in a context variable that :func:`memo_scope` sets for the
-outermost scoped call (a theorem check, ``grade``, ``is_cohen_macaulay``
-or a regular-sequence test) and drops when that call returns, so it never
-outlives one computation; outside a scope nothing is cached.  Its entries
-are facts about immutable objects, keyed by the objects themselves, which
-a key pins for the life of the scope: the tensor of two presentations and
-the contraction of an ideal to a side (:mod:`cmtensor.algebra`), and the
-Krull dimension of a presentation, the grade certificate of an ideal for
-a seed, the next stage of a grade chain (a stage plus one element) and a
-stage's Hilbert numerator (:mod:`cmtensor.invariants`).  So inside one
-check, or one ``run_all_checks``, each of them is computed once, and a
-stage object shared that way computes its basis once.  A hit spends no
-reduction steps, and only successful results are stored: a
-``StepBudgetExceeded`` is never kept.  Certificate validation reads no
-scope entry; it builds every presentation it uses from raw generators.
-
-The work limits come from a second context variable, set by
-:func:`limits`: every basis and every normal form gets a fresh step
-counter whose limit is the step budget in effect when it starts, and the
-nonzerodivisor search of :mod:`cmtensor.invariants` draws at most the
-retry count in effect.  Outside every scope the defaults
-``DEFAULT_STEP_BUDGET`` and ``NZD_RETRY_CAP`` apply.  Like the memo, the
-limits are per context: a new thread starts with the defaults.
+Every basis and every normal form counts its reduction steps on a fresh
+``_StepCounter`` under the step budget of :mod:`cmtensor.context`.
 """
 
 from __future__ import annotations
@@ -104,15 +81,13 @@ import functools
 import heapq
 import math
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
-from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from . import monomial
-from .errors import AmbientMismatchError, KernelError, StepBudgetExceeded
+from .context import _StepCounter
+from .errors import AmbientMismatchError
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -122,117 +97,6 @@ from .polyring import (
     map_variables,
     mono_divides,
 )
-
-DEFAULT_STEP_BUDGET = 1_000_000
-NZD_RETRY_CAP = 64
-
-
-class _Limits(NamedTuple):
-    step_budget: int = DEFAULT_STEP_BUDGET
-    nzd_retries: int = NZD_RETRY_CAP
-
-
-_LIMITS: ContextVar = ContextVar("cmtensor_limits", default=_Limits())
-
-
-@contextmanager
-def limits(step_budget: int | None = None, nzd_retries: int | None = None):
-    """Bound the kernel work run inside the block.
-
-    `step_budget` caps the reduction steps of each Groebner basis and each
-    normal form; `nzd_retries` caps the random draws of each
-    nonzerodivisor search.  ``None`` keeps the enclosing value, a negative
-    one raises :class:`KernelError`, and the enclosing limits are restored
-    on exit.
-    """
-    for name, value in (("step_budget", step_budget), ("nzd_retries", nzd_retries)):
-        if value is not None and value < 0:
-            raise KernelError(f"{name} must be at least 0, got {value}")
-    outer = _LIMITS.get()
-    token = _LIMITS.set(
-        _Limits(
-            outer.step_budget if step_budget is None else step_budget,
-            outer.nzd_retries if nzd_retries is None else nzd_retries,
-        )
-    )
-    try:
-        yield
-    finally:
-        _LIMITS.reset(token)
-
-
-def current_limits() -> _Limits:
-    """The limits in effect: those of the innermost :func:`limits` scope."""
-    return _LIMITS.get()
-
-
-# The values cached in the current scope, or None outside every scope.
-_MEMO: ContextVar = ContextVar("cmtensor_memo", default=None)
-# A key that :func:`scope_cached` has not stored maps to this.
-_MISSING = object()
-
-
-@contextmanager
-def memo_scope():
-    """Open a memo scope, or join the one already open.
-
-    The scope holds what :func:`scope_cached` stores in it and is dropped
-    when the outermost scope exits.
-    """
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-def scope_cached(key, compute):
-    """The value cached under `key` in the current scope, computed on a miss.
-
-    Outside every scope nothing is cached and `compute()` runs each time.
-    A hit runs nothing, so it spends no reduction steps.  Only values that
-    were computed without raising are stored; ``None`` is a value like any
-    other.  Keys hold immutable objects, pinned for the life of the scope,
-    and contents such as a polynomial; no key names a basis by its
-    generators, since a basis is cached only on its
-    :class:`IdealPresentation`.
-    """
-    memo = _MEMO.get()
-    if memo is None:
-        return compute()
-    value = memo.get(key, _MISSING)
-    if value is _MISSING:
-        value = memo[key] = compute()
-    return value
-
-
-def memo_scoped(fn):
-    """Run `fn` inside a memo scope (joining an open one)."""
-
-    @functools.wraps(fn)
-    def scoped(*args, **kwargs):
-        with memo_scope():
-            return fn(*args, **kwargs)
-
-    return scoped
-
-
-class _StepCounter:
-    __slots__ = ("limit", "used")
-
-    def __init__(self, limit: float | None = None):
-        self.limit = _LIMITS.get().step_budget if limit is None else limit
-        self.used = 0
-
-    def spend(self, n: int = 1):
-        self.used += n
-        if self.used > self.limit:
-            raise StepBudgetExceeded(
-                f"reduction step budget of {self.limit} exhausted"
-            )
 
 
 def _check_ring(ring: PolyRing, polys: Iterable[Polynomial]):

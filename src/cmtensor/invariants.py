@@ -106,15 +106,8 @@ from .errors import (
     PermutationBoundExceeded,
     ZeroRingError,
 )
-from .groebner import (
-    IdealPresentation,
-    _divide,
-    current_limits,
-    ideal_quotient,
-    memo_scoped,
-    normal_form,
-    scope_cached,
-)
+from .context import current_limits, memo_scoped, scope_cached
+from .groebner import IdealPresentation, _divide, ideal_quotient, normal_form
 from .polyring import GREVLEX, Polynomial, mono_divides, mono_mul
 
 PERMUTATION_BOUND = 5
@@ -507,7 +500,7 @@ def _find_nonzerodivisor(stage, pool, rng):
     Draws at most the ``nzd_retries`` of the enclosing :func:`limits` scope.
     """
     p = stage.ring.field.p
-    retries = current_limits().nzd_retries
+    _, retries = current_limits()
     for _ in range(retries):
         f = stage.ring.zero
         for r in pool:

@@ -10,10 +10,10 @@ Every check has one call shape, its inputs then ``seed``, so ``CHECKS``
 can drive any of them the same way.  ``check_lemma_1_2`` and
 ``check_prop_2_3_a`` are deterministic: they accept ``seed`` but ignore it.
 The work limits (reduction steps per basis, nonzerodivisor draws) are
-those of the enclosing :func:`cmtensor.groebner.limits` scope.
+those of the enclosing :func:`cmtensor.context.limits` scope.
 
 Each check, and ``run_all_checks``, runs in one memo scope (see
-:mod:`cmtensor.groebner`), so the values the checks of one instance
+:mod:`cmtensor.context`), so the values the checks of one instance
 repeat are computed once: the tensor of the factors, each grade of an
 ideal for the seed, the contractions of the prime, each Krull dimension,
 and each stage of a grade or regular-sequence chain.  A stage keeps its
@@ -38,7 +38,7 @@ from .algebra import (
     tensor,
 )
 from .errors import KernelError
-from .groebner import memo_scoped
+from .context import memo_scoped
 from .invariants import (
     GradeCertificate,
     grade,

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cmtensor import GREVLEX, PolyRing, Polynomial, PrimeField, buchberger, groebner
+from cmtensor import GREVLEX, PolyRing, Polynomial, PrimeField, buchberger, context, groebner
 from cmtensor.polyring import map_variables
 
 FIELD = PrimeField()
@@ -24,7 +24,7 @@ def step_counters(monkeypatch):
     """Every reduction-step counter built while the test runs."""
     made = []
 
-    class Recording(groebner._StepCounter):
+    class Recording(context._StepCounter):
         __slots__ = ()
 
         def __init__(self, *args):

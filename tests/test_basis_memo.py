@@ -32,8 +32,9 @@ from cmtensor import (
     tensor,
     validate_grade_certificate,
 )
-from cmtensor import algebra, groebner, invariants
-from cmtensor.groebner import _MEMO, IdealPresentation, memo_scope, scope_cached
+from cmtensor import algebra, context, groebner, invariants
+from cmtensor.context import _WORK, memo_scope, scope_cached
+from cmtensor.groebner import IdealPresentation
 from cmtensor.theorems import CHECKS
 
 F = PrimeField()
@@ -73,7 +74,7 @@ class RecordingMemo(dict):
 
 
 def test_no_memo_outside_a_scope(computed):
-    assert _MEMO.get() is None
+    assert _WORK.get().memo is None
     gens = twisted_cubic_gens()
     assert buchberger(gens) == buchberger(gens)
     assert len(computed) == 2
@@ -83,12 +84,12 @@ def test_scope_is_dropped_on_return():
     x, y = R3.gens()[:2]
     A = make_algebra(R3, (x * y,))
     grade(A, AlgebraIdeal(A, (x, y)))
-    assert _MEMO.get() is None
+    assert _WORK.get().memo is None
     with memo_scope():
-        outer = _MEMO.get()
+        outer = _WORK.get()
         with memo_scope():
-            assert _MEMO.get() is outer  # nested scopes join
-    assert _MEMO.get() is None
+            assert _WORK.get() is outer  # nested scopes join, setting nothing
+    assert _WORK.get().memo is None
 
 
 def test_budget_failure_is_not_memoised():
@@ -103,7 +104,7 @@ def test_budget_failure_is_not_memoised():
             with pytest.raises(StepBudgetExceeded):
                 grade(A, I)
         assert J._basis is None
-        assert ("grade", A, I, 0) not in _MEMO.get()
+        assert ("grade", A, I, 0) not in _WORK.get().memo
         basis = J.reduced_basis()
         cert = grade(A, I)
     assert basis == tuple(buchberger(J.generators))
@@ -114,7 +115,7 @@ def test_buchberger_computes_inside_a_scope(computed):
     gens = twisted_cubic_gens()
     with memo_scope():
         assert buchberger(gens) == buchberger(gens)
-        assert not _MEMO.get()
+        assert not _WORK.get().memo
     assert len(computed) == 2
 
 
@@ -184,7 +185,7 @@ def test_validation_ignores_the_scope_it_is_called_in(monkeypatch):
         def refuse(key, compute):
             raise AssertionError(f"validation read the scope at {key[0]!r}")
 
-        for module in (groebner, invariants, algebra):
+        for module in (context, invariants, algebra):
             monkeypatch.setattr(module, "scope_cached", refuse)
         validate_grade_certificate(A, I, cert)
 
@@ -196,7 +197,7 @@ def test_validation_reads_nothing_from_the_grade_scope(computed):
     A = make_algebra(R3, (x * y,))
     I = AlgebraIdeal(A, (x + y, z))
     memo = RecordingMemo()
-    token = _MEMO.set(memo)
+    token = _WORK.set(_WORK.get()._replace(memo=memo))
     try:
         cert = grade(A, I)  # joins the scope opened above
         assert memo and memo.lookups
@@ -206,9 +207,9 @@ def test_validation_reads_nothing_from_the_grade_scope(computed):
         assert computed  # validation computed its bases itself
         assert memo.lookups == lookups
         assert memo == entries
-        assert _MEMO.get() is memo
+        assert _WORK.get().memo is memo
     finally:
-        _MEMO.reset(token)
+        _WORK.reset(token)
 
 
 def test_validation_runs_under_the_ambient_budget(computed):
@@ -217,12 +218,12 @@ def test_validation_runs_under_the_ambient_budget(computed):
     I = AlgebraIdeal(A, (x + y, z))
     with memo_scope():
         cert = grade(A, I)
-        entries = dict(_MEMO.get())
+        entries = dict(_WORK.get().memo)
         computed.clear()
         with limits(step_budget=0), pytest.raises(StepBudgetExceeded):
             validate_grade_certificate(A, I, cert)
         assert computed  # the failing basis was computed, not read from the scope
-        assert _MEMO.get() == entries
+        assert _WORK.get().memo == entries
         validate_grade_certificate(A, I, cert)
 
 
@@ -319,7 +320,7 @@ def test_every_call_computes_afresh_outside_a_scope(runs):
     I = AlgebraIdeal(A, A.ring.gens())
     assert grade(A, I) is not grade(A, I)
     assert runs == {"tensor": 3, "grade": 2, "contract": 2, "dim": 2}
-    assert _MEMO.get() is None
+    assert _WORK.get().memo is None
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +343,7 @@ def test_run_all_checks_builds_one_tensor(reference_instance, monkeypatch):
     reports = run_all_checks(reference_instance, 5)
     assert len(reports) == len(CHECKS)
     assert len(built) == 1
-    assert _MEMO.get() is None
+    assert _WORK.get().memo is None
 
 
 def test_sharing_leaves_every_report_unchanged(reference_instance):

@@ -16,6 +16,7 @@ from cmtensor import (
     PolyRing,
     PrimeField,
     groebner,
+    limits,
     make_algebra,
     tensor,
     theorems,
@@ -454,7 +455,7 @@ class TestExecutor:
         assert last.certificates and last.certificates[0]["grade"] == 2
 
     def test_step_budget_flag_reaches_kernel(self):
-        with groebner.limits(step_budget=3):
+        with limits(step_budget=3):
             rep = self.run("ring A = poly(x, y, z) / (x*y - z^2, y*z - x^2, x*z - y^2);")
         assert rep.results[0].status == "error"
         assert "budget" in rep.results[0].error

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -37,8 +38,8 @@ from cmtensor import (
     normal_form,
     validate_grade_certificate,
 )
-from cmtensor import groebner, invariants
-from cmtensor.groebner import NZD_RETRY_CAP, current_limits
+from cmtensor import context, groebner, invariants
+from cmtensor.context import NZD_RETRY_CAP, current_limits, memo_scope, scope_cached
 from cmtensor.invariants import _is_nzd_mod
 from cmtensor.polyring import DEGLEX, block_order, map_variables, mono_divides, mono_mul
 from conftest import basis_under, random_poly
@@ -308,7 +309,9 @@ class TestQuotientAgainstReference:
     """`ideal_quotient` colons only by the distinct nonzero normal forms of
     J's generators; the reference colons by every generator.  The
     generator tuples must be the same.  `order` is that of the basis
-    presenting I (see ``basis_under``)."""
+    presenting I (see ``basis_under``).  Under lex every case goes through
+    the automorphism x -> x + y^2, z -> z + x, so that I's reduced lex
+    basis is not its grevlex one."""
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
     @pytest.mark.parametrize(
@@ -317,7 +320,10 @@ class TestQuotientAgainstReference:
     )
     def test_cases(self, case, order):
         x, y, z = R3.gens()
+        if order == LEX:
+            x, z = x + y * y, z + x
         I = IdealPresentation(R3, basis_under((x ** 2, x * y), order))
+        assert (set(I.generators) == set(I.reduced_basis())) == (order == GREVLEX)
         J = {
             "none-left": (x ** 2, x ** 2 * z + 2 * x * y),
             "one-left": (x * y, x + x ** 2, y * x ** 2),
@@ -640,7 +646,7 @@ class TestLimits:
 
     def test_defaults_outside_every_scope(self):
         assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
-        assert groebner._StepCounter().limit == DEFAULT_STEP_BUDGET
+        assert context._StepCounter().limit == DEFAULT_STEP_BUDGET
 
     def test_nested_scopes_override_and_restore(self):
         with limits(step_budget=10):
@@ -649,7 +655,7 @@ class TestLimits:
                 assert current_limits() == (10, 3)
                 with limits(step_budget=20):
                     assert current_limits() == (20, 3)
-                    assert groebner._StepCounter().limit == 20
+                    assert context._StepCounter().limit == 20
                 assert current_limits() == (10, 3)
             assert current_limits() == (10, NZD_RETRY_CAP)
         assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
@@ -665,6 +671,40 @@ class TestLimits:
             with limits(nzd_retries=-1):
                 pass
         assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+
+    @pytest.mark.parametrize("name, value", [
+        ("step_budget", "5"),
+        ("step_budget", 2.5),
+        ("step_budget", True),
+        ("nzd_retries", 2.5),
+        ("nzd_retries", False),
+    ])
+    def test_non_integer_refused(self, name, value):
+        # unchecked, a float count of draws reaches the nonzerodivisor
+        # search of this grade and fails there with a TypeError
+        x, y = R2.gens()
+        A = make_algebra(R2, (x * y,))
+        with pytest.raises(KernelError, match=f"{name} must be an integer, got {value!r}"):
+            with limits(**{name: value}):
+                grade(A, AlgebraIdeal(A, (x ** 2, y ** 2)))
+        assert current_limits() == (DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)
+
+    def test_a_new_thread_starts_with_the_defaults_and_no_scope(self):
+        seen, computed = [], []
+
+        def look():
+            seen.append(current_limits())
+            for _ in range(2):
+                scope_cached("key", lambda: computed.append(1))
+
+        with limits(step_budget=7, nzd_retries=2), memo_scope():
+            thread = threading.Thread(target=look)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert current_limits() == (7, 2)
+        assert seen == [(DEFAULT_STEP_BUDGET, NZD_RETRY_CAP)]
+        assert computed == [1, 1]
 
     def test_scope_restored_after_an_error(self):
         x, y, z = R3.gens()
@@ -687,7 +727,7 @@ class TestLimits:
 
 def test_no_public_callable_takes_a_limit():
     """Limits are set only by the scope."""
-    exempt = {("cmtensor.groebner", "limits")}
+    exempt = {("cmtensor.context", "limits")}
     modules = [cmtensor] + [
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(cmtensor.__path__, "cmtensor.")
@@ -1001,7 +1041,7 @@ def _packed_normal_form(f, basis, order):
     """normal_form's general path, the packed reducer: (remainder terms,
     steps spent)."""
     p = f.ring.field.p
-    counter = groebner._StepCounter()
+    counter = context._StepCounter()
 
     def run(packing):
         entries = [groebner._entry_of(g, packing, p) for g in basis if g.terms]
@@ -1098,7 +1138,7 @@ class TestMonomialRoutes:
         with limits(step_budget=0):
             with pytest.raises(StepBudgetExceeded):  # Buchberger reduces (x^2, xy)
                 groebner._widening(2, GREVLEX, lambda packing: groebner._packed_buchberger(
-                    R2, gens, GREVLEX, packing, groebner._StepCounter()))
+                    R2, gens, GREVLEX, packing, context._StepCounter()))
             assert buchberger(gens) == [x * y, x ** 2, y ** 3]
             assert normal_form(y, [x]) == y
             with pytest.raises(StepBudgetExceeded):

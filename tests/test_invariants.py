@@ -36,6 +36,7 @@ from cmtensor import (
     validate_grade_certificate,
 )
 from cmtensor import GREVLEX, LEX, IdealPresentation, Polynomial, groebner, invariants
+from cmtensor.context import memo_scope
 from cmtensor.errors import KernelError
 from cmtensor.invariants import (
     _colon_witness,
@@ -413,7 +414,7 @@ class TestStageBasisRoutes:
             stage = IdealPresentation(R4, gens + [f * factor() * rng.choice(gens)])
         elif kind == "cofactor outside":
             stage = IdealPresentation(R4, gens + [f * factor()])
-        with groebner.memo_scope():
+        with memo_scope():
             r = normal_form(f, stage.reduced_basis())
             regular = _is_nzd_mod(stage, r)
             assert regular == reference_is_nzd(stage, f)
@@ -438,7 +439,7 @@ class TestStageBasisRoutes:
             raise AssertionError("the seeded stage ran Buchberger")
 
         monkeypatch.setattr(groebner, "_packed_buchberger", refuse)
-        with groebner.memo_scope():
+        with memo_scope():
             r = normal_form(f, basis)
             assert _is_nzd_mod(stage, r)
             seeded = invariants._next_stage(stage, r).reduced_basis()
@@ -466,7 +467,7 @@ class TestStageBasisRoutes:
         monkeypatch.setattr(invariants, "_hilbert_numerator_of", refuse)
         monkeypatch.setattr(invariants, "ideal_quotient", refuse)
         monkeypatch.setattr(groebner, "_packed_buchberger", refuse)
-        with groebner.memo_scope():
+        with memo_scope():
             assert _is_nzd_mod(coprime, z + w)  # z shares no variable with xy
             assert invariants._next_stage(coprime, z + w).reduced_basis()
             # (x + w) * y lies in the stage and y does not
@@ -494,7 +495,7 @@ class TestStageBasisRoutes:
     def test_a_computed_basis_is_kept(self):
         x, y, z, w = R4.gens()
         stage = IdealPresentation(R4, (x * y - z ** 2,))
-        with groebner.memo_scope():
+        with memo_scope():
             nxt = invariants._next_stage(stage, z + w)
             before = nxt.reduced_basis()
             assert _is_nzd_mod(stage, z + w)
@@ -753,11 +754,11 @@ class TestGradeAgainstReference:
         counts = self._colon_paths(monkeypatch, LEX, self._binomial, inhomogeneous=True)[0]
         assert counts["intersections"] == 1
 
-    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-    def test_monomial_cm_tensor_takes_no_colon(self, monkeypatch, order):
+    def test_monomial_cm_tensor_takes_no_colon(self, monkeypatch):
         # (x^2) ⊗ k[u, v]: every stage is a monomial ideal, so grade runs on
-        # exponent tuples, with no colon, intersection or linear algebra
-        counts, witness = self._colon_paths(monkeypatch, order, lambda x, y, z: x * x)
+        # exponent tuples, with no colon, intersection or linear algebra;
+        # (x^2) is its own reduced basis under every order
+        counts, witness = self._colon_paths(monkeypatch, GREVLEX, lambda x, y, z: x * x)
         assert counts == dict(full=0, intersections=0, colons=0, degrees=0)
         assert witness == witness.ring.var(0)
 
@@ -1093,10 +1094,16 @@ class TestNonzerodivisorAgainstReference:
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
     def test_known_cases(self, order):
-        # the relations are presented by their basis under `order`
+        # the relations are presented by their basis under `order`; under
+        # lex, everything goes through the automorphism x -> x + y^2,
+        # z -> z + x, so that the stage's reduced lex basis is not its
+        # grevlex one
         ring = PolyRing(("x", "y", "z"), F)
         x, y, z = ring.gens()
+        if order == LEX:
+            x, z = x + y * y, z + x
         stage = make_algebra(ring, basis_under((x * y, x * z), order)).relations
+        assert (set(stage.generators) == set(stage.reduced_basis())) == (order == GREVLEX)
         cases = {
             y + z: False,  # kills x
             x + y: True,

@@ -8,9 +8,13 @@ Every ideal and algebra presentation is grevlex: their constructors take
 no monomial order, and the layers above :mod:`cmtensor.groebner` import
 none.
 
-Only :mod:`cmtensor.groebner` names ``_MEMO``, the context variable that
-holds the memo scope; every other module reaches the scope through
-``memo_scope``, ``memo_scoped`` and ``scope_cached``.
+The work context, the limits and the memo scope, lives in
+:mod:`cmtensor.context`, a leaf that depends on no part of the package but
+``errors``.  Only it names ``_WORK``, the one context variable of the
+package; every other module reaches the context through ``limits``,
+``current_limits``, ``memo_scope``, ``memo_scoped``, ``scope_cached`` and
+``_StepCounter``.  The theorem checks and the command line reach it
+without the Groebner kernel.
 
 No module imports :mod:`dataclasses`: it loads ``inspect``, ``ast`` and
 ``dis`` and builds each class's methods with ``exec``, which made up about
@@ -119,6 +123,15 @@ def test_monomial_depends_only_on_polyring():
     assert _package_imports(PACKAGE / "monomial.py") <= {"cmtensor.polyring"}
 
 
+def test_context_depends_only_on_errors():
+    assert _package_imports(PACKAGE / "context.py") == {"cmtensor.errors"}
+
+
+@pytest.mark.parametrize("module", ["theorems.py", "frontend/cli.py"])
+def test_no_groebner_import(module):
+    assert "cmtensor.groebner" not in _package_imports(PACKAGE / module)
+
+
 def test_parser_depends_only_on_errors_and_polyring():
     # the parser knows the session language and its literals, not the kernel's algorithms
     used = _package_imports(PACKAGE / "frontend" / "parser.py")
@@ -166,7 +179,8 @@ def _names(path):
     return names
 
 
-def test_only_groebner_names_the_scope_variable():
-    assert "_MEMO" in _names(PACKAGE / "groebner.py")
-    others = [p for p in MODULES if p != PACKAGE / "groebner.py"]
-    assert [str(p.relative_to(PACKAGE)) for p in others if "_MEMO" in _names(p)] == []
+@pytest.mark.parametrize("name", ["_WORK", "ContextVar"])
+def test_only_context_names_the_work_variable(name):
+    assert name in _names(PACKAGE / "context.py")
+    others = [p for p in MODULES if p != PACKAGE / "context.py"]
+    assert [str(p.relative_to(PACKAGE)) for p in others if name in _names(p)] == []
