@@ -36,7 +36,6 @@ from .groebner import (
     eliminate,
     ideal_equal,
     ideal_intersection,
-    ideal_membership,
     ideal_quotient,
     normal_form,
 )

@@ -169,9 +169,6 @@ class AlgebraIdeal:
         basis = self.owner.relations.reduced_basis()
         return all(not normal_form(g, basis).terms for g in self.gens)
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.lift.contains(f)
-
     def describe(self) -> str:
         if not self.gens:
             return "(0)"

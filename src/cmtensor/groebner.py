@@ -15,8 +15,10 @@ membership test and its colons.  The other orders serve
 Monomial input takes exact routes, chosen by the shape of the input alone
 and returning exactly what the general path returns: a basis of single
 terms is read off the generators by :mod:`cmtensor.monomial` and spends
-no reduction step.  Division by single terms drops each divisible term,
-one step each, as the reducer does.
+no reduction step, and membership in an ideal of single terms is read by
+divisibility, with no basis built (:meth:`IdealPresentation.contains`).
+Division by single terms drops each divisible term, one step each, as
+the reducer does.
 
 Buchberger's last phase turns the Groebner basis it found into the
 reduced one (:func:`_reduced_basis`): it minimalizes the basis, then
@@ -68,9 +70,10 @@ exponent tuples, kept in the tests as ``reference_buchberger`` and
 overflowed.
 
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
-caches its reduced basis write-once, so concurrent readers of one ideal at
-worst duplicate the same computation and publish identical results.  That
-is the only place a basis is cached: :func:`buchberger` always computes.
+caches its reduced basis and its minimal monomials write-once, so
+concurrent readers of one ideal at worst duplicate the same computation
+and publish identical results.  That is the only place a basis is cached:
+:func:`buchberger` always computes.
 Every basis and every normal form counts its reduction steps on a fresh
 ``_StepCounter`` under the step budget of :mod:`cmtensor.context`.
 """
@@ -599,15 +602,17 @@ def _reduced_basis(ring, gb, order, packing, counter):
 
 
 class IdealPresentation:
-    """Generators plus a lazily cached reduced grevlex Groebner basis.
+    """Generators plus a lazily cached reduced grevlex Groebner basis and,
+    for generators of single terms, minimal monomials.
 
     Zero generators are dropped at construction, so the zero ideal is the
-    presentation with no generators.  The cache is write-once.
+    presentation with no generators.  The caches are write-once;
+    ``_monomials`` is False until :meth:`monomials` fills it.
     ``_known_basis`` is None or nonzero polynomials its maker knows to be
     a grevlex Groebner basis of the ideal.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_known_basis")
+    __slots__ = ("ring", "generators", "_basis", "_known_basis", "_monomials")
 
     # Read-only, the same for every presentation; perfbench's tracer keys
     # grade calls by it.
@@ -620,6 +625,7 @@ class IdealPresentation:
         self.generators = gens
         self._basis = None
         self._known_basis = None
+        self._monomials = False
 
     def reduced_basis(self) -> tuple:
         """The reduced grevlex Groebner basis, computed on the first call.
@@ -637,10 +643,34 @@ class IdealPresentation:
                 self._basis = tuple(_buchberger(self.ring, self._known_basis, GREVLEX, True))
         return self._basis
 
+    def monomials(self):
+        """The ideal's minimal generators, as exponent tuples ascending in
+        degree, when every generator is a single term; else None.  Computed
+        on the first call and kept, write-once as the basis is."""
+        if self._monomials is False:
+            gens = self.generators
+            if all(len(g.terms) == 1 for g in gens):
+                self._monomials = tuple(monomial.minimal(m for g in gens for m in g.terms))
+            else:
+                self._monomials = None
+        return self._monomials
+
     def contains(self, f: Polynomial) -> bool:
+        """Whether f lies in the ideal.
+
+        When every generator is a single term, f does exactly when some
+        minimal generator divides each of its terms (Miller and Sturmfels,
+        *Combinatorial Commutative Algebra*, ch. 1): no basis is built and
+        no reduction step spent.  Any other ideal takes f's normal form by
+        its reduced basis.  A polynomial over another ring is refused with
+        the message :func:`normal_form` refuses it with.
+        """
         if f.ring is not self.ring and f.ring != self.ring:
-            raise AmbientMismatchError("membership across different ambients")
-        return not normal_form(f, self.reduced_basis()).terms
+            raise AmbientMismatchError(f"polynomial over {self.ring.names} used in {f.ring.names}")
+        leads = self.monomials()
+        if leads is None:
+            return not normal_form(f, self.reduced_basis()).terms
+        return all(any(mono_divides(l, m) for l in leads) for m in f.terms)
 
     def contains_one(self) -> bool:
         basis = self.reduced_basis()
@@ -661,10 +691,6 @@ def _common_ring(I1: IdealPresentation, I2: IdealPresentation) -> PolyRing:
             f"ideals over {I1.ring.names} and {I2.ring.names}"
         )
     return I1.ring
-
-
-def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
-    return I.contains(f)
 
 
 def ideal_equal(I1: IdealPresentation, I2: IdealPresentation) -> bool:
@@ -710,8 +736,8 @@ def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPre
     return IdealPresentation(ring, back)
 
 
-def _divide(h: Polynomial, g: Polynomial, order: MonomialOrder, limit=None):
-    """h / g when g divides h, else None.
+def _divide(h: Polynomial, g: Polynomial, limit=None):
+    """h / g under grevlex when g divides h, else None.
 
     The division by g alone spends one step per cancelled term, on a fresh
     counter whose limit is `limit`, or the step budget in effect, and
@@ -728,12 +754,12 @@ def _divide(h: Polynomial, g: Polynomial, order: MonomialOrder, limit=None):
             return None
         return Polynomial(ring, packing.unpack_terms(quo), _trusted=True)
 
-    return _widening(ring.nvars, order, run)
+    return _widening(ring.nvars, GREVLEX, run)
 
 
-def _exact_quotient(h: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def _exact_quotient(h: Polynomial, g: Polynomial) -> Polynomial:
     """h / g for h a multiple of g, on an unbounded step counter."""
-    q = _divide(h, g, order, math.inf)
+    q = _divide(h, g, math.inf)
     if q is None:
         raise ArithmeticError("exact division failed; intersection is inconsistent")
     return q
@@ -752,7 +778,7 @@ def _principal_quotient(I: IdealPresentation, g: Polynomial) -> IdealPresentatio
     """
     ring = I.ring
     Ig = ideal_intersection(I, IdealPresentation(ring, (g,)))
-    Q = IdealPresentation(ring, (_exact_quotient(h, g, GREVLEX) for h in Ig.generators))
+    Q = IdealPresentation(ring, (_exact_quotient(h, g) for h in Ig.generators))
     Q._known_basis = Q.generators
     return Q
 

@@ -64,12 +64,12 @@ Certificate validation checks the witness with membership tests, and
 each sequence element by a colon or, for a graded certificate (every
 generator of its final stage homogeneous), by Hilbert numerators.  It
 reads no scope entry and builds every presentation from the certificate's
-raw generators, one per stage.  A stage whose generators are single terms
-is kept as its minimal monomials and decided by divisibility (Miller and
-Sturmfels, *Combinatorial Commutative Algebra*, ch. 1): it contains a
-polynomial exactly when it contains each term, and its colon by a term
-c*n is :func:`cmtensor.monomial.colon` of n.  Such a stage builds no
-basis, takes no normal form and spends no reduction step.  Any other
+raw generators, one per stage, and asks each one's
+``IdealPresentation.contains``.  A stage whose generators are single terms
+answers by divisibility off its minimal monomials (Miller and Sturmfels,
+*Combinatorial Commutative Algebra*, ch. 1), and its colon by a term c*n
+is :func:`cmtensor.monomial.colon` of n.  Such a stage builds no basis,
+takes no normal form and spends no reduction step.  Any other
 nonzero element of a graded certificate passes exactly when the Hilbert
 numerators of stage i and stage i + 1, computed afresh from their minimal
 monomials or the leading monomials of their reduced bases, satisfy the
@@ -97,7 +97,6 @@ from typing import NamedTuple
 from . import monomial
 from .algebra import AlgebraIdeal, AlgebraPresentation, require_proper
 from .errors import (
-    AmbientMismatchError,
     CertificateError,
     GradedOnlyError,
     ImproperIdealError,
@@ -150,27 +149,29 @@ def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
 # ---------------------------------------------------------------------------
 # Zerodivisors and regular sequences
 
-def _numerator(J: IdealPresentation, leads=None) -> list:
-    """The Hilbert numerator of R/J, computed afresh: off `leads`, J's
-    minimal monomials when they are known, else off the leading monomials
-    of J's reduced basis."""
+def _numerator(J: IdealPresentation) -> dict:
+    """The sparse Hilbert numerator of R/J, computed afresh: off J's
+    minimal monomials when its generators are single terms, else off the
+    leading monomials of J's reduced basis."""
+    leads = J.monomials()
     if leads is None:
         leads = [g.leading_monomial() for g in J.reduced_basis()]
     return monomial.hilbert_numerator(leads)
 
 
-def _hilbert_numerator_of(J: IdealPresentation) -> tuple:
+def _hilbert_numerator_of(J: IdealPresentation) -> dict:
     """The Hilbert numerator of R/J, from J's leading monomials.
 
     Cached per stage object in the current memo scope: a stage's numerator
     serves every candidate tested against it.
     """
-    return scope_cached(("hilbert numerator", J), lambda: tuple(_numerator(J)))
+    return scope_cached(("hilbert numerator", J), lambda: _numerator(J))
 
 
-def _hilbert_regular(numerator, next_numerator, d: int) -> bool:
+def _hilbert_regular(numerator: dict, next_numerator: dict, d: int) -> bool:
     """Whether a nonzero form f of degree d is a nonzerodivisor modulo a
-    homogeneous ideal J, from the Hilbert numerators of R/J and R/(J + f).
+    homogeneous ideal J, from the sparse Hilbert numerators of R/J and
+    R/(J + f).
 
     The exact sequence 0 -> (R/(J : f))(-d) -> R/J -> R/(J + f) -> 0 gives
     HS(R/(J + f)) = HS(R/J) - t^d HS(R/(J : f)), and J ⊆ J : f are equal
@@ -178,7 +179,7 @@ def _hilbert_regular(numerator, next_numerator, d: int) -> bool:
     HS(R/(J + f)) = (1 - t^d) HS(R/J) (Bruns and Herzog, *Cohen-Macaulay
     Rings*, ch. 4).
     """
-    return tuple(next_numerator) == tuple(monomial.plus_shifted(numerator, numerator, d, -1))
+    return next_numerator == monomial.plus_shifted(numerator, numerator, d, -1)
 
 
 def _next_stage(stage: IdealPresentation, f: Polynomial) -> IdealPresentation:
@@ -374,7 +375,7 @@ def _cofactor_outside(stage: IdealPresentation, basis: tuple, f: Polynomial, lea
     """
     for g in stage.generators + basis:
         if mono_divides(lead, g.leading_monomial()):
-            q = _divide(g, f, GREVLEX)
+            q = _divide(g, f)
             if q is not None and normal_form(q, basis).terms:
                 return True
     return False
@@ -518,7 +519,8 @@ def _monomial_grade(relations: IdealPresentation, I: AlgebraIdeal) -> tuple:
     and generators of I that are all single terms.
 
     Returns the sequence and the witness.  Each stage is a monomial ideal
-    M, kept as its minimal generators, and the loop gives the general
+    M, kept as its minimal generators, starting from those the relations
+    keep (``IdealPresentation.monomials``), and the loop gives the general
     loop's answers without its machinery: a generator's normal form is
     itself or zero, as some minimal generator divides it or not; a
     surviving one is a nonzerodivisor exactly when it is coprime to every
@@ -530,7 +532,7 @@ def _monomial_grade(relations: IdealPresentation, I: AlgebraIdeal) -> tuple:
     be drawn.
     """
     ring = relations.ring
-    leads = monomial.minimal(m for g in relations.generators for m in g.terms)
+    leads = list(relations.monomials())
     covered = {i for m in leads for i, e in enumerate(m) if e}
     terms = [(g, m) for g in I.gens for m in g.terms]
     sequence = []
@@ -620,31 +622,6 @@ def _grade(A: AlgebraPresentation, I: AlgebraIdeal, seed: int) -> GradeCertifica
         stage = _next_stage(stage, f)
 
 
-def _membership(J: IdealPresentation):
-    """(leads, contains) for one ideal of a certificate: `contains(f)` is
-    whether J holds f.
-
-    When every generator of J is a single term, `leads` are the minimal
-    monomials of J, and J holds f exactly when one of them divides each
-    term of f (Miller and Sturmfels, ch. 1): no basis is built, no normal
-    form taken and no reduction step spent.  A polynomial over another
-    ring is refused as :func:`normal_form` refuses it against J's basis.
-    Otherwise `leads` is None, and `contains` takes the normal form by J's
-    reduced basis, built on the first call.
-    """
-    ring = J.ring
-    if all(len(g.terms) == 1 for g in J.generators):
-        leads = monomial.minimal(m for g in J.generators for m in g.terms)
-
-        def contains(f):
-            if leads and f.ring is not ring and f.ring != ring:
-                raise AmbientMismatchError(f"polynomial over {ring.names} used in {f.ring.names}")
-            return all(any(mono_divides(l, m) for l in leads) for m in f.terms)
-
-        return leads, contains
-    return None, lambda f: not normal_form(f, J.reduced_basis()).terms
-
-
 def validate_grade_certificate(
     A: AlgebraPresentation,
     I: AlgebraIdeal,
@@ -656,23 +633,22 @@ def validate_grade_certificate(
     quotients over presentations built here from the certificate's raw
     generators, one per stage, never state left over from the grade run:
     nothing it calls reads a memo scope, so it computes every basis and
-    numerator itself, even when called inside a scope.  A stage, or
-    ``I.lift``, whose generators are single terms is kept as its minimal
-    monomials, and membership in it is read off by divisibility; for such
+    numerator itself, even when called inside a scope.  Every membership
+    is ``IdealPresentation.contains``, so in a stage, or ``I.lift``, whose
+    generators are single terms it is read off by divisibility; for such
     a stage and an element c*n of one term the colon is
     :func:`cmtensor.monomial.colon` of n, so the stage's basis is never
-    built (see ``_membership``).  When every generator of the final stage
-    is homogeneous, every other nonzero f_{i+1} of degree d passes exactly
-    when N_{i+1} = (1 - t^d) N_i for the Hilbert numerators N_i of stage i
-    (see ``_hilbert_regular``), read off its minimal monomials or the
-    leading monomials of its reduced basis: no colon is taken.  Every
-    other colon is ``ideal_quotient``'s and every other membership a
-    normal form.  Two facts are read off the raw generators instead: a
-    sequence element equal to a generator of ``I.lift`` is a member of I
-    (the membership test of ``I.lift`` is made only for the first element
-    that is not one), and for a generator g of ``I.lift`` that is also a
-    generator of the final stage, witness * g lies in (g), inside that
-    stage, so it is not tested.
+    built.  When every generator of the final stage is homogeneous, every
+    other nonzero f_{i+1} of degree d passes exactly when
+    N_{i+1} = (1 - t^d) N_i for the Hilbert numerators N_i of stage i (see
+    ``_hilbert_regular``), read off its minimal monomials or the leading
+    monomials of its reduced basis: no colon is taken.  Every other colon
+    is ``ideal_quotient``'s.  Two facts are read off the raw generators
+    instead: a sequence element equal to a generator of ``I.lift`` is a
+    member of I, so ``I.lift``'s presentation is built only for the first
+    element that is not one, and for a generator g of ``I.lift``
+    that is also a generator of the final stage, witness * g lies in (g),
+    inside that stage, so it is not tested.
     """
     ring = A.ring
     if cert.grade != len(cert.sequence):
@@ -686,47 +662,46 @@ def validate_grade_certificate(
             raise CertificateError(f"stage {i + 1} is not the previous stage plus f_{i + 1}")
 
     generators = I.lift.generators
-    in_lift = None
+    lift = None
     for i, f in enumerate(cert.sequence):
         if f in generators:
             continue
-        if in_lift is None:
-            _, in_lift = _membership(IdealPresentation(I.lift.ring, generators))
-        if not in_lift(f):
+        if lift is None:
+            lift = IdealPresentation(I.lift.ring, generators)
+        if not lift.contains(f):
             raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
     # one presentation per stage, built in loop order; stage i + 1's serves
     # the Hilbert test of f_{i + 1}, the next step and the witness checks
     graded = all(g.is_homogeneous() for g in cert.stage_ideals[-1])
     base = IdealPresentation(ring, cert.stage_ideals[0])
-    leads, contains = _membership(base)
     numerator = None
     for i, f in enumerate(cert.sequence):
         J = IdealPresentation(ring, (f,))  # checks f's ring on every route
         stage = IdealPresentation(ring, cert.stage_ideals[i + 1])
-        next_leads, next_contains = _membership(stage)
+        leads = base.monomials()
         next_numerator = None
         if leads is not None and len(f.terms) == 1:
             (n,) = f.terms
             colon = [Polynomial(ring, {q: 1}, _trusted=True) for q in monomial.colon(leads, n)]
-            regular = all(map(contains, colon))
+            regular = all(map(base.contains, colon))
         elif graded and f.terms:
             if numerator is None:
-                numerator = _numerator(base, leads)
-            next_numerator = _numerator(stage, next_leads)
+                numerator = _numerator(base)
+            next_numerator = _numerator(stage)
             regular = _hilbert_regular(numerator, next_numerator, f.total_degree())
         else:
-            regular = all(map(contains, ideal_quotient(base, J).generators))
+            regular = all(map(base.contains, ideal_quotient(base, J).generators))
         if not regular:
             raise CertificateError(f"f_{i + 1} is a zerodivisor modulo stage {i}")
-        base, leads, contains, numerator = stage, next_leads, next_contains, next_numerator
+        base, numerator = stage, next_numerator
 
-    if contains(cert.witness):
+    if base.contains(cert.witness):
         raise CertificateError("witness lies in the final stage")
     for g in generators:
         if g in base.generators:
             continue
-        if not contains(cert.witness * g):
+        if not base.contains(cert.witness * g):
             raise CertificateError("witness does not annihilate the ideal")
 
 

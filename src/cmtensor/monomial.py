@@ -14,8 +14,10 @@ basis under every order, each with coefficient 1.  The identities used
 - HS(R/M) = N(t) / (1 - t)^n, with N from Bigatti's pivot recursion;
 - dim R/M is n minus the fewest variables meeting every generator's support.
 
-Coefficient lists in t, such as Hilbert numerators, combine by
-:func:`plus_shifted`: a + sign * t^d * b.
+Polynomials in t, such as Hilbert numerators, are sparse: a dict from
+each exponent to its nonzero integer coefficient, so their size follows
+their terms and not their degree.  They combine by :func:`plus_shifted`:
+a + sign * t^d * b.
 """
 
 from __future__ import annotations
@@ -51,21 +53,24 @@ def coprime(u, gens) -> bool:
     return not any(any(map(min, u, m)) for m in gens)
 
 
-def plus_shifted(a, b, d: int, sign: int = 1) -> list:
-    """The coefficients of a + sign * t^d * b, trailing zeros dropped."""
-    out = list(a) + [0] * (d + len(b) - len(a))
-    for k, c in enumerate(b):
-        out[d + k] += sign * c
-    while out and not out[-1]:
-        out.pop()
+def plus_shifted(a: dict, b: dict, d: int, sign: int = 1) -> dict:
+    """a + sign * t^d * b, with zero coefficients dropped; a and b are
+    left as they are."""
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(d + k, 0) + sign * c
+        if v:
+            out[d + k] = v
+        else:
+            del out[d + k]
     return out
 
 
-def hilbert_numerator(monos) -> list:
+def hilbert_numerator(monos) -> dict:
     """N with HS(R/M) = N(t) / (1 - t)^n for the monomial ideal M = (monos).
 
-    Coefficients of t^0, t^1, ... with trailing zeros dropped; ``[]`` for
-    the unit ideal.  Bigatti's pivot recursion ("Computation of
+    Sparse, {exponent: nonzero coefficient}: ``{0: 1}`` for the zero
+    ideal and ``{}`` for the unit ideal.  Bigatti's pivot recursion ("Computation of
     Hilbert-Poincare series", 1997): for a pivot p = x_i^e with p outside
     M, N(M) = N(M + (p)) + t^e N(M : p).  The pivot variable is the one in
     most minimal generators, and e is the median exponent of x_i over the
@@ -76,9 +81,9 @@ def hilbert_numerator(monos) -> list:
     """
     gens = minimal(monos)
     if not gens:
-        return [1]
+        return {0: 1}
     if not any(gens[0]):
-        return []
+        return {}
     counts = [0] * len(gens[0])
     for m in gens:
         for i, e in enumerate(m):
@@ -86,7 +91,7 @@ def hilbert_numerator(monos) -> list:
                 counts[i] += 1
     i = max(range(len(counts)), key=counts.__getitem__)
     if counts[i] <= 1:
-        out = [1]
+        out = {0: 1}
         for m in gens:
             out = plus_shifted(out, out, sum(m), -1)
         return out

@@ -117,9 +117,6 @@ class PrimeField(_Value):
         _set(self, "p", p)
         self._freeze(p)
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -181,16 +178,6 @@ class MonomialOrder(_Value):
             tuple(map(neg, reversed(rm))),
         )
 
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """-1, 0, or 1 as m1 is below, equal to, or above m2."""
-        if len(m1) != len(m2):
-            raise AmbientMismatchError(
-                f"monomials of length {len(m1)} and {len(m2)} are not comparable"
-            )
-        if m1 == m2:
-            return 0
-        return -1 if self.key(m1) < self.key(m2) else 1
-
 
 LEX = MonomialOrder("lex")
 GREVLEX = MonomialOrder("grevlex")
@@ -242,7 +229,7 @@ class PolyRing(_Value):
         return tuple(self.var(i) for i in range(self.nvars))
 
     def const(self, c: int) -> "Polynomial":
-        c = self.field.normalize(c)
+        c %= self.field.p
         if c == 0:
             return Polynomial(self, {}, _trusted=True)
         return Polynomial(self, {(0,) * self.nvars: c}, _trusted=True)
@@ -413,10 +400,6 @@ class Polynomial:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         """Maximal term degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -454,9 +437,6 @@ class Polynomial:
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
         return self.leading_term(order)[0]
-
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> int:
-        return self.leading_term(order)[1]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         lm, c = self.leading_term(order)

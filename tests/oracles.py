@@ -203,7 +203,7 @@ def reference_quotient(I, J):
         parts.append(
             IdealPresentation(
                 ring,
-                tuple(_exact_quotient(h, g, GREVLEX) for h in Ig.generators),
+                tuple(_exact_quotient(h, g) for h in Ig.generators),
             )
         )
     acc = parts[0]
@@ -485,7 +485,7 @@ def reference_normal_form(f, basis, order, steps=None):
     steps are added to."""
     inv = f.ring.field.inv
     entries = [
-        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g.terms)
+        (g.leading_monomial(order), inv(g.leading_term(order)[1]), g.terms)
         for g in basis
         if g.terms
     ]

@@ -641,6 +641,47 @@ class TestCli:
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
+    def test_failed_declarations_and_a_skipped_check_in_the_text_report(self, tmp_path, capsys):
+        # a statement naming a ring or ideal whose declaration failed is an
+        # error of its own; errors and details each get their marker
+        path = self.write(
+            tmp_path,
+            "ring A = poly(x) / (1); compute dim(A);"
+            "ring B = poly(x); ideal I = B:(y); compute grade(B, I);"
+            "ideal Z = B:(0); ring C = poly(y); ideal J = C:(y); check thm_1_1_c(B, C, Z, J);",
+        )
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "cmtensor 0.1.0  prime=32003  seed=0",
+            "[error] ring A = poly(x) / (1)  !! relations (1) present the zero ring",
+            "[error] compute dim(A)  !! ring 'A' failed to declare earlier in the run",
+            "[ok] ring B = poly(x)",
+            "[error] ideal I = B:(y)  !! unknown variable 'y'; the ring has ('x',)",
+            "[error] compute grade(B, I)  !! ideal 'I' failed to declare earlier in the run",
+            "[ok] ideal Z = B:(0)",
+            "[ok] ring C = poly(y)",
+            "[ok] ideal J = C:(y)",
+            "[skipped] check thm_1_1_c(B, C, Z, J)  (hypothesis violated: I must be nonzero)",
+            "9 statements: 4 error, 4 ok, 1 skipped",
+            "overall: FAIL",
+        ]
+
+    def test_corpus_records_an_instance_whose_checks_raise(self, capsys):
+        # under this budget the corpus is generated, but one instance's
+        # checks exhaust it: an error entry, and exit 1
+        argv = ["corpus", "--seed", "5", "--size", "11", "--gb-step-budget", "30"]
+        assert main(argv + ["--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert [r for r in results if r["status"] == "error"] == [
+            {"instance": "pair-010", "status": "error", "error": "reduction step budget of 30 exhausted"}
+        ]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "[error] pair-010 -  !! reduction step budget of 30 exhausted" in lines
+        assert lines[-1] == "overall: FAIL"
+
     def test_corpus_json(self, capsys):
         assert main(["corpus", "--seed", "1", "--size", "3", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -30,7 +30,6 @@ from cmtensor import (
     eliminate,
     ideal_equal,
     ideal_intersection,
-    ideal_membership,
     ideal_quotient,
     grade,
     limits,
@@ -71,7 +70,7 @@ class TestNormalForm:
     def test_self_reduces_to_zero(self):
         x, y = R2.gens()
         g = x ** 2 * y + 3 * x - 1
-        assert normal_form(g, [g], GREVLEX).is_zero
+        assert not normal_form(g, [g], GREVLEX)
 
     def test_untouched_when_no_divisor(self):
         x, y = R2.gens()
@@ -93,7 +92,7 @@ class TestNormalForm:
         assert r1 == normal_form(f, [x, x - y], GREVLEX)
         assert r2 == normal_form(f, [x - y, x], GREVLEX)
         I = ideal(R2, x, x - y)
-        assert ideal_membership(f - r1, I) and ideal_membership(f - r2, I)
+        assert I.contains(f - r1) and I.contains(f - r2)
 
 
     def test_entry_inverse_equals_the_fermat_inverse(self):
@@ -121,7 +120,7 @@ class TestBuchberger:
         basis = buchberger([R2.zero], GREVLEX)
         assert basis == []
         f = R2.var(0) + 1
-        assert not ideal_membership(f, ideal(R2))
+        assert not ideal(R2).contains(f)
 
     def test_unit_ideal(self):
         x, y = R2.gens()
@@ -132,7 +131,7 @@ class TestBuchberger:
         x, y, z = R3.gens()
         basis = buchberger([3 * x ** 2 - y, x * y - z, y ** 2 + z], GREVLEX)
         for i, g in enumerate(basis):
-            assert g.leading_coefficient(GREVLEX) == 1
+            assert g.leading_term(GREVLEX)[1] == 1
             others = [h for j, h in enumerate(basis) if j != i]
             assert normal_form(g, others, GREVLEX) == g
 
@@ -171,15 +170,15 @@ class TestBuchberger:
 class TestMembership:
     def test_monomial_multiple(self):
         x, y = R2.gens()
-        assert ideal_membership(x ** 2 * y, ideal(R2, x))
+        assert ideal(R2, x).contains(x ** 2 * y)
 
     def test_unit_ideal_contains_everything(self):
         x, y = R2.gens()
-        assert ideal_membership(R2.one, ideal(R2, x - 1, x))
+        assert ideal(R2, x - 1, x).contains(R2.one)
 
     def test_reduced_element_stays_out(self):
         x, y = R2.gens()
-        assert not ideal_membership(y, ideal(R2, x ** 2, x * y))
+        assert not ideal(R2, x ** 2, x * y).contains(y)
 
     def test_agrees_with_linear_algebra_oracle(self):
         rng = random.Random(7)
@@ -199,7 +198,7 @@ class TestMembership:
                 for g in gens:
                     f = f + random_poly(rng, R2, max_deg=1, max_terms=2) * g
             cap = 3 + max(g.total_degree() for g in gens)
-            assert ideal_membership(f, ideal(R2, *gens)) == membership_oracle(
+            assert ideal(R2, *gens).contains(f) == membership_oracle(
                 f, gens, cap
             )
             agreements += 1
@@ -254,8 +253,8 @@ class TestIntersection:
             met = ideal_intersection(I1, I2)
             assert met.ring == R3
             for g in met.generators:
-                assert ideal_membership(g, I1)
-                assert ideal_membership(g, I2)
+                assert I1.contains(g)
+                assert I2.contains(g)
 
     def test_product_inside_intersection(self):
         rng = random.Random(5)
@@ -265,7 +264,7 @@ class TestIntersection:
             met = ideal_intersection(I1, I2)
             for f in I1.generators:
                 for g in I2.generators:
-                    assert ideal_membership(f * g, met)
+                    assert met.contains(f * g)
 
 
 class TestQuotient:
@@ -298,7 +297,7 @@ class TestQuotient:
                 continue
             Q = ideal_quotient(I, ideal(R2, f))
             for g in Q.generators:
-                assert ideal_membership(g * f, I)
+                assert I.contains(g * f)
 
 
 def _quotient_pair(I, J):
@@ -625,7 +624,7 @@ class TestElimination:
             zi = R3.index("z")
             for g in E.generators:
                 assert zi not in g.support()
-                assert ideal_membership(g, I)
+                assert I.contains(g)
 
 
 class TestPresentationCache:
@@ -871,7 +870,7 @@ class TestWidening:
     def test_exact_quotient_widens(self):
         g = x3 ** 100 - y3 * z3
         h = g * (x3 ** 90 + z3)
-        assert groebner._exact_quotient(h, g, GREVLEX) == x3 ** 90 + z3
+        assert groebner._exact_quotient(h, g) == x3 ** 90 + z3
 
 
 class TestAgainstTupleBuchberger:
@@ -1051,6 +1050,55 @@ def _packed_normal_form(f, basis, order):
     return groebner._widening(f.ring.nvars, order, run), counter.used
 
 
+class TestMonomialMembership:
+    """``IdealPresentation.contains`` on generators of single terms reads
+    divisibility off the presentation's minimal monomials."""
+
+    def test_builds_no_basis_and_spends_no_step(self, step_counters):
+        I = IdealPresentation(R3, [x3 ** 2 * y3, 5 * y3 * z3 ** 3, x3 * z3, 2 * x3 * z3])
+        step_counters.clear()
+        with limits(step_budget=0):
+            assert I.contains(x3 ** 3 * z3 + 7 * y3 ** 2 * z3 ** 4)
+            assert I.contains(R3.zero)
+            assert not I.contains(x3 ** 2 * y3 + y3 ** 2)
+            assert not I.contains(3 * x3 ** 2)
+        assert I._basis is None
+        assert all(c.used == 0 for c in step_counters)
+        assert I.monomials() == ((1, 0, 1), (2, 1, 0), (0, 1, 3))
+        assert I.monomials() is I.monomials()  # computed once
+        assert IdealPresentation(R3, [x3 ** 2, y3 - z3]).monomials() is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(_single_terms(min_size=0), st.integers(0, 2**32))
+    def test_agrees_with_the_normal_form(self, gens, data_seed):
+        # the zero ideal, the unit ideal and exponents of 128 and more included
+        rng = random.Random(data_seed)
+        I = IdealPresentation(R3, gens)
+        multiples = R3.zero
+        for g in gens:
+            multiples = multiples + g * random_poly(rng, R3, 2, 2)
+        candidates = [
+            random_poly(rng, R3, 4, 4),
+            R3.zero,
+            multiples,
+            multiples + random_poly(rng, R3, 1, 1),
+        ]
+        verdicts = [I.contains(f) for f in candidates]
+        assert I._basis is None
+        assert verdicts == [not normal_form(f, I.reduced_basis()).terms for f in candidates]
+
+    def test_a_foreign_polynomial_is_refused_as_normal_form_refuses_it(self):
+        u = PolyRing(("u", "v", "w"), F).var(0)
+        for gens in ([x3 ** 2, y3 * z3], [x3 ** 2 + y3, y3 * z3 - x3]):
+            I = IdealPresentation(R3, gens)
+            with pytest.raises(AmbientMismatchError) as ours:
+                I.contains(u)
+            with pytest.raises(AmbientMismatchError) as theirs:
+                normal_form(u, I.reduced_basis())
+            assert str(ours.value) == str(theirs.value)
+            assert str(ours.value) == "polynomial over ('x', 'y', 'z') used in ('u', 'v', 'w')"
+
+
 class TestMonomialRoutes:
     """Single-term input skips Buchberger, the tag variable and the Hilbert
     test; each route returns exactly what the algorithm it replaces
@@ -1181,11 +1229,11 @@ class TestDivisionKernel:
         assert used == steps[0]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32), st.sampled_from(ORDERS))
-    def test_exact_quotients(self, data_seed, order):
+    @given(st.integers(0, 2**32))
+    def test_exact_quotients(self, data_seed):
         rng, (g, *_), _ = _cancelling_division(data_seed)
         q = random_poly(rng, R3, 4, 8)
-        assert groebner._exact_quotient(q * g, g, order) == q
+        assert groebner._exact_quotient(q * g, g) == q
 
     def test_a_monomial_reduced_only_by_a_later_element(self, step_counters, monkeypatch):
         # yz, xz and z^2 divide no leading monomial of the input when they
@@ -1326,11 +1374,9 @@ class TestDivisionKernel:
         S3 = PolyRing(("u", "v", "w"), F)
         u = S3.var(0)
         assert IdealPresentation(R3, ()).reduced_basis() == ()
-        for I in (IdealPresentation(R3, ()), IdealPresentation(R3, [x3 ** 2 + y3, y3 * z3 - x3])):
+        for gens in ((), [x3 ** 2, y3 * z3], [x3 ** 2 + y3, y3 * z3 - x3]):
             with pytest.raises(AmbientMismatchError):
-                I.contains(u)
-            with pytest.raises(AmbientMismatchError):
-                ideal_membership(u, I)
+                IdealPresentation(R3, gens).contains(u)
         basis = buchberger([x3 ** 2 + y3, y3 * z3 - x3])
         assert basis[0]._packed is not None
         normal_form(x3 ** 3, basis)  # warm the memo
@@ -1395,15 +1441,15 @@ class TestDivisionKernel:
         h = x ** 4 + y ** 3 + x ** 2
         g = x + 1
         step_counters.clear()
-        assert groebner._divide(h, g, GREVLEX) is None
+        assert groebner._divide(h, g) is None
         assert [c.used for c in step_counters] == [2]
         steps = [0]
         assert reference_normal_form(h, [g], GREVLEX, steps) == y ** 3 + 2
         assert steps[0] == 4
         # so a budget of those two steps decides it
-        assert groebner._divide(h, g, GREVLEX, 2) is None
+        assert groebner._divide(h, g, 2) is None
         with pytest.raises(StepBudgetExceeded):
-            groebner._divide(h, g, GREVLEX, 1)
+            groebner._divide(h, g, 1)
 
 
 EXTREME_RINGS = [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cmtensor import (
     AlgebraIdeal,
     AlgebraPresentation,
+    AmbientMismatchError,
     CertificateError,
     GradedOnlyError,
     GradeCertificate,
@@ -1138,6 +1140,25 @@ class TestCertificateValidation:
         with pytest.raises(CertificateError):
             validate_grade_certificate(self.A, self.I, bad)
 
+    def test_stage_chain_of_the_wrong_length(self):
+        # the grade matches the sequence, but a stage is missing or extra
+        cert = self.cert
+        for stages in (cert.stage_ideals[:-1], cert.stage_ideals + cert.stage_ideals[-1:]):
+            bad = cert._replace(stage_ideals=stages)
+            with pytest.raises(CertificateError, match="^stage chain length is inconsistent$"):
+                validate_grade_certificate(self.A, self.I, bad)
+
+    def test_foreign_witness_of_the_zero_ideal(self):
+        # the final stage and I.lift are both zero, so no normal form is
+        # taken; the membership test still refuses the witness's ring
+        A = poly_algebra("x")
+        I = AlgebraIdeal(A, ())
+        cert = grade(A, I)
+        assert (cert.grade, cert.stage_ideals) == (0, ((),))
+        bad = cert._replace(witness=PolyRing(("X",), F).one)
+        with pytest.raises(AmbientMismatchError, match=r"^polynomial over \('x',\) used in \('X',\)$"):
+            validate_grade_certificate(A, I, bad)
+
     def test_tampered_witness(self):
         x, _ = self.A.ring.gens()
         bad = GradeCertificate(
@@ -1428,6 +1449,21 @@ class TestCohenMacaulay:
         A = algebra(("x", "y"), lambda x, y: (x ** 2 + y ** 2,))
         v = is_cohen_macaulay(A)
         assert v.is_cm and v.dim == 1 and v.depth == 1
+
+    def test_a_relation_of_degree_a_million(self):
+        # the Hilbert test compares sparse numerators, so memory follows
+        # their terms and not the relation's degree
+        e = 10 ** 6
+        A = algebra(("x", "y"), lambda x, y: (x ** e - y ** e,))
+        tracemalloc.start()
+        try:
+            v = is_cohen_macaulay(A)
+            validate_grade_certificate(A, AlgebraIdeal(A, A.ring.gens()), v.certificate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.is_cm and v.dim == v.depth == 1
+        assert peak < 1_000_000
 
     def test_graded_only(self):
         A = algebra(("x",), lambda x: (x ** 2 - 1,))

@@ -17,12 +17,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtensor import GREVLEX, LEX, PolyRing, PrimeField, buchberger, krull_dim, make_algebra
-from cmtensor.monomial import codimension, colon, coprime, hilbert_numerator, intersection, minimal
+from cmtensor.monomial import (
+    codimension,
+    colon,
+    coprime,
+    hilbert_numerator,
+    intersection,
+    minimal,
+    plus_shifted,
+)
 from conftest import random_poly
 from oracles import dim_subset_oracle, monomials_up_to
 
@@ -126,16 +135,17 @@ class TestAgainstBruteForce:
 
 
 def _series(numerator, nvars, degree):
-    """Coefficients of t^0..t^degree of numerator / (1 - t)^nvars."""
+    """Coefficients of t^0..t^degree of numerator / (1 - t)^nvars, for a
+    sparse numerator {exponent: coefficient}."""
     return [
-        sum(c * math.comb(d - k + nvars - 1, nvars - 1) for k, c in enumerate(numerator[: d + 1]))
+        sum(c * math.comb(d - k + nvars - 1, nvars - 1) for k, c in numerator.items() if k <= d)
         for d in range(degree + 1)
     ]
 
 
 def _order_at_one(numerator):
-    """The multiplicity of t = 1 as a root of the numerator."""
-    order, coeffs = 0, list(numerator)
+    """The multiplicity of t = 1 as a root of the sparse numerator."""
+    order, coeffs = 0, [numerator.get(k, 0) for k in range(max(numerator, default=-1) + 1)]
     while coeffs and not sum(coeffs):
         # divide by (1 - t): the quotient's coefficients are partial sums
         coeffs = list(itertools.accumulate(coeffs))[:-1]
@@ -164,12 +174,28 @@ class TestHilbertNumerator:
             if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
                 counts[sum(m)] += 1
         assert _series(numerator, nvars, top) == counts
-        assert not numerator or numerator[-1]
+        assert all(numerator.values())  # only nonzero coefficients are kept
 
     def test_unit_and_zero_ideals(self):
-        assert hilbert_numerator([(0, 0), (1, 2)]) == []
-        assert hilbert_numerator([]) == [1]
-        assert hilbert_numerator([(2, 0), (0, 3)]) == [1, 0, -1, -1, 0, 1]
+        assert hilbert_numerator([(0, 0), (1, 2)]) == {}
+        assert hilbert_numerator([]) == {0: 1}
+        assert hilbert_numerator([(2, 0), (0, 3)]) == {0: 1, 2: -1, 3: -1, 5: 1}
+
+    def test_size_follows_the_terms_not_the_degree(self):
+        # (1 - t^e)^2 at e = 10^6: three terms, where a coefficient per
+        # degree would allocate millions
+        e = 10 ** 6
+        tracemalloc.start()
+        try:
+            numerator = hilbert_numerator([(e, 0), (0, e)])
+            shifted = plus_shifted(numerator, numerator, e, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert numerator == {0: 1, e: -2, 2 * e: 1}
+        assert shifted == {0: 1, e: -3, 2 * e: 3, 3 * e: -1}
+        assert plus_shifted(shifted, numerator, e) == numerator  # cancelled terms are dropped
+        assert peak < 100_000
 
     def test_pole_order_is_the_dimension(self):
         rng = random.Random(23)
