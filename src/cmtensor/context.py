@@ -8,17 +8,18 @@ Other layers keep values in a scope through :func:`scope_cached`.
 :func:`memo_scope` opens the scope for the outermost scoped call (a theorem
 check, ``grade``, ``is_cohen_macaulay`` or a regular-sequence test) and
 drops it when that call returns, so it never outlives one computation;
-outside a scope nothing is cached.  Its entries are facts about immutable
-objects, keyed by the objects themselves, which a key pins for the life of
-the scope: the tensor of two presentations and the contraction of an ideal
-to a side (:mod:`cmtensor.algebra`), and the Krull dimension of a
-presentation, the grade certificate of an ideal for a seed, the next stage
-of a grade chain (a stage plus one element) and a stage's Hilbert
-numerator (:mod:`cmtensor.invariants`).  So inside one check, or one
-``run_all_checks``, each of them is computed once, and a stage object
-shared that way computes its basis once.  A hit spends no reduction steps,
-and only successful results are stored: a ``StepBudgetExceeded`` is never
-kept.  Certificate validation reads no scope entry; it builds every
+outside a scope nothing is cached.  Its entries are facts about
+computations on immutable objects, keyed by the objects themselves, which
+a key pins for the life of the scope: the tensor of two presentations and
+the contraction of an ideal to a side (:mod:`cmtensor.algebra`), and the
+grade certificate of an ideal for a seed and the next stage of a grade
+chain (a stage plus one element, :mod:`cmtensor.invariants`).  So inside
+one check, or one ``run_all_checks``, each of them is computed once, and a
+stage object shared that way computes its basis once.  What a presentation
+knows of itself, its basis, dimension and Hilbert numerator, it keeps on
+itself (:class:`~cmtensor.groebner.IdealPresentation`), not here.  A hit
+spends no reduction steps, and only successful results are stored: a
+``StepBudgetExceeded`` is never kept.  Certificate validation reads no scope entry; it builds every
 presentation it uses from raw generators.
 
 The work limits are set by :func:`limits`: every basis and every normal

@@ -10,7 +10,13 @@ equality, intersection via a tag variable, quotient, and elimination.
 Every :class:`IdealPresentation` is grevlex: its reduced basis, its
 membership test and its colons.  The other orders serve
 :func:`buchberger` and :func:`normal_form`, and the block orders of
-:func:`eliminate` and :func:`ideal_intersection`.
+:func:`eliminate`, through which :func:`ideal_intersection` goes.
+
+A presentation's initial ideal in(J), the ideal of its leading
+monomials, is written once (:meth:`IdealPresentation.initial`), and
+everything read off it is read there: the unit test, the Krull dimension
+and the Hilbert numerator of R/J.  No other module computes a dimension
+or a Hilbert numerator.
 
 Monomial input takes exact routes, chosen by the shape of the input alone
 and returning exactly what the general path returns: a basis of single
@@ -70,9 +76,10 @@ exponent tuples, kept in the tests as ``reference_buchberger`` and
 overflowed.
 
 Every operation is pure given its inputs.  An :class:`IdealPresentation`
-caches its reduced basis and its minimal monomials write-once, so
-concurrent readers of one ideal at worst duplicate the same computation
-and publish identical results.  That is the only place a basis is cached:
+caches its reduced basis, its minimal monomials, its initial ideal, its
+dimension and its Hilbert numerator write-once, so concurrent readers of
+one ideal at worst duplicate the same computation and publish identical
+results.  That is the only place a basis is cached:
 :func:`buchberger` always computes.
 Every basis and every normal form counts its reduction steps on a fresh
 ``_StepCounter`` under the step budget of :mod:`cmtensor.context`.
@@ -90,7 +97,7 @@ from operator import itemgetter, mul
 
 from . import monomial
 from .context import _StepCounter
-from .errors import AmbientMismatchError
+from .errors import AmbientMismatchError, ZeroRingError
 from .polyring import (
     GREVLEX,
     MonomialOrder,
@@ -602,8 +609,9 @@ def _reduced_basis(ring, gb, order, packing, counter):
 
 
 class IdealPresentation:
-    """Generators plus a lazily cached reduced grevlex Groebner basis and,
-    for generators of single terms, minimal monomials.
+    """Generators plus a lazily cached reduced grevlex Groebner basis, the
+    initial ideal read off it, and what that ideal gives: the Krull
+    dimension and the Hilbert numerator of R/J.
 
     Zero generators are dropped at construction, so the zero ideal is the
     presentation with no generators.  The caches are write-once;
@@ -612,7 +620,8 @@ class IdealPresentation:
     a grevlex Groebner basis of the ideal.
     """
 
-    __slots__ = ("ring", "generators", "_basis", "_known_basis", "_monomials")
+    __slots__ = ("ring", "generators", "_basis", "_known_basis", "_monomials",
+                 "_initial", "_dim", "_numerator")
 
     # Read-only, the same for every presentation; perfbench's tracer keys
     # grade calls by it.
@@ -626,6 +635,9 @@ class IdealPresentation:
         self._basis = None
         self._known_basis = None
         self._monomials = False
+        self._initial = None
+        self._dim = None
+        self._numerator = None
 
     def reduced_basis(self) -> tuple:
         """The reduced grevlex Groebner basis, computed on the first call.
@@ -655,6 +667,19 @@ class IdealPresentation:
                 self._monomials = None
         return self._monomials
 
+    def initial(self) -> tuple:
+        """The minimal generators of the initial ideal in(J), the ideal of
+        the leading monomials of J: its minimal monomials when every
+        generator is a single term, with no basis built, else the leading
+        monomials of its reduced basis.  Computed on the first call and
+        kept."""
+        if self._initial is None:
+            leads = self.monomials()
+            if leads is None:
+                leads = tuple(g.leading_monomial() for g in self.reduced_basis())
+            self._initial = leads
+        return self._initial
+
     def contains(self, f: Polynomial) -> bool:
         """Whether f lies in the ideal.
 
@@ -673,8 +698,28 @@ class IdealPresentation:
         return all(any(mono_divides(l, m) for l in leads) for m in f.terms)
 
     def contains_one(self) -> bool:
-        basis = self.reduced_basis()
-        return bool(basis) and basis[0].total_degree() == 0
+        """Whether J is the unit ideal: whether in(J) holds 1."""
+        leads = self.initial()
+        return bool(leads) and not any(leads[0])
+
+    def dim(self) -> int:
+        """The Krull dimension of R/J: the variable count minus the
+        codimension of in(J) (:func:`cmtensor.monomial.codimension`).
+        Computed on the first call and kept; the unit ideal raises
+        :class:`ZeroRingError`."""
+        if self._dim is None:
+            if self.contains_one():
+                raise ZeroRingError("presentation collapsed to the zero ring")
+            self._dim = self.ring.nvars - monomial.codimension(self.initial())
+        return self._dim
+
+    def hilbert_numerator(self) -> dict:
+        """The sparse Hilbert numerator of R/J, that of R/in(J)
+        (:func:`cmtensor.monomial.hilbert_numerator`).  Computed on the
+        first call and kept; callers must not change it."""
+        if self._numerator is None:
+            self._numerator = monomial.hilbert_numerator(self.initial())
+        return self._numerator
 
     def describe(self) -> str:
         if not self.generators:
@@ -700,39 +745,26 @@ def ideal_equal(I1: IdealPresentation, I2: IdealPresentation) -> bool:
     return I1.reduced_basis() == I2.reduced_basis()
 
 
-def _pad_into(ext: PolyRing, f: Polynomial) -> Polynomial:
-    return map_variables(f, ext, range(f.ring.nvars))
-
-
 def ideal_intersection(I1: IdealPresentation, I2: IdealPresentation) -> IdealPresentation:
     """I1 ∩ I2 via the tag-variable construction t*I1 + (1-t)*I2.
 
-    The tag variable is appended to the ambient, eliminated with a block
-    order, and never leaks into the result: the generators are the tag-free
-    part of the reduced basis, ascending in grevlex (the block order on
-    tag-free monomials).  Ideals of single terms take the same path; their
+    The tag variable t is appended to the ambient and eliminated
+    (:func:`eliminate`), so the generators are the tag-free part of the
+    reduced block-order basis, ascending in grevlex (the block order on
+    tag-free monomials).  Each is moved back by dropping the last exponent
+    of each term.  Ideals of single terms take the same path; their
     intersection is the one of :func:`cmtensor.monomial.intersection`.
-
-    Under the block order a term with the tag exceeds every term without
-    it, so an element is tag-free exactly when its leading monomial is,
-    and the basis carries its leading monomials.  A tag-free element is
-    moved back by dropping the last exponent of each term.
     """
     ring = _common_ring(I1, I2)
     if not I1.generators or not I2.generators:
         return IdealPresentation(ring)
     ext = ring.extended(ring.fresh_name("_t"))
-    ti = ext.nvars - 1
-    t = ext.var(ti)
+    t = ext.var(ring.nvars)
     one_minus_t = ext.one - t
-    gens = [t * _pad_into(ext, f) for f in I1.generators]
-    gens += [one_minus_t * _pad_into(ext, g) for g in I2.generators]
-    order = block_order((ti,))
-    back = [
-        Polynomial(ring, {m[:-1]: c for m, c in g.terms.items()}, _trusted=True)
-        for g in buchberger(gens, order)
-        if not g.leading_monomial(order)[-1]
-    ]
+    gens = [t * map_variables(f, ext, range(ring.nvars)) for f in I1.generators]
+    gens += [one_minus_t * map_variables(g, ext, range(ring.nvars)) for g in I2.generators]
+    free = eliminate(IdealPresentation(ext, gens), ext.names[-1:]).generators
+    back = (Polynomial(ring, {m[:-1]: c for m, c in g.terms.items()}, _trusted=True) for g in free)
     return IdealPresentation(ring, back)
 
 

@@ -1,8 +1,10 @@
 """Ring-theoretic invariants of presented algebras.
 
-Krull dimension comes from the leading-term ideal: it is the variable
-count minus the codimension of the ideal of the basis leading monomials
-(:func:`cmtensor.monomial.codimension`).
+What comes from the initial ideal in(J) of a presentation, the ideal of
+its leading monomials, is read off ``IdealPresentation.initial`` and kept
+there: the Krull dimension (``IdealPresentation.dim``), the Hilbert
+numerator and the unit test.  This module reads them, and in(J) itself
+for the coprime-lead test and the stop test's standard monomials.
 Grade is computed by extending a regular sequence inside the ideal until
 the annihilator stop test fires: (stage : I) strictly above stage yields
 the witness a with a ∉ stage and I*a ⊆ stage, which certifies maximality.
@@ -36,29 +38,29 @@ untouched, at a stage where one is needed.
 
 Whether f is a nonzerodivisor modulo a stage is first read off the
 stage's own reduced basis G.  When lm(f) shares no variable with a
-leading monomial of G, it is one: G ∪ {f} is then a Groebner basis of
-stage + (f) (Buchberger's product criterion, "A criterion for
-detecting unnecessary reductions in the construction of Groebner bases",
-1979), so lm(f) is a nonzerodivisor modulo in(stage), and so f is one
-modulo the stage (Eisenbud, *Commutative Algebra*, ch. 15).  The next
-stage is handed G ∪ {f} as a known Groebner basis, and its reduced basis
-is interreduced from it with no S-pair.  A single-term f over a monomial
-stage that fails that test is a zerodivisor, and so is an f that
-divides a stage generator or an element of G by a cofactor outside the
-stage.  The rest is decided by Hilbert series when f and every stage
+leading monomial of G (a generator of in(stage)), it is one: G ∪ {f} is
+then a Groebner basis of stage + (f) (Buchberger's product criterion, "A
+criterion for detecting unnecessary reductions in the construction of
+Groebner bases", 1979), so lm(f) is a nonzerodivisor modulo in(stage),
+and so f is one modulo the stage (Eisenbud, *Commutative Algebra*, ch.
+15).  The next stage is handed G ∪ {f} as a known Groebner basis, and its
+reduced basis is interreduced from it with no S-pair.  A single-term f
+over a monomial stage that fails that test is a zerodivisor, and so is an
+f that divides a stage generator or an element of G by a cofactor
+outside the stage.  The rest is decided by Hilbert series when f and every stage
 generator are homogeneous (Bayer and Stillman, "Computation of Hilbert
 functions", 1992): for deg f = d >= 1 it is one exactly when
-HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series come from the
-leading-monomial ideals (see :mod:`cmtensor.monomial`).  Other inputs use
-the colon (stage : f).
+HS(R/(stage + f)) = (1 - t^d) HS(R/stage).  The series are those of the
+initial ideals (``IdealPresentation.hilbert_numerator``).  Other inputs
+use the colon (stage : f).
 
 Every chain of stages (``grade``, ``is_regular_sequence`` and the Hilbert
 test between them) builds stage + (f) through ``_next_stage``, which
 inside a memo scope returns one object per stage object and content of f.
-A stage keeps its own reduced basis, and its Hilbert numerator is kept in
-the scope under the stage object, so the extended ideal the Hilbert test
-builds is the stage the loop continues with, and two grades in one scope
-that extend a stage by the same element share the next one.
+A stage keeps its own reduced basis and Hilbert numerator, so the
+extended ideal the Hilbert test builds is the stage the loop continues
+with, and two grades in one scope that extend a stage by the same element
+share the next one.
 
 Certificate validation checks the witness with membership tests, and
 each sequence element by a colon or, for a graded certificate (every
@@ -71,10 +73,10 @@ answers by divisibility off its minimal monomials (Miller and Sturmfels,
 is :func:`cmtensor.monomial.colon` of n.  Such a stage builds no basis,
 takes no normal form and spends no reduction step.  Any other
 nonzero element of a graded certificate passes exactly when the Hilbert
-numerators of stage i and stage i + 1, computed afresh from their minimal
-monomials or the leading monomials of their reduced bases, satisfy the
-exact-sequence identity of the nonzerodivisor test above: no colon and no
-tag-variable intersection.  A zero element and every element of a
+numerators of stage i and stage i + 1, computed afresh on those
+presentations from their initial ideals, satisfy the exact-sequence
+identity of the nonzerodivisor test above: no colon and no tag-variable
+intersection.  A zero element and every element of a
 certificate that is not graded take ``ideal_quotient`` and normal forms.
 So validation checks the stop test and, for a certificate that is not
 graded, every route of the nonzerodivisor test from a separate code path;
@@ -103,7 +105,6 @@ from .errors import (
     KernelError,
     NzdSearchExhausted,
     PermutationBoundExceeded,
-    ZeroRingError,
 )
 from .context import current_limits, memo_scoped, scope_cached
 from .groebner import IdealPresentation, _divide, ideal_quotient, normal_form
@@ -115,30 +116,17 @@ PERMUTATION_BOUND = 5
 # ---------------------------------------------------------------------------
 # Dimension
 
-def _dim_from_basis(nvars: int, basis) -> int:
-    leads = []
-    for g in basis:
-        if g.total_degree() == 0:
-            raise ZeroRingError("presentation collapsed to the zero ring")
-        leads.append(g.leading_monomial())
-    return nvars - monomial.codimension(leads)
-
-
 def krull_dim(A: AlgebraPresentation) -> int:
-    """Krull dimension, from the leading terms of the reduced relations basis.
-
-    Computed once per presentation object inside a memo scope.
-    """
-    return scope_cached(
-        ("dim", A), lambda: _dim_from_basis(A.ring.nvars, A.relations.reduced_basis())
-    )
+    """Krull dimension, read off the initial ideal of the relations and
+    kept on them (``IdealPresentation.dim``)."""
+    return A.relations.dim()
 
 
 def dim_quotient(A: AlgebraPresentation, I: AlgebraIdeal) -> int:
     """Dimension of A/I."""
     if not I.is_proper():
         raise ImproperIdealError(f"zero quotient: {I.describe()} is improper")
-    return _dim_from_basis(A.ring.nvars, I.lift.reduced_basis())
+    return I.lift.dim()
 
 
 def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
@@ -148,25 +136,6 @@ def height(A: AlgebraPresentation, P: AlgebraIdeal) -> int:
 
 # ---------------------------------------------------------------------------
 # Zerodivisors and regular sequences
-
-def _numerator(J: IdealPresentation) -> dict:
-    """The sparse Hilbert numerator of R/J, computed afresh: off J's
-    minimal monomials when its generators are single terms, else off the
-    leading monomials of J's reduced basis."""
-    leads = J.monomials()
-    if leads is None:
-        leads = [g.leading_monomial() for g in J.reduced_basis()]
-    return monomial.hilbert_numerator(leads)
-
-
-def _hilbert_numerator_of(J: IdealPresentation) -> dict:
-    """The Hilbert numerator of R/J, from J's leading monomials.
-
-    Cached per stage object in the current memo scope: a stage's numerator
-    serves every candidate tested against it.
-    """
-    return scope_cached(("hilbert numerator", J), lambda: _numerator(J))
-
 
 def _hilbert_regular(numerator: dict, next_numerator: dict, d: int) -> bool:
     """Whether a nonzero form f of degree d is a nonzerodivisor modulo a
@@ -224,41 +193,36 @@ def _least_kernel_element(ring, standard, rs, nf_of):
     """The monic a in the span of `standard` (ascending) with every
     NF(a * r) zero and the least leading monomial, or None.
 
-    The images of the standard monomials are eliminated in ascending
-    order, each row carrying its combination of monomials: the first image
-    that reduces to zero gives the kernel element, led by its own monomial
-    with coefficient 1.
+    The images of the standard monomials, keyed by (i, monomial of
+    NF(s * r_i)), are eliminated in ascending order against rows keyed by
+    their pivot, a row's largest key, each row carrying its combination of
+    monomials: an image is reduced while its largest key is a pivot, and
+    the first image that reduces to zero gives the kernel element, led by
+    its own monomial with coefficient 1.
     """
     p = ring.field.p
-    rows = []
+    rows = {}
     for s in standard:
         image = {}
         for i, r in enumerate(rs):
             for t, c in r.terms.items():
-                for m, v in nf_of(mono_mul(s, t)).items():
-                    k = (i, m)
-                    v = (image.get(k, 0) + c * v) % p
-                    if v:
-                        image[k] = v
-                    else:
-                        del image[k]
+                _add_scaled(image, {(i, m): v for m, v in nf_of(mono_mul(s, t)).items()}, c, p)
         combo = {s: 1}
-        for pivot, row, comb in rows:
-            c = image.get(pivot)
-            if c:
-                _add_scaled(image, row, p - c, p)
-                _add_scaled(combo, comb, p - c, p)
-        if not image:
+        while image:
+            pivot = max(image)
+            row = rows.get(pivot)
+            if row is None:
+                break
+            c = p - image[pivot]
+            _add_scaled(image, row[0], c, p)
+            _add_scaled(combo, row[1], c, p)
+        else:
             terms = sorted(combo.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
             return Polynomial(ring, dict(terms), _trusted=True)
-        pivot = next(iter(image))
         inv = pow(image[pivot], -1, p)
-        rows.append(
-            (
-                pivot,
-                {k: v * inv % p for k, v in image.items()},
-                {k: v * inv % p for k, v in combo.items()},
-            )
+        rows[pivot] = (
+            {k: v * inv % p for k, v in image.items()},
+            {k: v * inv % p for k, v in combo.items()},
         )
     return None
 
@@ -314,10 +278,10 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     - so the first basis element outside the stage is g, and its monic
       normal form is the least element of K_e.
 
-    A degree with no standard monomial has none above it either, so then
-    Q is the stage and there is no witness.  Past degree
-    max(degree of the stage's reduced basis, deg r_i) + 2, and for an
-    inhomogeneous input, the colon is computed instead.
+    The standard monomials are those outside in(stage)
+    (``IdealPresentation.initial``).  Past degree max(degree of the
+    stage's reduced basis, deg r_i) + 2, and for an inhomogeneous input,
+    the colon is computed instead.
 
     When the stage's reduced basis and the r_i are all single terms, Q is
     a monomial ideal and the witness comes from its minimal generators
@@ -329,13 +293,11 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
     rs = list(dict.fromkeys(r.monic() for r in reduced if r.terms))
     if not rs:
         return None if stage.contains_one() else stage.ring.one
+    leads = stage.initial()
     if all(len(g.terms) == 1 for g in basis + tuple(rs)):
-        return _monomial_witness(
-            stage.ring, [m for g in basis for m in g.terms], [m for r in rs for m in r.terms]
-        )
+        return _monomial_witness(stage.ring, leads, [m for r in rs for m in r.terms])
     if all(g.is_homogeneous() for g in stage.generators + I.lift.generators):
         ring = stage.ring
-        leads = [g.leading_monomial() for g in basis]
         cap = max(g.total_degree() for g in basis + tuple(rs)) + 2
         standard = [(0,) * ring.nvars]
         known = {}
@@ -352,8 +314,6 @@ def _colon_witness(stage: IdealPresentation, I: AlgebraIdeal):
             return terms
 
         for _ in range(cap + 1):
-            if not standard:
-                return None
             w = _least_kernel_element(ring, standard, rs, nf_of)
             if w is not None:
                 return w
@@ -388,7 +348,8 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     zero f is a zerodivisor, unless the stage holds 1.  The stage's reduced
     basis G decides the next two routes:
 
-    - when lm(f) is coprime to every leading monomial of G, G ∪ {f} is a
+    - when lm(f) is coprime to every leading monomial of G, the minimal
+      generators of in(stage) (``IdealPresentation.initial``), G ∪ {f} is a
       Groebner basis of stage + (f) (Buchberger's product criterion), so
       lm(f) is a nonzerodivisor modulo in(stage), and then f is one modulo
       the stage (Eisenbud, *Commutative Algebra*, ch. 15).  G ∪ {f} is
@@ -406,16 +367,17 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
     the exact sequence 0 -> (R/(stage : f))(-d) -> R/stage -> R/(stage + f)
     -> 0 makes f a nonzerodivisor exactly when
     HS(R/(stage + f)) = (1 - t^d) HS(R/stage), compared through the Hilbert
-    numerators of the leading-monomial ideals.  The extended ideal is
-    ``_next_stage(stage, f)``, inside a scope the object the caller's loop
-    continues with, so its basis and numerator are computed once.  Every
-    other input compares the colon (stage : f) with the stage.
+    numerators of the initial ideals, kept on each presentation.  The
+    extended ideal is ``_next_stage(stage, f)``, inside a scope the object
+    the caller's loop continues with, so its basis and numerator are
+    computed once.  Every other input compares the colon (stage : f) with
+    the stage.
     """
     if not f.terms:
         return stage.contains_one()
     basis = stage.reduced_basis()
     lead = f.leading_monomial()
-    if monomial.coprime(lead, [g.leading_monomial() for g in basis]):
+    if monomial.coprime(lead, stage.initial()):
         _next_stage(stage, f)._known_basis = basis + (f,)
         return True
     if len(f.terms) == 1 and all(len(g.terms) == 1 for g in basis):
@@ -424,9 +386,7 @@ def _is_nzd_mod(stage: IdealPresentation, f: Polynomial) -> bool:
         return False
     if f.is_homogeneous() and all(g.is_homogeneous() for g in stage.generators):
         return _hilbert_regular(
-            _hilbert_numerator_of(stage),
-            _hilbert_numerator_of(_next_stage(stage, f)),
-            f.total_degree(),
+            stage.hilbert_numerator(), _next_stage(stage, f).hilbert_numerator(), f.total_degree()
         )
     Q = ideal_quotient(stage, IdealPresentation(stage.ring, (f,)))
     return _extension_witness(stage, Q) is None
@@ -641,14 +601,14 @@ def validate_grade_certificate(
     built.  When every generator of the final stage is homogeneous, every
     other nonzero f_{i+1} of degree d passes exactly when
     N_{i+1} = (1 - t^d) N_i for the Hilbert numerators N_i of stage i (see
-    ``_hilbert_regular``), read off its minimal monomials or the leading
-    monomials of its reduced basis: no colon is taken.  Every other colon
-    is ``ideal_quotient``'s.  Two facts are read off the raw generators
-    instead: a sequence element equal to a generator of ``I.lift`` is a
-    member of I, so ``I.lift``'s presentation is built only for the first
-    element that is not one, and for a generator g of ``I.lift``
-    that is also a generator of the final stage, witness * g lies in (g),
-    inside that stage, so it is not tested.
+    ``_hilbert_regular``), read off its initial ideal
+    (``IdealPresentation.hilbert_numerator``): no colon is taken.  Every
+    other colon is ``ideal_quotient``'s.  Two facts are read off the raw
+    generators instead: a sequence element equal to a generator of
+    ``I.lift`` is a member of I, so ``I.lift``'s presentation is built only
+    for the first element that is not one, and for a generator g of
+    ``I.lift`` that is also a generator of the final stage, witness * g
+    lies in (g), inside that stage, so it is not tested.
     """
     ring = A.ring
     if cert.grade != len(cert.sequence):
@@ -675,26 +635,23 @@ def validate_grade_certificate(
     # the Hilbert test of f_{i + 1}, the next step and the witness checks
     graded = all(g.is_homogeneous() for g in cert.stage_ideals[-1])
     base = IdealPresentation(ring, cert.stage_ideals[0])
-    numerator = None
     for i, f in enumerate(cert.sequence):
         J = IdealPresentation(ring, (f,))  # checks f's ring on every route
         stage = IdealPresentation(ring, cert.stage_ideals[i + 1])
         leads = base.monomials()
-        next_numerator = None
         if leads is not None and len(f.terms) == 1:
             (n,) = f.terms
             colon = [Polynomial(ring, {q: 1}, _trusted=True) for q in monomial.colon(leads, n)]
             regular = all(map(base.contains, colon))
         elif graded and f.terms:
-            if numerator is None:
-                numerator = _numerator(base)
-            next_numerator = _numerator(stage)
-            regular = _hilbert_regular(numerator, next_numerator, f.total_degree())
+            regular = _hilbert_regular(
+                base.hilbert_numerator(), stage.hilbert_numerator(), f.total_degree()
+            )
         else:
             regular = all(map(base.contains, ideal_quotient(base, J).generators))
         if not regular:
             raise CertificateError(f"f_{i + 1} is a zerodivisor modulo stage {i}")
-        base, numerator = stage, next_numerator
+        base = stage
 
     if base.contains(cert.witness):
         raise CertificateError("witness lies in the final stage")

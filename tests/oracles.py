@@ -27,12 +27,11 @@ import random
 
 import numpy as np
 
-from cmtensor.errors import CertificateError, ImproperIdealError
+from cmtensor.errors import AmbientMismatchError, CertificateError, ImproperIdealError
 from cmtensor.groebner import (
     IdealPresentation,
     _common_ring,
     _exact_quotient,
-    _pad_into,
     buchberger,
     ideal_quotient,
     normal_form,
@@ -46,6 +45,7 @@ from cmtensor.polyring import (
     GREVLEX,
     Polynomial,
     block_order,
+    map_variables,
     mono_divides,
     mono_mul,
     restrict_variables,
@@ -164,8 +164,9 @@ def reference_intersection(I1, I2):
     ti = ext.nvars - 1
     t = ext.var(ti)
     one_minus_t = ext.one - t
-    gens = [t * _pad_into(ext, f) for f in I1.generators]
-    gens += [one_minus_t * _pad_into(ext, g) for g in I2.generators]
+    every = range(ring.nvars)
+    gens = [t * map_variables(f, ext, every) for f in I1.generators]
+    gens += [one_minus_t * map_variables(g, ext, every) for g in I2.generators]
     basis = buchberger(gens, block_order((ti,)))
     back = [
         restrict_variables(g, ring, range(ring.nvars))
@@ -262,8 +263,15 @@ def reference_validate_grade_certificate(A, I, cert):
     """Certificate validation with a reduced basis and normal forms for
     every stage: colons by ``ideal_quotient``, membership by normal forms.
     ``validate_grade_certificate`` must pass exactly when this passes, and
-    otherwise raise the same exception with the same message."""
+    otherwise raise the same exception with the same message.  A normal
+    form by no divisor checks no ring, so a sequence element or witness
+    over another ring is refused here, before its normal form."""
     ring = A.ring
+
+    def same_ring(f):
+        if f.ring != ring:
+            raise AmbientMismatchError(f"polynomial over {ring.names} used in {f.ring.names}")
+
     if cert.grade != len(cert.sequence):
         raise CertificateError("grade differs from the sequence length")
     if len(cert.stage_ideals) != cert.grade + 1:
@@ -281,6 +289,7 @@ def reference_validate_grade_certificate(A, I, cert):
             continue
         if lift_basis is None:
             lift_basis = buchberger(generators)
+        same_ring(f)
         if normal_form(f, lift_basis).terms:
             raise CertificateError(f"sequence element f_{i + 1} lies outside the ideal")
 
@@ -296,6 +305,7 @@ def reference_validate_grade_certificate(A, I, cert):
 
     final = IdealPresentation(ring, cert.stage_ideals[-1])
     final_basis = final.reduced_basis()
+    same_ring(cert.witness)
     if not normal_form(cert.witness, final_basis).terms:
         raise CertificateError("witness lies in the final stage")
     for g in generators:

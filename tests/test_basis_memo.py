@@ -2,13 +2,14 @@
 
 A scope is opened by the outermost check, ``grade`` or
 ``is_cohen_macaulay`` and dropped when it returns.  Inside a scope the
-tensor of two presentations, the contraction of an ideal, the Krull
-dimension of a presentation, the grade certificate of an ideal for a seed
-and the next stage of a grade chain are computed once, keyed by the
-identity of their inputs.  A basis is cached only on its
-``IdealPresentation``: ``buchberger`` computes on every call, so a stage
-object shared through the scope is what saves a basis.  Certificate
-validation reads no scope entry.
+tensor of two presentations, the contraction of an ideal, the grade
+certificate of an ideal for a seed and the next stage of a grade chain
+are computed once, keyed by the identity of their inputs.  A basis, and
+the dimension and Hilbert numerator read off its initial ideal, are
+cached only on their ``IdealPresentation``, in a scope or out of one:
+``buchberger`` computes on every call, so a stage object shared through
+the scope is what saves a basis.  Certificate validation reads no scope
+entry.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from cmtensor import (
     tensor,
     validate_grade_certificate,
 )
-from cmtensor import algebra, context, groebner, invariants
+from cmtensor import algebra, context, groebner, invariants, monomial
 from cmtensor.context import _WORK, memo_scope, scope_cached
 from cmtensor.groebner import IdealPresentation
 from cmtensor.theorems import CHECKS
@@ -233,8 +234,9 @@ def test_validation_runs_under_the_ambient_budget(computed):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Count the bodies run by ``tensor``, ``grade``, ``contract`` and
-    ``krull_dim``, by name: memo misses and unscoped calls."""
+    """Count the bodies run by ``tensor``, ``grade`` and ``contract``, by
+    name: memo misses and unscoped calls; and the dimensions computed, as
+    ``monomial.codimension`` calls, which a presentation makes once."""
     counts = {"tensor": 0, "grade": 0, "contract": 0, "dim": 0}
 
     def counting(module, attr, name):
@@ -249,7 +251,7 @@ def runs(monkeypatch):
     counting(algebra, "_tensor", "tensor")
     counting(invariants, "_grade", "grade")
     counting(algebra, "_contract", "contract")
-    counting(invariants, "_dim_from_basis", "dim")
+    counting(monomial, "codimension", "dim")
     return counts
 
 
@@ -316,10 +318,10 @@ def test_every_call_computes_afresh_outside_a_scope(runs):
     assert tensor(A, B) is not tensor(A, B)
     T, P = tensor_prime()
     assert contract(P, "left") is not contract(P, "left")
-    assert krull_dim(T) == krull_dim(T)
+    assert krull_dim(T) == krull_dim(T)  # the relations keep their dimension
     I = AlgebraIdeal(A, A.ring.gens())
     assert grade(A, I) is not grade(A, I)
-    assert runs == {"tensor": 3, "grade": 2, "contract": 2, "dim": 2}
+    assert runs == {"tensor": 3, "grade": 2, "contract": 2, "dim": 1}
     assert _WORK.get().memo is None
 
 

@@ -26,23 +26,26 @@ from cmtensor import (
     Polynomial,
     PrimeField,
     StepBudgetExceeded,
+    ZeroRingError,
     buchberger,
     eliminate,
     ideal_equal,
     ideal_intersection,
     ideal_quotient,
     grade,
+    krull_dim,
     limits,
     make_algebra,
     normal_form,
     validate_grade_certificate,
 )
-from cmtensor import context, groebner, invariants
+from cmtensor import context, groebner, invariants, monomial
 from cmtensor.context import NZD_RETRY_CAP, current_limits, memo_scope, scope_cached
 from cmtensor.invariants import _is_nzd_mod
 from cmtensor.polyring import DEGLEX, block_order, map_variables, mono_divides, mono_mul
 from conftest import basis_under, random_poly
 from oracles import (
+    dim_subset_oracle,
     membership_oracle,
     reference_buchberger,
     reference_buchberger_all_pairs,
@@ -1099,6 +1102,65 @@ class TestMonomialMembership:
             assert str(ours.value) == "polynomial over ('x', 'y', 'z') used in ('u', 'v', 'w')"
 
 
+class TestInitialIdeal:
+    """``IdealPresentation.initial`` is in(J), kept once: the minimal
+    monomials of generators of single terms, else the leading monomials of
+    the reduced basis.  The unit test, the dimension and the Hilbert
+    numerator are read off it."""
+
+    def test_monomial_presentations_build_no_basis(self, step_counters):
+        I = IdealPresentation(R3, [x3 ** 2 * y3, 5 * y3 * z3 ** 3, x3 * z3, 2 * x3 * z3])
+        unit = IdealPresentation(R3, [x3, 3 * R3.one])
+        step_counters.clear()
+        with limits(step_budget=0):
+            assert I.initial() == ((1, 0, 1), (2, 1, 0), (0, 1, 3))
+            assert not I.contains_one()
+            assert I.dim() == 1  # {x, z}, {x, y} and {y, z} need two variables to meet
+            assert I.hilbert_numerator() == monomial.hilbert_numerator(I.initial())
+            assert unit.contains_one() and unit.hilbert_numerator() == {}
+            with pytest.raises(ZeroRingError, match="^presentation collapsed to the zero ring$"):
+                unit.dim()
+        assert I._basis is None and unit._basis is None
+        assert all(c.used == 0 for c in step_counters)
+        assert I.initial() is I.initial()  # computed once
+        assert I.hilbert_numerator() is I.hilbert_numerator()
+
+    def test_make_algebra_of_single_terms_builds_no_basis(self, step_counters):
+        A = make_algebra(R3, (x3 * y3, 4 * z3 ** 2, x3 ** 2 * y3))
+        assert krull_dim(A) == 1
+        assert A.relations._basis is None
+        assert all(c.used == 0 for c in step_counters)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 4),
+        st.sampled_from(["zero", "unit", "terms", "polynomials"]),
+    )
+    def test_against_the_reduced_basis(self, data_seed, nvars, kind):
+        rng = random.Random(data_seed)
+        ring = PolyRing(("x", "y", "z", "w")[:nvars], F)
+        gens = [
+            random_poly(rng, ring, max_deg=3, max_terms=1 if kind == "terms" else 3)
+            for _ in range(0 if kind == "zero" else rng.randint(1, 4))
+        ]
+        if kind == "unit":
+            f = random_poly(rng, ring, max_deg=2, constant_free=True)
+            gens += [f, f + rng.randrange(1, F.p)]
+        I = IdealPresentation(ring, gens)
+        leads = [g.leading_monomial() for g in buchberger(gens)]
+        assert set(monomial.minimal(I.initial())) == set(monomial.minimal(leads))
+        unit = leads == [(0,) * nvars]
+        assert I.contains_one() == unit
+        assert I.hilbert_numerator() == monomial.hilbert_numerator(leads)
+        if unit:
+            with pytest.raises(ZeroRingError, match="^presentation collapsed to the zero ring$"):
+                I.dim()
+        else:
+            supports = [{i for i, e in enumerate(m) if e} for m in leads]
+            assert I.dim() == dim_subset_oracle(nvars, supports)
+
+
 class TestMonomialRoutes:
     """Single-term input skips Buchberger, the tag variable and the Hilbert
     test; each route returns exactly what the algorithm it replaces
@@ -1145,7 +1207,7 @@ class TestMonomialRoutes:
             # the callers of _is_nzd_mod pass f reduced modulo the stage
             return _is_nzd_mod(stage, normal_form(f, stage.reduced_basis()))
 
-        monkeypatch.setattr(invariants, "_hilbert_numerator_of", refuse)
+        monkeypatch.setattr(IdealPresentation, "hilbert_numerator", refuse)
         monkeypatch.setattr(invariants, "ideal_quotient", refuse)
         stage = IdealPresentation(R2, (x ** 2, 3 * x * y))
         assert not is_nzd(stage, y)  # y * x lies in the stage

@@ -466,7 +466,7 @@ class TestStageBasisRoutes:
         def refuse(*args):
             raise AssertionError("the stage's basis should decide")
 
-        monkeypatch.setattr(invariants, "_hilbert_numerator_of", refuse)
+        monkeypatch.setattr(IdealPresentation, "hilbert_numerator", refuse)
         monkeypatch.setattr(invariants, "ideal_quotient", refuse)
         monkeypatch.setattr(groebner, "_packed_buchberger", refuse)
         with memo_scope():
@@ -907,8 +907,9 @@ class TestColonWitness:
         assert w == expected == _colon_route(A.relations, I)
 
     def test_no_standard_monomials_means_no_witness(self, monkeypatch):
-        # (x^2, y^2) : (1) is the stage itself; degree 3 has no standard
-        # monomial, which decides it without the colon
+        # (x^2, y^2) : (1) is the stage itself; the stage and the normal
+        # form 1 are single terms, so the monomial route decides it
+        # without the colon
         A = algebra(("x", "y"), lambda x, y: (x * x, y * y))
         I = AlgebraIdeal(A, (A.ring.one,))
         w, colons = self._witness_and_colons(monkeypatch, A.relations, I)
@@ -932,6 +933,19 @@ class TestColonWitness:
         w, colons = self._witness_and_colons(monkeypatch, stage, I)
         assert (w, colons) == (None, 0)
         assert _colon_route(stage, I) is None
+
+    @pytest.mark.parametrize("e", range(2, 31))
+    def test_binomial_curve_family(self, e):
+        # I = (x, y) in k[x, y]/(x^e y - x y^e), a hypersurface of grade
+        # 1, whose last stop test takes linear algebra up to degree about
+        # e: the witness of every stage of the grade is the colon's
+        A = algebra(("x", "y"), lambda x, y: (x ** e * y - x * y ** e,))
+        I = AlgebraIdeal(A, A.ring.gens())
+        cert = grade(A, I)
+        assert cert.grade == 1
+        for gens in cert.stage_ideals:
+            stage = IdealPresentation(A.ring, gens)
+            assert _colon_witness(stage, I) == _colon_route(stage, I)
 
     def test_ideal_inside_the_stage_is_witnessed_by_one(self):
         A = algebra(("x", "y"), lambda x, y: (x * y,))
@@ -1422,6 +1436,20 @@ class TestValidationAgainstReference:
             assert outcome == _validation_outcome(reference_validate_grade_certificate, A, J, c), name
             if name == "valid":
                 assert outcome is None
+
+    def test_foreign_polynomials_of_the_zero_ideal(self):
+        # the final stage and I.lift are both zero, so no divisor checks
+        # the ring of a witness or sequence element over k[X]; both
+        # validators refuse them with the message of the membership test
+        A = poly_algebra("x")
+        I = AlgebraIdeal(A, ())
+        one = PolyRing(("X",), F).one
+        foreign_witness = GradeCertificate((), one, ((),), 0)
+        foreign_element = GradeCertificate((one,), A.ring.var(0), ((), (one,)), 1)
+        refused = (AmbientMismatchError, "polynomial over ('x',) used in ('X',)")
+        for cert in (foreign_witness, foreign_element):
+            assert _validation_outcome(validate_grade_certificate, A, I, cert) == refused
+            assert _validation_outcome(reference_validate_grade_certificate, A, I, cert) == refused
 
 
 class TestCohenMacaulay:

@@ -16,6 +16,11 @@ package; every other module reaches the context through ``limits``,
 ``_StepCounter``.  The theorem checks and the command line reach it
 without the Groebner kernel.
 
+A presentation's dimension and Hilbert numerator are read off its
+initial ideal in one place, :class:`cmtensor.groebner.IdealPresentation`:
+no other module reads ``monomial.codimension`` or
+``monomial.hilbert_numerator``.
+
 No module imports :mod:`dataclasses`: it loads ``inspect``, ``ast`` and
 ``dis`` and builds each class's methods with ``exec``, which made up about
 half of the time ``cmtensor run`` took to start.  The command line does
@@ -184,3 +189,22 @@ def test_only_context_names_the_work_variable(name):
     assert name in _names(PACKAGE / "context.py")
     others = [p for p in MODULES if p != PACKAGE / "context.py"]
     assert [str(p.relative_to(PACKAGE)) for p in others if name in _names(p)] == []
+
+
+def _monomial_reads(path):
+    """The names `path` reads off :mod:`cmtensor.monomial`: as attributes
+    of the module, or imported from it."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "monomial":
+                names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("monomial"):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", ["hilbert_numerator", "codimension"])
+def test_only_groebner_reads_off_the_initial_ideal(name):
+    readers = [p for p in MODULES if name in _monomial_reads(p)]
+    assert [str(p.relative_to(PACKAGE)) for p in readers] == ["groebner.py"]
