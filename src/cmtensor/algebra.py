@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 from .errors import AmbientMismatchError, ImproperIdealError, KernelError, ZeroRingError
 from .context import scope_cached
-from .groebner import IdealPresentation, eliminate, normal_form
+from .groebner import IdealPresentation, eliminate
 from .polyring import Polynomial, PolyRing, map_variables, restrict_variables
 
 
@@ -166,8 +166,8 @@ class AlgebraIdeal:
         return not self.lift.contains_one()
 
     def is_zero(self) -> bool:
-        basis = self.owner.relations.reduced_basis()
-        return all(not normal_form(g, basis).terms for g in self.gens)
+        """Whether every generator lies in the owner's relations."""
+        return all(map(self.owner.relations.contains, self.gens))
 
     def describe(self) -> str:
         if not self.gens:
@@ -253,6 +253,5 @@ def _contract(P: AlgebraIdeal, side: str) -> AlgebraIdeal:
     others = [name for i, name in enumerate(T.ring.names) if i not in pos]
     elim = eliminate(P.lift, others)
     restricted = [restrict_variables(g, factor.ring, pos) for g in elim.generators]
-    rel_basis = factor.relations.reduced_basis()
-    gens = [g for g in restricted if normal_form(g, rel_basis).terms]
+    gens = [g for g in restricted if not factor.relations.contains(g)]
     return AlgebraIdeal(factor, gens)

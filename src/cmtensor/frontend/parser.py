@@ -25,7 +25,9 @@ power whose expansion may have more than MAX_POWER_TERMS terms is a parse
 error at its exponent, and so is any literal whose products (power steps
 included) need more than MAX_LITERAL_WORK steps: a product of a and b
 terms over n names costs a*b*max(n, MIN_PAIR_COST), and the offending
-factor is reported.
+factor is reported.  Parentheses nested more than MAX_NESTING deep are a
+parse error at the first one too deep, and a run of unary minus signs
+folds by parity, so no literal can exhaust the interpreter's recursion.
 Names must be declared before use and are never shadowed; violations are
 parse errors carrying the source position.
 
@@ -71,6 +73,11 @@ MAX_LITERAL_WORK = 500_000
 # (1 + x), 353 of them, parses in about 0.14 s, where a charge of n
 # admitted 706 of them, which took 0.55 s.
 MIN_PAIR_COST = 4
+
+# The deepest parentheses may nest inside a literal.  Each level is four
+# frames of the recursive descent (sum, term, factor, atom), so this keeps
+# a literal far inside the interpreter's recursion limit of 1000.
+MAX_NESTING = 64
 
 _DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -285,6 +292,7 @@ class _Parser:
         self.field = PrimeField(prime)
         self.symbols = {}  # name -> "ring" | "ideal"
         self.work = 0  # of the literal being parsed
+        self.nesting = 0  # parentheses open around the current atom
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -429,9 +437,11 @@ class _Parser:
         return result
 
     def parse_factor(self, ring) -> Polynomial:
-        if self.at_op("-"):
+        """``{"-"} atom ["^" INT]``: a run of minus signs folds by parity."""
+        negate = False
+        while self.at_op("-"):
             self.advance()
-            return -self.parse_factor(ring)
+            negate = not negate
         base = self.parse_atom(ring)
         if self.at_op("^"):
             self.advance()
@@ -453,8 +463,8 @@ class _Parser:
                     f"more than {MAX_POWER_TERMS} terms",
                     etok,
                 )
-            return self.power(base, exponent, etok)
-        return base
+            base = self.power(base, exponent, etok)
+        return -base if negate else base
 
     def parse_atom(self, ring) -> Polynomial:
         tok = self.peek()
@@ -466,8 +476,12 @@ class _Parser:
             return ring.var(tok.text)
         if not self.at_op("("):
             self.expected("a polynomial")
+        if self.nesting == MAX_NESTING:
+            self.fail(f"parentheses nested more than {MAX_NESTING} deep")
         self.advance()
+        self.nesting += 1
         inner = self.parse_sum(ring)
+        self.nesting -= 1
         self.expect_op(")")
         return inner
 

@@ -6,6 +6,21 @@ traverse different constructions), and reports pass/fail with embedded
 grade certificates.  Hypothesis violations yield status "skipped" with
 the violated clause named; a skipped check is not a failed theorem.
 
+Each check is derive, measure, combine.  Its derivation
+(``_tensor_sides``, ``_product_sides``, ``_prime_sides`` or
+``_depth_sides``) raises the ownership errors, builds the report's
+``inputs`` and tests the skip clauses, then returns the violated clause
+or the sides of the identity as (label, algebra, ideal) triples, lhs
+first.  One driver, ``_report``, measures the sides in that order (by
+grade with its certificate, height, the CM verdict with its depth
+certificate, or permutability), takes lhs the first value and rhs the
+others combined, and is the only place a ``TheoremReport`` or a
+``GradeEvidence`` is built.  A derivation tests each clause before it
+builds any object the clause does not need: the tensor comes after Thm
+1.1's clauses, and T/(p + q) after Remark 2.5's regular-sequence
+clauses.  The order matters under a step budget, where the basis built
+first decides what is refused.
+
 Every check has one call shape, its inputs then ``seed``, so ``CHECKS``
 can drive any of them the same way.  ``check_lemma_1_2`` and
 ``check_prop_2_3_a`` are deterministic: they accept ``seed`` but ignore it.
@@ -95,27 +110,44 @@ class TheoremReport(NamedTuple):
         }
 
 
-def _verdict(check_id, inputs, lhs, rhs, certificates=(), assumptions=()):
-    return TheoremReport(
-        check_id=check_id,
-        inputs=inputs,
-        lhs=lhs,
-        rhs=rhs,
-        status="pass" if lhs == rhs else "fail",
-        certificates=tuple(certificates),
-        assumptions=tuple(assumptions),
-    )
+def _report(check_id, inputs, derived, measure, combine, assumptions=()):
+    """The one place a check's report is built.
+
+    `derived` is a check's derivation: the violated clause, which skips
+    the check, or the sides of its identity as (label, algebra, ideal).
+    Each side is measured in order, `measure(algebra, ideal)` giving its
+    value and its grade certificate or None; lhs is the first value and
+    rhs `combine` of the others.
+    """
+    if isinstance(derived, str):
+        return TheoremReport(
+            check_id, inputs, None, None, "skipped", detail=f"hypothesis violated: {derived}"
+        )
+    values, evidence = [], []
+    for label, algebra, ideal in derived:
+        value, certificate = measure(algebra, ideal)
+        values.append(value)
+        if certificate is not None:
+            evidence.append(GradeEvidence(label, algebra, ideal, certificate))
+    lhs, rhs = values[0], combine(values[1:])
+    status = "pass" if lhs == rhs else "fail"
+    return TheoremReport(check_id, inputs, lhs, rhs, status, tuple(evidence), assumptions)
 
 
-def _skipped(check_id, inputs, clause):
-    return TheoremReport(
-        check_id=check_id,
-        inputs=inputs,
-        lhs=None,
-        rhs=None,
-        status="skipped",
-        detail=f"hypothesis violated: {clause}",
-    )
+def _graded(seed):
+    """The measure by grade for `seed`, certified."""
+    def measure(algebra, ideal):
+        certificate = grade(algebra, ideal, seed)
+        return certificate.grade, certificate
+    return measure
+
+
+def _height(algebra, ideal):
+    return height(algebra, ideal), None
+
+
+def _permutable(algebra, ideal):
+    return is_permutable_regular_sequence(algebra, ideal.gens), None
 
 
 def _own_ideal(I: AlgebraIdeal, A: AlgebraPresentation, name: str):
@@ -123,9 +155,9 @@ def _own_ideal(I: AlgebraIdeal, A: AlgebraPresentation, name: str):
         raise KernelError(f"{name} is not an ideal of the given algebra")
 
 
-def _tensor_grade_check(check_id, A, B, ideals, seed, label, ideal_of, combine, nonzero=False):
-    """Theorem 1.1: the grade of `ideal_of(*ideals, T)` in T = A ⊗ B against
-    `combine` of the grades of I in A (and of J in B).
+def _tensor_sides(A, B, ideals, label, ideal_of, nonzero=False):
+    """Theorem 1.1: `ideal_of(*ideals, T)` in T = A ⊗ B, then I in A (and
+    J in B).
 
     `ideals` is (I,) or (I, J).  Every ideal must be proper and, when
     `nonzero`, also nonzero; I's clause is tested before J's.
@@ -137,30 +169,18 @@ def _tensor_grade_check(check_id, A, B, ideals, seed, label, ideal_of, combine, 
         inputs[name] = ideal.describe()
     for name, ideal, _ in named:
         if not ideal.is_proper():
-            return _skipped(check_id, inputs, f"{name} must be proper")
+            return inputs, f"{name} must be proper"
     if nonzero:
         for name, ideal, _ in named:
             if ideal.is_zero():
-                return _skipped(check_id, inputs, f"{name} must be nonzero")
+                return inputs, f"{name} must be nonzero"
     T = tensor(A, B)
     inputs["T"] = T.describe()
-    lhs_ideal = ideal_of(*ideals, T)
-    lhs = grade(T, lhs_ideal, seed)
-    rhs = [grade(owner, ideal, seed) for _, ideal, owner in named]
     sides = ("ideal in the factor",) if len(ideals) == 1 else ("left factor", "right factor")
-    return _verdict(
-        check_id,
-        inputs,
-        lhs.grade,
-        combine([r.grade for r in rhs]),
-        certificates=(
-            GradeEvidence(f"lhs: {label}", T, lhs_ideal, lhs),
-            *(
-                GradeEvidence(f"rhs: {side}", owner, ideal, r)
-                for side, (_, ideal, owner), r in zip(sides, named, rhs)
-            ),
-        ),
-    )
+    return inputs, [
+        (f"lhs: {label}", T, ideal_of(*ideals, T)),
+        *((f"rhs: {side}", owner, ideal) for side, (_, ideal, owner) in zip(sides, named)),
+    ]
 
 
 @memo_scoped
@@ -171,11 +191,8 @@ def check_thm_1_1_a(
     seed: int = 0,
 ) -> TheoremReport:
     """Grade of the left-extended ideal equals the grade of the ideal."""
-    return _tensor_grade_check(
-        "thm_1_1_a", A, B, (I,), seed, "extended ideal",
-        ideal_of=lambda I, T: embed_ideal(I, T, "left"),
-        combine=lambda grades: grades[0],
-    )
+    derived = _tensor_sides(A, B, (I,), "extended ideal", lambda I, T: embed_ideal(I, T, "left"))
+    return _report("thm_1_1_a", *derived, _graded(seed), sum)
 
 
 @memo_scoped
@@ -183,9 +200,8 @@ def check_thm_1_1_b(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
 ) -> TheoremReport:
     """Grade of the joined ideal equals the sum of the factor grades."""
-    return _tensor_grade_check(
-        "thm_1_1_b", A, B, (I, J), seed, "joined ideal", ideal_of=joined_ideal, combine=sum,
-    )
+    derived = _tensor_sides(A, B, (I, J), "joined ideal", joined_ideal)
+    return _report("thm_1_1_b", *derived, _graded(seed), sum)
 
 
 @memo_scoped
@@ -193,15 +209,13 @@ def check_thm_1_1_c(
     A, B, I: AlgebraIdeal, J: AlgebraIdeal, seed: int = 0,
 ) -> TheoremReport:
     """Grade of the product ideal equals the minimum of the factor grades."""
-    return _tensor_grade_check(
-        "thm_1_1_c", A, B, (I, J), seed, "product ideal",
-        ideal_of=product_ideal, combine=min, nonzero=True,
-    )
+    derived = _tensor_sides(A, B, (I, J), "product ideal", product_ideal, nonzero=True)
+    return _report("thm_1_1_c", *derived, _graded(seed), min)
 
 
-@memo_scoped
-def check_lemma_1_2(A, B, xs, ys, seed: int = 0) -> TheoremReport:
-    """Elementwise products of permutable sequences stay permutable in the tensor."""
+def _product_sides(A, B, xs, ys):
+    """Lemma 1.2: the elementwise products of xs and ys in T = A ⊗ B, once
+    both are permutable sequences of equal length."""
     inputs = {
         "A": A.describe(),
         "B": B.describe(),
@@ -209,112 +223,101 @@ def check_lemma_1_2(A, B, xs, ys, seed: int = 0) -> TheoremReport:
         "ys": "[" + ", ".join(f.render() for f in ys) + "]",
     }
     if len(xs) != len(ys):
-        return _skipped("lemma_1_2", inputs, "sequences must have equal length")
+        return inputs, "sequences must have equal length"
     if not is_permutable_regular_sequence(A, xs):
-        return _skipped("lemma_1_2", inputs, "xs is not a permutable sequence of A")
+        return inputs, "xs is not a permutable sequence of A"
     if not is_permutable_regular_sequence(B, ys):
-        return _skipped("lemma_1_2", inputs, "ys is not a permutable sequence of B")
+        return inputs, "ys is not a permutable sequence of B"
     T = tensor(A, B)
     inputs["T"] = T.describe()
     # a regular sequence has no zero entry, so no generator is dropped
     left = embed_ideal(AlgebraIdeal(A, xs), T, "left").gens
     right = embed_ideal(AlgebraIdeal(B, ys), T, "right").gens
-    lhs = is_permutable_regular_sequence(T, [f * g for f, g in zip(left, right)])
-    return _verdict("lemma_1_2", inputs, lhs, True)
+    products = AlgebraIdeal(T, [f * g for f, g in zip(left, right)])
+    return inputs, [("lhs: elementwise products", T, products)]
 
 
-def _contractions(check_id, T, P):
-    """The prelude of the checks on a prime P of a tensor T: the inputs and
-    the contractions p = P ∩ A and q = P ∩ B, or the skip report when P is
-    improper."""
+@memo_scoped
+def check_lemma_1_2(A, B, xs, ys, seed: int = 0) -> TheoremReport:
+    """Elementwise products of permutable sequences stay permutable in the tensor."""
+    return _report("lemma_1_2", *_product_sides(A, B, xs, ys), _permutable, lambda _: True)
+
+
+def _prime_sides(check_id, T, P, regular=False):
+    """Proposition 2.3 and Remark 2.5: the prime P of the tensor T, its
+    contractions p = P ∩ A and q = P ∩ B, and its image in T/(p + q).
+
+    With `regular`, p and then q must be generated by regular sequences,
+    tested before T/(p + q) is built.
+    """
     if not isinstance(T, TensorAlgebra):
         raise KernelError(f"{check_id} needs a tensor presentation")
     _own_ideal(P, T, "P")
     inputs = {"T": T.describe(), "P": P.describe()}
     if not P.is_proper():
-        return _skipped(check_id, inputs, "P must be proper")
+        return inputs, "P must be proper"
     p = contract(P, "left")
     q = contract(P, "right")
     inputs["p"] = p.describe()
     inputs["q"] = q.describe()
-    return inputs, p, q
+    if regular:
+        for name, factor, ideal in (("p", T.left, p), ("q", T.right, q)):
+            if not is_regular_sequence(factor, ideal.gens):
+                return inputs, f"{name} is not generated by a regular sequence"
+    U = quotient_algebra(T, joined_ideal(p, q, T))
+    return inputs, [
+        ("lhs: P in the tensor", T, P),
+        ("rhs: left contraction", T.left, p),
+        ("rhs: right contraction", T.right, q),
+        ("rhs: image in the quotient", U, AlgebraIdeal(U, P.gens)),
+    ]
 
 
 @memo_scoped
 def check_prop_2_3_a(T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0) -> TheoremReport:
     """Height additivity across the two contractions and the quotient."""
-    head = _contractions("prop_2_3_a", T, P)
-    if isinstance(head, TheoremReport):
-        return head
-    inputs, p, q = head
-    U = quotient_algebra(T, joined_ideal(p, q, T))
-    P_in_U = AlgebraIdeal(U, P.gens)
-    lhs = height(T, P)
-    rhs = height(T.left, p) + height(T.right, q) + height(U, P_in_U)
-    return _verdict(
-        "prop_2_3_a",
-        inputs,
-        lhs,
-        rhs,
-        assumptions=("P asserted prime", "equidimensional"),
+    return _report(
+        "prop_2_3_a", *_prime_sides("prop_2_3_a", T, P), _height, sum,
+        ("P asserted prime", "equidimensional"),
     )
+
+
+def _depth_sides(A, B):
+    """Theorem 2.1: T = A ⊗ B, A and B, each with its irrelevant ideal (all
+    variables), whose grade is the depth."""
+    inputs = {"A": A.describe(), "B": B.describe()}
+    T = tensor(A, B)
+    inputs["T"] = T.describe()
+    return inputs, [
+        (f"{side} depth", R, AlgebraIdeal(R, R.ring.gens()))
+        for side, R in (("tensor", T), ("left", A), ("right", B))
+    ]
 
 
 @memo_scoped
 def check_thm_2_1(A, B, seed: int = 0) -> TheoremReport:
     """The tensor is Cohen-Macaulay exactly when both factors are."""
-    inputs = {"A": A.describe(), "B": B.describe()}
-    T = tensor(A, B)
-    inputs["T"] = T.describe()
-    vt = is_cohen_macaulay(T, seed)
-    va = is_cohen_macaulay(A, seed)
-    vb = is_cohen_macaulay(B, seed)
-    inputs["dims"] = (
-        f"T: dim {vt.dim} depth {vt.depth}; A: dim {va.dim} depth {va.depth}; "
-        f"B: dim {vb.dim} depth {vb.depth}"
+    inputs, derived = _depth_sides(A, B)
+    verdicts = []
+
+    def cm(algebra, _):
+        verdicts.append(is_cohen_macaulay(algebra, seed))
+        return verdicts[-1].is_cm, verdicts[-1].certificate
+
+    report = _report("thm_2_1", inputs, derived, cm, all)
+    # the report holds this dict, so the line read off the verdicts still joins it
+    inputs["dims"] = "; ".join(
+        f"{name}: dim {v.dim} depth {v.depth}" for name, v in zip("TAB", verdicts)
     )
-    return _verdict(
-        "thm_2_1",
-        inputs,
-        vt.is_cm,
-        va.is_cm and vb.is_cm,
-        certificates=(
-            GradeEvidence("tensor depth", T, AlgebraIdeal(T, T.ring.gens()), vt.certificate),
-            GradeEvidence("left depth", A, AlgebraIdeal(A, A.ring.gens()), va.certificate),
-            GradeEvidence("right depth", B, AlgebraIdeal(B, B.ring.gens()), vb.certificate),
-        ),
-    )
+    return report
 
 
 @memo_scoped
 def check_remark_2_5(T: TensorAlgebra, P: AlgebraIdeal, seed: int = 0) -> TheoremReport:
     """Grade additivity when both contractions are cut out by regular sequences."""
-    head = _contractions("remark_2_5", T, P)
-    if isinstance(head, TheoremReport):
-        return head
-    inputs, p, q = head
-    if not is_regular_sequence(T.left, p.gens):
-        return _skipped("remark_2_5", inputs, "p is not generated by a regular sequence")
-    if not is_regular_sequence(T.right, q.gens):
-        return _skipped("remark_2_5", inputs, "q is not generated by a regular sequence")
-    U = quotient_algebra(T, joined_ideal(p, q, T))
-    P_in_U = AlgebraIdeal(U, P.gens)
-    lhs = grade(T, P, seed)
-    rp = grade(T.left, p, seed)
-    rq = grade(T.right, q, seed)
-    ru = grade(U, P_in_U, seed)
-    return _verdict(
-        "remark_2_5",
-        inputs,
-        lhs.grade,
-        rp.grade + rq.grade + ru.grade,
-        certificates=(
-            GradeEvidence("lhs: P in the tensor", T, P, lhs),
-            GradeEvidence("rhs: left contraction", T.left, p, rp),
-            GradeEvidence("rhs: right contraction", T.right, q, rq),
-            GradeEvidence("rhs: image in the quotient", U, P_in_U, ru),
-        ),
-        assumptions=("P asserted prime",),
+    return _report(
+        "remark_2_5", *_prime_sides("remark_2_5", T, P, regular=True), _graded(seed), sum,
+        ("P asserted prime",),
     )
 
 

@@ -280,7 +280,8 @@ class TestContract:
 
 
 class TestProperness:
-    """``is_proper`` answers a constant-free lift without a basis."""
+    """``is_proper`` answers a constant-free lift without a basis, and
+    ``is_zero`` monomial relations."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32), st.integers(1, 3))
@@ -316,6 +317,16 @@ class TestProperness:
             with pytest.raises(StepBudgetExceeded):
                 I.lift.contains_one()
         assert I.lift._basis is None
+
+    def test_is_zero_over_monomial_relations_builds_no_basis(self):
+        ring = PolyRing(("x", "y"), F)
+        x, y = ring.gens()
+        A = make_algebra(ring, (x ** 2, x * y))
+        with limits(step_budget=0):
+            assert AlgebraIdeal(A, (x ** 3, 2 * x * y ** 2)).is_zero()
+            assert not AlgebraIdeal(A, (x ** 2, y)).is_zero()
+            assert AlgebraIdeal(A, ()).is_zero()
+        assert A.relations._basis is None
 
 
 class TestQuotientAlgebra:

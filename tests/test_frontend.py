@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -27,6 +28,7 @@ from cmtensor.frontend.parser import (
     CHECK_SIGNATURES,
     AssertStmt,
     MAX_LITERAL_WORK,
+    MAX_NESTING,
     MAX_POWER_TERMS,
     MIN_PAIR_COST,
     CheckStmt,
@@ -75,6 +77,8 @@ DIAGNOSTICS = {
     "integer-exponent": ("ring A = poly(x) / (x^y);", "expected an integer exponent", 1, 23),
     "power-terms": ("ring A = poly(x, y) / ((x + y)^500);",
         "polynomial of 2 terms to the power 500 may have more than 500 terms", 1, 32),
+    "nesting": ("ring A = poly(x) / (" + "(" * 65 + "x" + ")" * 65 + ");",
+        "parentheses nested more than 64 deep", 1, 85),
     "polynomial": ("ring A = poly(x); ideal I = A:(x, );",
         "expected a polynomial, found ')'", 1, 35),
     "polynomial-eof": ("ring A = poly(x); ideal I = A:(x +",
@@ -299,6 +303,9 @@ class TestParser:
         ast = parse_session("ring A = poly(x, y); ideal I = A:(-x^2*y + 2);")
         lit = ast.statements[1].gens[0]
         assert lit.render() == "-x^2*y + 2"
+        # a run of unary minus signs folds by parity, however long
+        ast = parse_session(f"ring A = poly(x); ideal I = A:({'-' * 2001}x^2 - {'-' * 2000}1);")
+        assert ast.statements[1].gens[0].render() == "-x^2 - 1"
 
     def test_parenthesized_subexpression(self):
         ast = parse_session("ring A = poly(x, y); ideal I = A:((x + y)^2);")
@@ -531,6 +538,10 @@ class TestCheckTable:
     def test_signatures_cover_every_check(self):
         assert set(CHECK_SIGNATURES) == set(theorems.CHECK_IDS)
         assert set(CHECK_ARGS) == set(theorems.CHECK_IDS)
+        # the parser may not import theorems, so each spells out a check's inputs
+        for check_id, check in theorems.CHECKS.items():
+            params = list(inspect.signature(check).parameters)
+            assert len(CHECK_SIGNATURES[check_id]) == params.index("seed"), check_id
 
     @pytest.mark.parametrize("check_id", theorems.CHECK_IDS)
     def test_executor_matches_direct_call(self, check_id):
@@ -730,6 +741,10 @@ class TestCli:
             (["run", "{costly}"], 2,
              "{costly}:1:29: syntax error: literal needs more than "
              f"{MAX_LITERAL_WORK} steps of multiplication to expand"),
+            (["run", "{nested}"], 2,
+             f"{{nested}}:1:85: syntax error: parentheses nested more than {MAX_NESTING} deep"),
+            (["run", "{negated}"], 2,
+             f"{{negated}}:1:2085: syntax error: parentheses nested more than {MAX_NESTING} deep"),
             (["corpus", "--size", "12", "--gb-step-budget", "1"], 1,
              "cmtensor: corpus generation failed: reduction step budget of 1 exhausted"),
         ],
@@ -737,7 +752,8 @@ class TestCli:
             "run-prime", "corpus-prime", "size-negative", "size-zero",
             "run-nzd-negative", "corpus-nzd-negative", "budget-zero", "budget-negative",
             "prime-too-large", "long-integer-literal", "power-too-large",
-            "literal-too-costly", "corpus-generation-budget",
+            "literal-too-costly", "nesting-too-deep", "minus-run-then-nesting-too-deep",
+            "corpus-generation-budget",
         ],
     )
     def test_bad_numbers_exit_2(self, tmp_path, capsys, argv, code, message):
@@ -753,7 +769,11 @@ class TestCli:
             "ring A = poly(x) / ((x + y)^499 * "
             + "*".join(f"v{i}" for i in range(1000)) + ");"
         )
-        files = dict(path=path, long=long, power=power, costly=costly)
+        nested = tmp_path / "nested.cmt"
+        nested.write_text("ring A = poly(x) / (" + "(" * 300 + "x" + ")" * 300 + ");")
+        negated = tmp_path / "negated.cmt"
+        negated.write_text("ring A = poly(x) / (" + "-" * 2000 + "(" * 300 + "x" + ")" * 300 + ");")
+        files = dict(path=path, long=long, power=power, costly=costly, nested=nested, negated=negated)
         assert main([a.format(**files) for a in argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -27,6 +27,10 @@ half of the time ``cmtensor run`` took to start.  The command line does
 not load :mod:`pathlib` either, which imports ``urllib.parse``,
 ``ipaddress``, ``fnmatch`` and ``ntpath``.
 
+A check's report is built in one place, the driver
+``cmtensor.theorems._report``: no other function of the package calls
+``TheoremReport`` or ``GradeEvidence``.
+
 JSON documents have one writer, ``json.dumps`` in
 :mod:`cmtensor.frontend.report`: no module calls ``dumps`` elsewhere or
 imports :mod:`json.encoder`, whose internals a second writer would need
@@ -208,3 +212,23 @@ def _monomial_reads(path):
 def test_only_groebner_reads_off_the_initial_ideal(name):
     readers = [p for p in MODULES if name in _monomial_reads(p)]
     assert [str(p.relative_to(PACKAGE)) for p in readers] == ["groebner.py"]
+
+
+def _callers(path, name):
+    """The top-level definitions of `path` that call `name`, "<module>" for
+    a call outside every definition."""
+    callers = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and name in (
+                getattr(call.func, "id", None), getattr(call.func, "attr", None)
+            ):
+                callers.add(owner)
+    return callers
+
+
+@pytest.mark.parametrize("name", ["TheoremReport", "GradeEvidence"])
+def test_only_the_driver_builds_reports(name):
+    callers = {(str(p.relative_to(PACKAGE)), c) for p in MODULES for c in _callers(p, name)}
+    assert callers == {("theorems.py", "_report")}
